@@ -24,13 +24,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import metadata
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import gffcheck, growth, limitproc, poissonlab, spectra, walks, words
+from . import gffcheck, growth, limitproc, poissonlab, spectra, walks
 from .errors import InvalidInputError, NumericError, ResourceLimitError
-from .graphs import sample_permutation_model, sample_uniform_model
+from .graphs import sample_permutation_model, sample_uniform_model, simple_regular_exists
 
 KINDS = (
     "sample",
@@ -146,16 +146,17 @@ def validate(config: ExperimentConfig) -> list[str]:
         check(isinstance(p["r"], int) and p["r"] >= 1, "r must be an integer >= 1")
     if "K" in p:
         check(isinstance(p["K"], int) and p["K"] >= 1, "K must be an integer >= 1")
-    if kind in ("sample", "cycles", "spectrum") and not violations:
-        if p["model"] == "uniform":
-            check(p["n"] * (2 * p["d"]) % 2 == 0 and p["n"] > 2 * p["d"],
-                  "uniform model needs n > 2d (degree 2d simple graph on n vertices)")
     if kind == "poisson-test" and not violations:
         ns = _as_list(p["n_values"])
         check(all(isinstance(n, int) and n >= 1 for n in ns),
               "n_values must be positive integers")
         check(isinstance(p["samples"], int) and p["samples"] >= 1,
               "samples must be a positive integer")
+    if "model" in _REQUIRED[kind] and p["model"] == "uniform" and not violations:
+        ns = _as_list(p["n_values"]) if kind == "poisson-test" else [p["n"]]
+        bad = [str(n) for n in ns if not simple_regular_exists(n, p["d"])]
+        check(not bad, f"uniform model needs n*d even and d < n; "
+                       f"got d={p['d']}, n={', '.join(bad)}")
     if kind in ("grow", "limit-sim") and not violations:
         grid = [float(t) for t in _as_list(p["grid"])]
         horizon = float(p["T"])
@@ -210,10 +211,7 @@ def _census_one(model: str, n: int, d: int, r: int, seed: int, idx: int) -> dict
         "by_length": {str(k): census.by_length[k] for k in sorted(census.by_length)}
     }
     if census.by_word is not None:
-        body["by_word"] = {
-            str(wc): census.by_word[wc]
-            for wc in sorted(census.by_word, key=lambda w: (w.length, w.letters))
-        }
+        body["by_word"] = {str(wc): count for wc, count in census.by_word.items()}
     return body
 
 
@@ -303,20 +301,19 @@ def _body_poisson_test(config: ExperimentConfig) -> tuple[dict, dict[str, list[d
 
 
 def _trajectory_rows(run_id: int, source: str, grid: Sequence[float],
-                     classes: Sequence[str], lengths: Sequence[int],
-                     counts: np.ndarray, r: int) -> list[dict]:
+                     classes: Sequence[str], counts: np.ndarray,
+                     by_length: np.ndarray) -> list[dict]:
     rows = []
     counts = np.asarray(counts)
+    by_length = np.asarray(by_length)
     for ti, t in enumerate(grid):
         for ci, name in enumerate(classes):
             rows.append({"run_id": run_id, "t": repr(float(t)), "key_type": "word",
                          "key": name, "count": int(counts[ti, ci]),
                          "source": source})
-        by_len = np.zeros(r, dtype=np.int64)
-        np.add.at(by_len, np.asarray(lengths) - 1, counts[ti])
-        for k in range(1, r + 1):
+        for k in range(1, by_length.shape[1] + 1):
             rows.append({"run_id": run_id, "t": repr(float(t)), "key_type": "length",
-                         "key": str(k), "count": int(by_len[k - 1]),
+                         "key": str(k), "count": int(by_length[ti, k - 1]),
                          "source": source})
     return rows
 
@@ -330,13 +327,12 @@ def _body_grow(config: ExperimentConfig) -> tuple[dict, dict[str, list[dict]]]:
     results = _run_indexed(_grow_one, jobs, config.workers)
 
     classes = results[0]["classes"]
-    lengths = [len(words.parse_word(name)) for name in classes]
     traj_rows: list[dict] = []
     event_rows: list[dict] = []
     mean_by_length = np.zeros((len(grid), p["r"]))
     for run_id, res in enumerate(results):
         traj_rows.extend(_trajectory_rows(run_id, "growth", grid, classes,
-                                          lengths, np.asarray(res["counts"]), p["r"]))
+                                          res["counts"], res["by_length"]))
         mean_by_length += np.asarray(res["by_length"], dtype=float)
         for ev in res["events"]:
             event_rows.append({"run_id": run_id, "time": repr(ev["time"]),
@@ -364,12 +360,11 @@ def _body_limit_sim(config: ExperimentConfig) -> tuple[dict, dict[str, list[dict
     counts = np.concatenate([np.asarray(piece, dtype=np.int64) for piece in pieces])
 
     classes = [str(wc) for wc in model.classes]
-    lengths = model.lengths.tolist()
+    by_len = limitproc.counts_by_length(counts, model)
     traj_rows: list[dict] = []
     for run_id in range(replicas):
-        traj_rows.extend(_trajectory_rows(run_id, "limit", grid, classes, lengths,
-                                          counts[run_id], p["K"]))
-    by_len = limitproc.counts_by_length(counts, model)
+        traj_rows.extend(_trajectory_rows(run_id, "limit", grid, classes,
+                                          counts[run_id], by_len[run_id]))
     body = {
         "d": p["d"], "K": p["K"], "T": float(p["T"]), "grid": list(grid),
         "replicas": replicas, "classes": classes,
@@ -423,6 +418,7 @@ def run(config: ExperimentConfig) -> Path:
     violations = validate(config)
     if violations:
         raise InvalidInputError("; ".join(violations))
+    created = [path for path in (config.out, *config.out.parents) if not path.exists()]
     config.out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     start = time.monotonic()
@@ -447,6 +443,10 @@ def run(config: ExperimentConfig) -> Path:
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
+        for path in created:  # innermost first; keep any that holds other files
+            if any(path.iterdir()):
+                break
+            path.rmdir()
         raise
 
 

@@ -22,7 +22,7 @@ import warnings
 from scipy import integrate
 
 from .errors import InvalidInputError, NumericError
-from .spectra import PolySeries, Spectrum, cheb_t_poly, linear_statistic
+from .spectra import Spectrum, cheb_t_poly, linear_statistic
 
 
 def green_halfplane(z: complex, w: complex) -> float:

@@ -16,13 +16,13 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import words
 from .errors import InvalidInputError, ResourceLimitError
-from .words import Word, letter_inverse, letter_is_inverted, letter_index
+from .words import Word, letter_index, letter_is_inverted
 
 Edge = tuple[int, int]
 
@@ -194,11 +194,16 @@ def sample_permutation_model(n: int, d: int, rng: np.random.Generator) -> PermGr
     return PermGraph(np.stack([rng.permutation(n) for _ in range(d)]))
 
 
+def simple_regular_exists(n: int, d: int) -> bool:
+    """True when some simple d-regular graph on n vertices exists: n*d even and 1 <= d < n."""
+    return 1 <= d < n and (n * d) % 2 == 0
+
+
 def sample_uniform_model(
     n: int, d: int, rng: np.random.Generator, max_retries: int = 10**5
 ) -> SimpleGraph:
     """Uniform simple d-regular graph via rejection from the pairing model."""
-    if n < 1 or d < 1 or (n * d) % 2 or d >= n:
+    if not simple_regular_exists(n, d):
         raise InvalidInputError(f"no simple d-regular graph with n={n}, d={d}")
     for _ in range(max_retries):
         stubs = rng.permutation(n * d)
@@ -285,19 +290,23 @@ class CycleSpec:
             _edge(self.vertices[i], self.vertices[(i + 1) % k]) for i in range(k)
         )
 
-    def directed_labeled_edges(self) -> frozenset[tuple[int, int, int]]:
-        """Permutation-model edges as (label0, tail, head) with pi_l(tail) = head."""
+    def labeled_steps(self) -> list[tuple[int, int, int]]:
+        """Permutation-model edges as (label0, tail, head) with pi_l(tail) = head,
+        in the order the cycle traverses them."""
         if self.word is None:
             raise InvalidInputError("no word attached to this cycle")
         k = self.length
-        out = set()
+        out = []
         for i in range(k):
             a, b = self.vertices[i], self.vertices[(i + 1) % k]
-            l = letter_index(self.word[i]) - 1
             if letter_is_inverted(self.word[i]):
                 a, b = b, a
-            out.add((l, a, b))
-        return frozenset(out)
+            out.append((letter_index(self.word[i]) - 1, a, b))
+        return out
+
+    def directed_labeled_edges(self) -> frozenset[tuple[int, int, int]]:
+        """Permutation-model edges as (label0, tail, head) with pi_l(tail) = head."""
+        return frozenset(self.labeled_steps())
 
     def canonical(self) -> "CycleSpec":
         """Representative that is minimal over rotations and reversal."""
@@ -350,6 +359,23 @@ def all_cycle_candidates(n: int, d: int, k: int, budget: int = 10**7) -> list[Cy
 # size-biased coupling
 
 
+def force_edges(perms: np.ndarray, inv: np.ndarray, edges: Iterable) -> np.ndarray:
+    """Copy of ``perms`` (with inverses ``inv``) in which each directed edge
+    (label, tail -> head) is installed in turn by one value swap."""
+    perms = perms.copy()
+    inv = inv.copy()
+    for l, a, b in edges:
+        cur = perms[l, a]
+        if cur == b:
+            continue
+        x = inv[l, b]
+        perms[l, a] = b
+        perms[l, x] = cur
+        inv[l, b] = a
+        inv[l, cur] = x
+    return perms
+
+
 def size_bias_coupling(g: PermGraph, alpha: CycleSpec) -> PermGraph:
     """Minimal transposition edit of g that forces the cycle ``alpha`` in.
 
@@ -363,24 +389,7 @@ def size_bias_coupling(g: PermGraph, alpha: CycleSpec) -> PermGraph:
         raise InvalidInputError("cycle vertices out of range")
     if any(letter_index(c) > g.d for c in alpha.word):
         raise InvalidInputError("cycle word uses labels beyond d")
-    perms = g.perms.copy()
-    inv = g.inv.copy()
-    k = alpha.length
-    for i in range(k):
-        a, b = alpha.vertices[i], alpha.vertices[(i + 1) % k]
-        c = alpha.word[i]
-        l = letter_index(c) - 1
-        if letter_is_inverted(c):
-            a, b = b, a
-        cur = perms[l, a]
-        if cur == b:
-            continue
-        x = inv[l, b]
-        perms[l, a] = b
-        perms[l, x] = cur
-        inv[l, b] = a
-        inv[l, cur] = x
-    return PermGraph(perms)
+    return PermGraph(force_edges(g.perms, g.inv, alpha.labeled_steps()))
 
 
 def monotone_partition(
@@ -782,12 +791,3 @@ class SwitchingChain:
             return False
         self._set_graph(g2)
         return True
-
-
-def switching_step(
-    g: SimpleGraph, r: int, rng: np.random.Generator, validity: str = "census"
-) -> SimpleGraph:
-    """One step of the uniform-reversible switching chain started at g."""
-    chain = SwitchingChain(g, r, rng, validity=validity)
-    chain.step()
-    return chain.graph

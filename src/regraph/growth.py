@@ -24,7 +24,7 @@ import numpy as np
 from . import walks, words
 from .errors import InvalidInputError, ResourceLimitError
 from .graphs import CycleSpec, PermGraph
-from .words import WordClass, letter_index, letter_is_inverted
+from .words import WordClass
 
 
 class PermTower:
@@ -149,35 +149,6 @@ class GrowthEvent:
     parent: Optional[WordClass] = None
 
 
-def _cycles_through_vertex(g: PermGraph, v0: int, r: int) -> list[CycleSpec]:
-    """All cycles of length <= r passing through v0."""
-    perms, inv, d = g.perms, g.inv, g.d
-    seen: dict[frozenset, CycleSpec] = {}
-
-    def moves(x: int):
-        for l in range(d):
-            yield int(perms[l, x]), (l, x), 2 * l
-            y = int(inv[l, x])
-            yield y, (l, y), 2 * l + 1
-
-    def dfs(path, used, word):
-        x = path[-1]
-        for y, edge, letter in moves(x):
-            if edge in used:
-                continue
-            if y == v0:
-                key = frozenset(used | {edge})
-                if key not in seen:
-                    seen[key] = CycleSpec(tuple(path), tuple(word + [letter]))
-                continue
-            if y in path or len(path) >= r:
-                continue
-            dfs(path + [y], used | {edge}, word + [letter])
-
-    dfs([v0], set(), [])
-    return list(seen.values())
-
-
 def classify_event(cycle: CycleSpec, new_vertex: int) -> tuple[str, Optional[WordClass]]:
     """Classify a cycle born at a vertex insertion; returns (kind, parent).
 
@@ -199,18 +170,10 @@ def classify_event(cycle: CycleSpec, new_vertex: int) -> tuple[str, Optional[Wor
     return "spontaneous", None
 
 
-def insertion_events(
-    g_before: PermGraph, g_after: PermGraph, new_vertex: int, r: int, time: float = 0.0
-) -> list[GrowthEvent]:
-    """Events caused by inserting ``new_vertex``: births and splits.
-
-    All new cycles pass through the inserted vertex; destroyed cycles pass
-    through one of the edges the insertion landed on.
-    """
-    if g_after.n != g_before.n + 1 or new_vertex != g_before.n:
-        raise InvalidInputError("expected g_after = g_before plus one new last vertex")
-    out: list[GrowthEvent] = []
-    for cyc in _cycles_through_vertex(g_after, new_vertex, r):
+def _births(g: PermGraph, new_vertex: int, r: int, time: float) -> list[GrowthEvent]:
+    """Birth events of the cycles through ``new_vertex``, the largest vertex of g."""
+    out = []
+    for cyc in walks.perm_graph_cycles(g, r, tops=[new_vertex]):
         kind, parent = classify_event(cyc, new_vertex)
         out.append(
             GrowthEvent(
@@ -221,6 +184,20 @@ def insertion_events(
                 parent=parent,
             )
         )
+    return out
+
+
+def insertion_events(
+    g_before: PermGraph, g_after: PermGraph, new_vertex: int, r: int, time: float = 0.0
+) -> list[GrowthEvent]:
+    """Events caused by inserting ``new_vertex``: births and splits.
+
+    All new cycles pass through the inserted vertex; destroyed cycles pass
+    through one of the edges the insertion landed on.
+    """
+    if g_after.n != g_before.n + 1 or new_vertex != g_before.n:
+        raise InvalidInputError("expected g_after = g_before plus one new last vertex")
+    out = _births(g_after, new_vertex, r, time)
     # splits: an existing cycle hit by the insertion in >= 2 of its edges
     hit_edges = set()
     for l in range(g_before.d):
@@ -257,7 +234,7 @@ class Trajectory:
     events: list[GrowthEvent] = field(default_factory=list)
 
     def by_length(self, r: int) -> np.ndarray:
-        return walks.counts_by_length(self.counts, self.classes, r)
+        return words.counts_by_length(self.counts, self.classes, r)
 
 
 def simulate_growth(
@@ -272,7 +249,7 @@ def simulate_growth(
 ) -> Trajectory:
     """Grow the graph to time s, then census it at s + grid up to s + T.
 
-    The run always starts from the one-vertex graph (warm-up convention);
+    The run always starts from the empty graph (warm-up convention);
     ``grid`` holds offsets in [0, T].  With ``track_events`` every insertion
     after time s is classified into grown/spontaneous/split events.
     """
@@ -285,7 +262,7 @@ def simulate_growth(
         raise InvalidInputError("grid must lie within [0, T]")
     jumps = poissonized_times(s + T, 0, rng, max_events=max_vertices)
     tower = PermTower(d, 0)
-    classes, _ = walks.class_table(d, r)
+    classes = words.classes_upto(d, r)
     abs_grid = s + np.sort(grid)
     counts = np.zeros((abs_grid.size, len(classes)), dtype=np.int64)
     n_vertices = np.zeros(abs_grid.size, dtype=np.int64)
@@ -302,26 +279,14 @@ def simulate_growth(
 
     for jt in jumps:
         record_until(jt)
-        if track_events and jt > s and tower.n > 0:
-            before = tower.graph()
-            tower.extend(rng)
+        tracked = track_events and jt > s
+        before = tower.graph() if tracked and tower.n > 0 else None
+        tower.extend(rng)
+        if before is not None:
             events.extend(insertion_events(before, tower.graph(), before.n, r, time=jt))
-        elif track_events and jt > s:
+        elif tracked:
             # first vertex of the run: its births are the d fresh loops
-            tower.extend(rng)
-            for cyc in _cycles_through_vertex(tower.graph(), 0, r):
-                kind, parent = classify_event(cyc, 0)
-                events.append(
-                    GrowthEvent(
-                        time=jt,
-                        kind=kind,
-                        cycle=cyc,
-                        word=words.canonicalize(cyc.word),
-                        parent=parent,
-                    )
-                )
-        else:
-            tower.extend(rng)
+            events.extend(_births(tower.graph(), 0, r, jt))
     record_until(np.inf)
     return Trajectory(
         grid=tuple(float(t) for t in abs_grid),

@@ -151,9 +151,7 @@ class LimitModel:
 def limit_model(d: int, K: int) -> LimitModel:
     if d < 1 or K < 1:
         raise InvalidInputError("need d >= 1 and K >= 1")
-    classes: list[WordClass] = []
-    for k in range(1, K + 1):
-        classes.extend(words.enumerate_word_classes(d, k))
+    classes = words.classes_upto(d, K)
     index = {wc: ci for ci, wc in enumerate(classes)}
     lengths = np.array([wc.length for wc in classes], dtype=np.int64)
     stationary = np.array([1.0 / wc.h for wc in classes])
@@ -166,7 +164,7 @@ def limit_model(d: int, K: int) -> LimitModel:
     return LimitModel(
         d=d,
         K=K,
-        classes=tuple(classes),
+        classes=classes,
         lengths=lengths,
         stationary_means=stationary,
         immigration_rates=immigration,
@@ -255,10 +253,7 @@ def simulate_limit(
 
 def counts_by_length(counts: np.ndarray, model: LimitModel) -> np.ndarray:
     """Aggregate per-class counts (..., n_classes) to lengths (..., K)."""
-    out = np.zeros(counts.shape[:-1] + (model.K,), dtype=counts.dtype)
-    for ci, wc in enumerate(model.classes):
-        out[..., wc.length - 1] += counts[..., ci]
-    return out
+    return words.counts_by_length(counts, model.classes, model.K)
 
 
 def chebyshev_fluctuation_series(by_length: np.ndarray, d: int, k: int) -> np.ndarray:

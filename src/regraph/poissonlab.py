@@ -15,19 +15,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import walks, words
 from .errors import InvalidInputError, ResourceLimitError
-from .graphs import (
-    CycleSpec,
-    all_cycle_candidates,
-    sample_permutation_model,
-    sample_uniform_model,
-    size_bias_coupling,
-)
+from .graphs import force_edges, sample_permutation_model, sample_uniform_model
 from .words import WordClass
 
 
@@ -65,11 +59,7 @@ def poisson_targets(model: str, d: int, r: int) -> PoissonTarget:
 
 def class_poisson_means(d: int, r: int) -> dict[WordClass, Fraction]:
     """Limiting Poisson mean 1/h for every word class of length <= r."""
-    out: dict[WordClass, Fraction] = {}
-    for k in range(1, r + 1):
-        for wc in words.enumerate_word_classes(d, k):
-            out[wc] = Fraction(1, wc.h)
-    return out
+    return {wc: Fraction(1, wc.h) for wc in words.classes_upto(d, r)}
 
 
 def rate_shape(model: str, d: int, r: int, n: int) -> float:
@@ -250,10 +240,8 @@ class _CandidateArrays:
             if count > budget:
                 raise ResourceLimitError(f"representation space {count} too large")
             verts = np.array(list(itertools.permutations(range(n), k)), dtype=np.int64)
-            word_list = []
-            for wc in words.enumerate_word_classes(d, k):
-                word_list.extend(sorted(wc.orbit()))
-            letters = np.array(sorted(word_list), dtype=np.int64)
+            words_k = sorted(w for w, _ in walks.class_table(d, r)[1] if len(w) == k)
+            letters = np.array(words_k, dtype=np.int64)
             nv, nw = len(verts), len(letters)
             v_rep = np.repeat(verts, nw, axis=0)
             l_rep = np.tile(letters, (nv, 1))
@@ -311,7 +299,7 @@ def coupling_monotonicity_report(
         alpha_in = np.full((d, n), -1, dtype=np.int64)
         alpha_out[labels, tails] = heads
         alpha_in[labels, heads] = tails
-        g2_perms = _coupled_perms(g.perms, labels, tails, heads)
+        g2_perms = force_edges(g.perms, g.inv, zip(labels, tails, heads))
         alpha_installed += int(np.all(g2_perms[labels, tails] == heads))
         for grp2 in cands.groups:
             lab, tl, hd = grp2["labels"], grp2["tails"], grp2["heads"]
@@ -334,21 +322,3 @@ def coupling_monotonicity_report(
         "minus_violations": minus_violations,
         "plus_violations": plus_violations,
     }
-
-
-def _coupled_perms(
-    perms: np.ndarray, labels: np.ndarray, tails: np.ndarray, heads: np.ndarray
-) -> np.ndarray:
-    """Install the directed edges (label, tail -> head) by value swaps."""
-    out = perms.copy()
-    inv = np.argsort(out, axis=-1)
-    for l, a, b in zip(labels, tails, heads):
-        cur = out[l, a]
-        if cur == b:
-            continue
-        x = inv[l, b]
-        out[l, a] = b
-        out[l, x] = cur
-        inv[l, b] = a
-        inv[l, cur] = x
-    return out

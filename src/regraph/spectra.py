@@ -17,8 +17,8 @@ centering constant of any polynomial linear statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb

@@ -23,6 +23,7 @@ from . import words
 from .errors import InvalidInputError, ResourceLimitError
 from .graphs import CycleSpec, PermGraph, SimpleGraph, simple_cycle_census
 from .words import WordClass
+from .words import counts_by_length as counts_by_length
 
 
 @dataclass
@@ -38,7 +39,14 @@ class CycleCensus:
         return self.by_length.get(k, 0)
 
 
-def _perm_graph_cycles(g: PermGraph, r: int, budget: int) -> list[CycleSpec]:
+def perm_graph_cycles(
+    g: PermGraph, r: int, tops: Optional[list[int]] = None, budget: int = 10**8
+) -> list[CycleSpec]:
+    """Cycles of length <= r, each found once from its largest vertex.
+
+    Only the vertices in ``tops`` are searched as largest vertex; None
+    searches them all, giving the full census.
+    """
     perms, inv, d = g.perms, g.inv, g.d
     seen: dict[frozenset, CycleSpec] = {}
     steps = 0
@@ -63,7 +71,7 @@ def _perm_graph_cycles(g: PermGraph, r: int, budget: int) -> list[CycleSpec]:
                 if key not in seen:
                     seen[key] = CycleSpec(tuple(path), tuple(word + [letter]))
                 continue
-            if y < v0 or y in path or len(path) >= r:
+            if y > v0 or y in path or len(path) >= r:
                 continue
             path.append(y)
             used.add(edge)
@@ -73,7 +81,7 @@ def _perm_graph_cycles(g: PermGraph, r: int, budget: int) -> list[CycleSpec]:
             used.remove(edge)
             word.pop()
 
-    for v0 in range(g.n):
+    for v0 in range(g.n) if tops is None else tops:
         dfs(v0, [v0], set(), [])
     return list(seen.values())
 
@@ -83,7 +91,7 @@ def enumerate_cycles(g, r: int, budget: int = 10**8) -> CycleCensus:
     if r < 1:
         raise InvalidInputError(f"need r >= 1, got {r}")
     if isinstance(g, PermGraph):
-        cycles = _perm_graph_cycles(g, r, budget)
+        cycles = perm_graph_cycles(g, r, budget=budget)
         by_word: dict[WordClass, int] = {}
         for c in cycles:
             wc = words.canonicalize(c.word)
@@ -196,15 +204,9 @@ def bad_walk_probe(g, r: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def class_table(d: int, r: int) -> tuple[tuple[WordClass, ...], tuple[tuple[words.Word, int], ...]]:
     """All word classes of length <= r plus every reduced word tagged by class."""
-    classes: list[WordClass] = []
-    word_rows: list[tuple[words.Word, int]] = []
-    for k in range(1, r + 1):
-        for wc in words.enumerate_word_classes(d, k):
-            ci = len(classes)
-            classes.append(wc)
-            for w in wc.orbit():
-                word_rows.append((w, ci))
-    return tuple(classes), tuple(word_rows)
+    classes = words.classes_upto(d, r)
+    word_rows = tuple((w, ci) for ci, wc in enumerate(classes) for w in wc.orbit())
+    return classes, word_rows
 
 
 def batch_class_counts(perms: np.ndarray, r: int) -> tuple[np.ndarray, tuple[WordClass, ...]]:
@@ -242,11 +244,3 @@ def batch_class_counts(perms: np.ndarray, r: int) -> tuple[np.ndarray, tuple[Wor
             raise InvalidInputError("walk representation count not divisible by 2k")
         counts[:, ci] = div
     return counts, classes
-
-
-def counts_by_length(class_counts: np.ndarray, classes: tuple[WordClass, ...], r: int) -> np.ndarray:
-    """Aggregate per-class cycle counts to per-length counts (batch, r)."""
-    out = np.zeros((class_counts.shape[0], r), dtype=np.int64)
-    for ci, wc in enumerate(classes):
-        out[:, wc.length - 1] += class_counts[:, ci]
-    return out

@@ -19,6 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
+
+import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
 
@@ -253,6 +256,22 @@ def enumerate_word_classes(d: int, k: int, budget: int = 10**7) -> list[WordClas
     return list(_enumerate_classes_cached(d, k, budget))
 
 
+@lru_cache(maxsize=None)
+def classes_upto(d: int, r: int) -> tuple[WordClass, ...]:
+    """All word classes of length <= r, ordered by length, then by canonical
+    word; column ci of every per-class count array is class ci of this tuple."""
+    return tuple(wc for k in range(1, r + 1) for wc in enumerate_word_classes(d, k))
+
+
+def counts_by_length(counts: np.ndarray, classes: Sequence[WordClass], r: int) -> np.ndarray:
+    """Fold per-class counts (..., n_classes) into per-length counts (..., r)."""
+    counts = np.asarray(counts)
+    out = np.zeros(counts.shape[:-1] + (r,), dtype=counts.dtype)
+    for ci, wc in enumerate(classes):
+        out[..., wc.length - 1] += counts[..., ci]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # doubling and halving moves
 
@@ -281,7 +300,3 @@ def halvings(wc: WordClass) -> dict[WordClass, int]:
             child = canonicalize(shorter)
             out[child] = out.get(child, 0) + 1
     return out
-
-
-def mu_rate(wc: WordClass) -> Fraction:
-    return wc.mu

@@ -43,8 +43,8 @@ def test_parse_error_reports_line_number(tmp_path):
 def test_validate_examples():
     ok = cli.ExperimentConfig("cycles", {"model": "permutation", "n": 10, "d": 2, "r": 3})
     assert cli.validate(ok) == []
-    # a 2d-regular simple graph on n vertices needs n > 2d
-    bad_parity = cli.ExperimentConfig("sample", {"model": "uniform", "n": 3, "d": 2})
+    # a simple d-regular graph on n vertices needs n*d even and d < n
+    bad_parity = cli.ExperimentConfig("sample", {"model": "uniform", "n": 7, "d": 3})
     v = cli.validate(bad_parity)
     assert len(v) == 1 and "uniform" in v[0]
     bad_r = cli.ExperimentConfig("cycles", {"model": "permutation", "n": 10, "d": 2, "r": 0})
@@ -158,3 +158,27 @@ def test_rerun_same_seed_identical_body(tmp_path):
         report = json.loads((out / "report.json").read_text())
         bodies.append(json.dumps(report["body"], sort_keys=True))
     assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("kind, text, code", [
+    ("sample", "model = uniform\nn = 4\nd = 2\n", 0),  # the 4-cycle
+    ("sample", "model = uniform\nn = 7\nd = 3\n", 2),  # n*d odd
+    ("poisson-test", "model = uniform\nd = 3\nr = 3\nn_values = 8, 7\nsamples = 5\n", 2),
+], ids=["sample-valid", "sample-odd-degree-sum", "poisson-test-n-values"])
+def test_uniform_model_validation_matches_sampler(tmp_path, capsys, kind, text, code):
+    cfg = _write(tmp_path, "u.cfg", text)
+    assert _run(kind, cfg, tmp_path / "out") == code
+    if code == 2:
+        assert "uniform" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path):
+    cfg = _write(tmp_path, "p.cfg",
+                 "model = uniform\nd = 3\nr = 3\nn_values = 8\nsamples = 20000\n")
+    assert _run("poisson-test", cfg, tmp_path / "new" / "out") == 3
+    assert not (tmp_path / "new").exists()
+    # a directory the run did not create is left in place
+    (tmp_path / "mine").mkdir()
+    assert _run("poisson-test", cfg, tmp_path / "mine") == 3
+    assert (tmp_path / "mine").is_dir()

@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regraph import words
 from regraph.errors import InvalidInputError, ResourceLimitError
@@ -20,7 +22,7 @@ from regraph.growth import (
     simulate_growth,
 )
 from regraph.graphs import CycleSpec
-from regraph.walks import enumerate_cycles
+from regraph.walks import enumerate_cycles, perm_graph_cycles
 
 
 def _tower_from(perm):
@@ -209,3 +211,41 @@ def test_simulate_growth_validates_input():
         simulate_growth(2, 1.0, 1.0, [2.0], 3, rng)
     with pytest.raises(InvalidInputError):
         simulate_growth(2, 1.0, 1.0, [0.0], 0, rng)
+
+
+@st.composite
+def _tower_insertion(draw):
+    """A tower of n <= 7 elements over d <= 3 permutations plus the seat
+    choices of one more insertion."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 7))
+    seats = [draw(st.lists(st.integers(0, m), min_size=d, max_size=d)) for m in range(n + 1)]
+    return d, seats, draw(st.integers(1, 5))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_tower_insertion())
+def test_insertion_events_match_census_difference(case):
+    d, seats, r = case
+    tower = PermTower(d, 0)
+    for choices in seats[:-1]:
+        tower.extend(None, choices=choices)
+    before = tower.graph()
+    tower.extend(None, choices=seats[-1])
+    after = tower.graph()
+
+    def edge_sets(cycles):
+        return [c.directed_labeled_edges() for c in cycles]
+
+    old = set(edge_sets(enumerate_cycles(before, r).cycles))
+    new = set(edge_sets(enumerate_cycles(after, r).cycles))
+    events = insertion_events(before, after, before.n, r)
+    births = edge_sets(e.cycle for e in events if e.kind != "split")
+    assert len(births) == len(set(births))
+    assert set(births) == new - old
+    assert all(s in old and s not in new
+               for s in edge_sets(e.cycle for e in events if e.kind == "split"))
+    # every cycle is found from exactly one top: its largest vertex
+    full = edge_sets(perm_graph_cycles(after, r))
+    rooted = [s for v in range(after.n) for s in edge_sets(perm_graph_cycles(after, r, tops=[v]))]
+    assert sorted(map(sorted, full)) == sorted(map(sorted, rooted))
