@@ -157,6 +157,10 @@ def validate(config: ExperimentConfig) -> list[str]:
         bad = [str(n) for n in ns if not simple_regular_exists(n, p["d"])]
         check(not bad, f"uniform model needs n*d even and d < n; "
                        f"got d={p['d']}, n={', '.join(bad)}")
+        if kind == "poisson-test":
+            check(p["samples"] <= poissonlab.UNIFORM_SAMPLE_CAP,
+                  f"uniform model samples at most {poissonlab.UNIFORM_SAMPLE_CAP} "
+                  f"graphs; got samples={p['samples']}")
     if kind in ("grow", "limit-sim") and not violations:
         grid = [float(t) for t in _as_list(p["grid"])]
         horizon = float(p["T"])

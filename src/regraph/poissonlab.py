@@ -91,36 +91,38 @@ def product_poisson_pmf(
     """Probability masses of independent Poissons on a truncation box.
 
     Each coordinate is capped at its (1 - tail) quantile; returns the pmf on
-    the box together with the total mass lying outside it.
+    the box, keyed in lexicographic order, together with the total mass lying
+    outside it.  The box is the outer product of the per-coordinate pmf
+    vectors, multiplied left to right, and its mass is summed in key order.
+    Raises ResourceLimitError once the box would exceed ``budget`` entries,
+    or when a mean is so large that e^-mean underflows.
     """
     lams = [float(m) for m in means]
     if any(l < 0 for l in lams):
         raise InvalidInputError("Poisson means must be nonnegative")
     caps = []
+    size = 1
     for lam in lams:
         cap = 0
         acc = math.exp(-lam)
+        if acc == 0.0:
+            raise ResourceLimitError(f"Poisson mean {lam} too large: e^-mean underflows")
         term = acc
         while 1 - acc > tail:
             cap += 1
+            if size * (cap + 1) > budget:
+                raise ResourceLimitError(f"pmf box exceeds budget {budget}")
             term *= lam / cap
             acc += term
         caps.append(cap)
-    size = 1
-    for c in caps:
-        size *= c + 1
-    if size > budget:
-        raise ResourceLimitError(f"pmf box of size {size} exceeds budget {budget}")
-    vectors = [_poisson_pmf_vector(lam, cap) for lam, cap in zip(lams, caps)]
-    pmf: dict[tuple[int, ...], float] = {}
-    total = 0.0
-    for combo in itertools.product(*(range(c + 1) for c in caps)):
-        p = 1.0
-        for i, x in enumerate(combo):
-            p *= vectors[i][x]
-        pmf[combo] = p
-        total += p
-    return pmf, 1.0 - total
+        size *= cap + 1
+    probs = np.ones(())
+    for lam, cap in zip(lams, caps):
+        probs = np.multiply.outer(probs, _poisson_pmf_vector(lam, cap))
+    probs = probs.ravel()
+    total = float(np.add.accumulate(probs)[-1])
+    keys = itertools.product(*(range(c + 1) for c in caps))
+    return dict(zip(keys, probs.tolist())), 1.0 - total
 
 
 def empirical_pmf(samples: np.ndarray) -> dict[tuple[int, ...], float]:
@@ -139,14 +141,26 @@ def tv_distance(
     q_tail: float = 0.0,
 ) -> float:
     """Total variation between two (sub-)pmfs; mass of q outside its support
-    box is charged in full."""
-    keys = set(p) | set(q)
-    diff = sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
-    return 0.5 * (diff + q_tail)
+    box is charged in full.
+
+    Sums |p_k - q_k| over the support of p plus q_k over the rest of q's
+    support; the second sum is every q_k minus those on p's support, taken
+    exactly by one ``math.fsum``, so the Python-level work is O(|p|) and the
+    result does not depend on key order.
+    """
+    terms = []
+    for k, pk in p.items():
+        qk = q.get(k, 0.0)
+        terms += (abs(pk - qk), -qk)
+    return 0.5 * (math.fsum(itertools.chain(terms, q.values())) + q_tail)
 
 
 # ---------------------------------------------------------------------------
 # vectorized cycle-count sampling (permutation model)
+
+# most graphs a uniform-model run samples: each one is a pairing-model draw
+# and a Python cycle search
+UNIFORM_SAMPLE_CAP = 10**4
 
 
 def sample_cycle_counts(
@@ -157,7 +171,7 @@ def sample_cycle_counts(
     samples: int,
     seed: int,
     chunk: int = 256,
-    uniform_budget: int = 10**4,
+    uniform_budget: int = UNIFORM_SAMPLE_CAP,
 ) -> np.ndarray:
     """Cycle counts (C_1..C_r) for ``samples`` independent graphs.
 

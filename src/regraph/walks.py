@@ -214,33 +214,45 @@ def batch_class_counts(perms: np.ndarray, r: int) -> tuple[np.ndarray, tuple[Wor
 
     ``perms`` has shape (batch, d, n); the result has shape
     (batch, number of classes of length <= r).
+
+    Only each class's canonical word is walked, from every start vertex.  A
+    cycle of the class reads every word of its orbit exactly ``h`` times (no
+    cyclically reduced word is conjugate to its inverse, so the orbit has
+    size 2k/h), so the closed walks with distinct vertices number ``h``
+    times the cycle count.  Distinctness is tested only at the starts whose
+    walk closes.
     """
     perms = np.asarray(perms)
     if perms.ndim == 2:
         perms = perms[None]
     batch, d, n = perms.shape
-    inv = np.argsort(perms, axis=-1)
-    classes, word_rows = class_table(d, r)
-    reps = np.zeros((batch, len(classes)), dtype=np.int64)
-    ident = np.broadcast_to(np.arange(n), (batch, n))
-    for w, ci in word_rows:
-        k = len(w)
-        pos = ident
-        trail = [pos]
-        for c in w:
-            table = perms[:, c // 2, :] if not (c & 1) else inv[:, c // 2, :]
-            pos = np.take_along_axis(table, pos, axis=1)
-            trail.append(pos)
-        ok = trail[-1] == trail[0]
-        for i in range(k):
-            for j in range(i + 1, k):
-                ok &= trail[i] != trail[j]
-        reps[:, ci] += ok.sum(axis=1)
-    counts = np.zeros_like(reps)
+    classes = words.classes_upto(d, r)
+    counts = np.zeros((batch, len(classes)), dtype=np.int64)
+    dtype = np.int32 if batch * n < 2**31 else np.int64
+    # row 2l maps the flat vertex b*n + x to b*n + pi_l(x) in graph b; row
+    # 2l + 1 is its inverse, built by scatter
+    starts = np.arange(batch * n, dtype=dtype)
+    offsets = (np.arange(batch) * n)[:, None]
+    tables = np.empty((2 * d, batch * n), dtype=dtype)
+    for l in range(d):
+        tables[2 * l] = (perms[:, l, :] + offsets).ravel()
+        tables[2 * l + 1][tables[2 * l]] = starts
     for ci, wc in enumerate(classes):
-        k = wc.length
-        div = reps[:, ci] // (2 * k)
-        if np.any(div * 2 * k != reps[:, ci]):
-            raise InvalidInputError("walk representation count not divisible by 2k")
-        counts[:, ci] = div
+        w = wc.letters
+        pos = tables[w[0]]
+        for c in w[1:]:
+            pos = tables[c].take(pos)
+        closed = (pos == starts).nonzero()[0]
+        if not closed.size:
+            continue
+        trail = np.empty((len(w), closed.size), dtype=dtype)
+        trail[0] = closed
+        for i, c in enumerate(w[:-1]):
+            tables[c].take(trail[i], out=trail[i + 1])
+        trail.sort(axis=0)
+        distinct = (trail[1:] != trail[:-1]).all(axis=0)
+        reps = np.bincount(closed[distinct] // n, minlength=batch)
+        counts[:, ci] = reps // wc.h
+        if (counts[:, ci] * wc.h != reps).any():
+            raise InvalidInputError(f"closed walk count not divisible by h = {wc.h}")
     return counts, classes

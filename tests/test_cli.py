@@ -164,7 +164,9 @@ def test_rerun_same_seed_identical_body(tmp_path):
     ("sample", "model = uniform\nn = 4\nd = 2\n", 0),  # the 4-cycle
     ("sample", "model = uniform\nn = 7\nd = 3\n", 2),  # n*d odd
     ("poisson-test", "model = uniform\nd = 3\nr = 3\nn_values = 8, 7\nsamples = 5\n", 2),
-], ids=["sample-valid", "sample-odd-degree-sum", "poisson-test-n-values"])
+    ("poisson-test", "model = uniform\nd = 3\nr = 3\nn_values = 8\nsamples = 20000\n", 2),
+], ids=["sample-valid", "sample-odd-degree-sum", "poisson-test-n-values",
+        "poisson-test-sample-cap"])
 def test_uniform_model_validation_matches_sampler(tmp_path, capsys, kind, text, code):
     cfg = _write(tmp_path, "u.cfg", text)
     assert _run(kind, cfg, tmp_path / "out") == code
@@ -174,8 +176,9 @@ def test_uniform_model_validation_matches_sampler(tmp_path, capsys, kind, text, 
 
 
 def test_failed_run_leaves_no_output_directory(tmp_path):
+    # valid config whose product-Poisson box exceeds the pmf budget at run time
     cfg = _write(tmp_path, "p.cfg",
-                 "model = uniform\nd = 3\nr = 3\nn_values = 8\nsamples = 20000\n")
+                 "model = permutation\nd = 2\nr = 7\nn_values = 8\nsamples = 10\n")
     assert _run("poisson-test", cfg, tmp_path / "new" / "out") == 3
     assert not (tmp_path / "new").exists()
     # a directory the run did not create is left in place

@@ -136,8 +136,9 @@ def test_classify_split_cycle():
     events = insertion_events(before, tower.graph(), 4, 4)
     by_kind = Counter(e.kind for e in events)
     assert by_kind["split"] >= 1
-    split_words = {words.format_word(e.word.letters) for e in events if e.kind == "split"}
-    assert "a b a b" in split_words or "a a b b" in split_words or len(split_words) > 0
+    # the four 4-cycles of ``before`` that use both hit edges, each split once
+    split_words = Counter(words.format_word(e.word.letters) for e in events if e.kind == "split")
+    assert split_words == {"a a a b": 1, "a b a b": 1, "a a b b": 1, "a b b b": 1}
 
 
 def test_classify_loop_is_spontaneous():

@@ -1,6 +1,8 @@
 """Tests for Poisson limit targets, sampling, and the coupling report."""
 
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -68,6 +70,72 @@ def test_product_poisson_pmf_mass():
 def test_product_poisson_pmf_budget():
     with pytest.raises(ResourceLimitError):
         product_poisson_pmf([50.0] * 8, tail=1e-12, budget=10)
+
+
+def _sequential_pmf(means, tail):
+    """Box pmf built one entry at a time, in key order."""
+    lams = [float(m) for m in means]
+    vectors = []
+    for lam in lams:
+        cap, term = 0, math.exp(-lam)
+        acc = term
+        while 1 - acc > tail:
+            cap += 1
+            term *= lam / cap
+            acc += term
+        vec = [math.exp(-lam)]
+        for i in range(1, cap + 1):
+            vec.append(vec[-1] * lam / i)
+        vectors.append(vec)
+    pmf = {}
+    total = 0.0
+    for combo in itertools.product(*(range(len(v)) for v in vectors)):
+        p = 1.0
+        for vec, x in zip(vectors, combo):
+            p *= vec[x]
+        pmf[combo] = p
+        total += p
+    return pmf, 1.0 - total
+
+
+@pytest.mark.parametrize("means, tail", [
+    ([2.0, 0.5, 1.25], 1e-8),
+    (poisson_targets("permutation", 2, 3).by_length, 1e-6),
+    (poisson_targets("permutation", 2, 4).by_length, 1e-6),
+    (poisson_targets("permutation", 1, 3).by_length, 1e-6),
+    (poisson_targets("uniform", 3, 4).by_length, 1e-6),
+    ([0.0], 1e-6),
+    ([7.5, 0.01], 0.1),
+    ([], 1e-6),
+])
+def test_product_poisson_pmf_matches_sequential_oracle(means, tail):
+    pmf, tail_mass = product_poisson_pmf(means, tail=tail)
+    oracle, oracle_tail = _sequential_pmf(means, tail)
+    assert list(pmf.items()) == list(oracle.items())
+    assert tail_mass == oracle_tail
+
+
+def test_product_poisson_pmf_large_mean_raises_promptly():
+    start = time.monotonic()
+    with pytest.raises(ResourceLimitError):
+        product_poisson_pmf(poisson_targets("permutation", 2, 10).by_length)
+    with pytest.raises(ResourceLimitError):
+        product_poisson_pmf([2952.0])  # e^-mean underflows
+    assert time.monotonic() - start < 5.0
+
+
+def test_tv_distance_matches_exact_fractions():
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        means = rng.uniform(0.2, 3.0, size=rng.integers(1, 4))
+        q, q_tail = product_poisson_pmf(means, tail=float(rng.choice([1e-6, 1e-2])))
+        samples = rng.poisson(means, size=(int(rng.integers(1, 500)), len(means)))
+        p = empirical_pmf(samples)
+        exact = Fraction(q_tail)
+        for k in set(p) | set(q):
+            exact += abs(Fraction(p.get(k, 0.0)) - Fraction(q.get(k, 0.0)))
+        exact /= 2
+        assert abs(Fraction(tv_distance(p, q, q_tail)) - exact) <= exact * Fraction(1, 10**15)
 
 
 def test_empirical_pmf_and_tv():

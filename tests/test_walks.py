@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regraph import words
 from regraph.errors import ResourceLimitError
@@ -122,6 +124,27 @@ def test_batch_class_counts_matches_census():
     for i in range(perms.shape[0]):
         census = enumerate_cycles(PermGraph(perms[i]), r)
         assert list(lengths[i]) == [census.count(k) for k in range(1, r + 1)]
+
+
+@st.composite
+def _perm_batch(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    batch = draw(st.integers(1, 3))
+    perms = [[draw(st.permutations(range(n))) for _ in range(d)] for _ in range(batch)]
+    return np.array(perms, dtype=np.int64).reshape(batch, d, n), draw(st.integers(1, 5))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_perm_batch())
+def test_batch_class_counts_matches_census_property(case):
+    # small n gives n < k, fixed points and multi-edges
+    perms, r = case
+    counts, classes = batch_class_counts(perms, r)
+    assert counts.shape == (perms.shape[0], len(classes))
+    for i in range(perms.shape[0]):
+        by_word = enumerate_cycles(PermGraph(perms[i]), r).by_word
+        assert {wc: int(c) for wc, c in zip(classes, counts[i]) if c} == by_word
 
 
 def test_enumerate_cycles_budget():
