@@ -16,6 +16,7 @@ spontaneous.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,30 +44,42 @@ class PermTower:
         self.succ = [list(range(n)) for _ in range(d)]
         self.pred = [list(range(n)) for _ in range(d)]
 
-    def extend(self, rng: np.random.Generator, choices=None) -> list[int]:
-        """Insert element n; returns the seat choice per permutation.
+    def extend(self, rng: Optional[np.random.Generator] = None, choices=None) -> np.ndarray:
+        """Insert elements n, n+1, ...; returns the seat rows as a (k, d) array.
 
-        Choice j < n seats the new element left of j (new -> j in the cycle);
-        choice j = n opens a new table (fixed point).
+        ``choices`` is one row of d seats (one element) or a (k, d) block
+        whose row i seats element n + i.  Seat j < n + i puts the new element
+        left of j (new -> j in the cycle); seat j = n + i opens a new table
+        (fixed point).  Without ``choices`` one element is seated uniformly,
+        with one ``rng.integers`` draw per permutation.
         """
         new = self.n
         if choices is None:
             choices = [int(rng.integers(new + 1)) for _ in range(self.d)]
-        for l, j in enumerate(choices):
+        block = np.asarray(choices, dtype=np.int64)
+        if block.ndim == 1:
+            block = block[None]
+        if block.ndim != 2 or block.shape[1] != self.d:
+            raise InvalidInputError(f"seat rows need {self.d} entries, got shape {block.shape}")
+        k = block.shape[0]
+        bad = (block < 0) | (block > np.arange(new, new + k)[:, None])
+        if bad.any():
+            i, l = np.argwhere(bad)[0]
+            raise InvalidInputError(f"seat choice {block[i, l]} out of range 0..{new + i}")
+        for l in range(self.d):
             succ, pred = self.succ[l], self.pred[l]
-            if not 0 <= j <= new:
-                raise InvalidInputError(f"seat choice {j} out of range 0..{new}")
-            if j == new:
-                succ.append(new)
-                pred.append(new)
-            else:
-                p = pred[j]
-                succ.append(j)
-                pred.append(p)
-                succ[p] = new
-                pred[j] = new
-        self.n = new + 1
-        return list(choices)
+            for x, j in enumerate(block[:, l].tolist(), new):
+                if j == x:
+                    succ.append(x)
+                    pred.append(x)
+                else:
+                    p = pred[j]
+                    succ.append(j)
+                    pred.append(p)
+                    succ[p] = x
+                    pred[j] = x
+        self.n = new + k
+        return block
 
     def delete_last(self) -> None:
         """Remove the newest element, restoring the previous tower level."""
@@ -82,25 +95,11 @@ class PermTower:
                 pred[j] = p
         self.n = last
 
-    def copy(self) -> "PermTower":
-        out = PermTower(self.d, 0)
-        out.n = self.n
-        out.succ = [list(s) for s in self.succ]
-        out.pred = [list(p) for p in self.pred]
-        return out
-
     def perms(self) -> np.ndarray:
         return np.array(self.succ, dtype=np.int64)
 
     def graph(self) -> PermGraph:
         return PermGraph(self.perms())
-
-
-def crp_extend(tower: PermTower, rng: np.random.Generator) -> PermTower:
-    """Seat a new element uniformly in every permutation; returns a new tower."""
-    out = tower.copy()
-    out.extend(rng)
-    return out
 
 
 def poissonized_times(
@@ -205,7 +204,21 @@ def insertion_events(
         if j != new_vertex:
             p = int(g_after.inv[l, new_vertex])
             hit_edges.add((l, p, j))  # edge of g_before: pi_l(p) = j
-    for cyc in walks.enumerate_cycles(g_before, r).cycles:
+    if len(hit_edges) < 2:
+        return out
+    # a cycle of length <= r through a hit edge has its largest vertex within
+    # r // 2 steps of that edge's tail; a split passes two hit edges, so only
+    # tops within that reach of two hit tails are searched
+    reach: Counter = Counter()
+    for _, p, _ in hit_edges:
+        ball = {p}
+        for _ in range(r // 2):
+            idx = list(ball)
+            ball.update(g_before.perms[:, idx].ravel().tolist(),
+                        g_before.inv[:, idx].ravel().tolist())
+        reach.update(ball)
+    tops = sorted(v for v, c in reach.items() if c >= 2)
+    for cyc in walks.perm_graph_cycles(g_before, r, tops=tops):
         hits = sum(1 for e in cyc.directed_labeled_edges() if e in hit_edges)
         if hits >= 2:
             out.append(
@@ -261,33 +274,44 @@ def simulate_growth(
     if grid.ndim != 1 or (grid.size and (grid.min() < 0 or grid.max() > T)):
         raise InvalidInputError("grid must lie within [0, T]")
     jumps = poissonized_times(s + T, 0, rng, max_events=max_vertices)
+    # every seat of the run in one draw: row m seats vertex m uniformly on
+    # 0..m in each permutation, the same values (and generator state) as one
+    # scalar draw per permutation per vertex
+    seats = rng.integers(0, np.arange(1, jumps.size + 1)[:, None], size=(jumps.size, d))
     tower = PermTower(d, 0)
     classes = words.classes_upto(d, r)
     abs_grid = s + np.sort(grid)
+    # the census at grid time t sees every vertex that arrived by t
+    n_vertices = np.searchsorted(jumps, abs_grid, side="right").astype(np.int64)
     counts = np.zeros((abs_grid.size, len(classes)), dtype=np.int64)
-    n_vertices = np.zeros(abs_grid.size, dtype=np.int64)
     events: list[GrowthEvent] = []
-    gi = 0
+    before: Optional[PermGraph] = None
 
-    def record_until(time_now: float) -> None:
-        nonlocal gi
-        while gi < abs_grid.size and abs_grid[gi] < time_now:
-            cc, _ = walks.batch_class_counts(tower.perms()[None], r)
-            counts[gi] = cc[0]
-            n_vertices[gi] = tower.n
-            gi += 1
+    def grow_to(size: int) -> None:
+        nonlocal before
+        if not track_events:
+            tower.extend(choices=seats[tower.n : size])
+            return
+        for v in range(tower.n, size):
+            tower.extend(choices=seats[v])
+            after = tower.graph()
+            if before is None:
+                # first vertex of the run: its births are the d fresh loops
+                events.extend(_births(after, 0, r, jumps[v]))
+            else:
+                events.extend(insertion_events(before, after, v, r, time=jumps[v]))
+            before = after
 
-    for jt in jumps:
-        record_until(jt)
-        tracked = track_events and jt > s
-        before = tower.graph() if tracked and tower.n > 0 else None
-        tower.extend(rng)
-        if before is not None:
-            events.extend(insertion_events(before, tower.graph(), before.n, r, time=jt))
-        elif tracked:
-            # first vertex of the run: its births are the d fresh loops
-            events.extend(_births(tower.graph(), 0, r, jt))
-    record_until(np.inf)
+    if track_events:
+        # grow to time s in one block; later insertions are classified one by one
+        tower.extend(choices=seats[: np.searchsorted(jumps, s, side="right")])
+        before = tower.graph() if tower.n else None
+    for gi, size in enumerate(n_vertices):
+        grow_to(size)
+        cc, _ = walks.batch_class_counts(tower.perms()[None], r)
+        counts[gi] = cc[0]
+    if track_events:
+        grow_to(jumps.size)
     return Trajectory(
         grid=tuple(float(t) for t in abs_grid),
         classes=classes,

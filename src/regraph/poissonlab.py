@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -95,7 +96,9 @@ def product_poisson_pmf(
     outside it.  The box is the outer product of the per-coordinate pmf
     vectors, multiplied left to right, and its mass is summed in key order.
     Raises ResourceLimitError once the box would exceed ``budget`` entries,
-    or when a mean is so large that e^-mean underflows.
+    or when a mean is so large (above about 708) that e^-mean is not a
+    normal float: a subnormal start has too few significant bits to give
+    the masses.
     """
     lams = [float(m) for m in means]
     if any(l < 0 for l in lams):
@@ -105,8 +108,8 @@ def product_poisson_pmf(
     for lam in lams:
         cap = 0
         acc = math.exp(-lam)
-        if acc == 0.0:
-            raise ResourceLimitError(f"Poisson mean {lam} too large: e^-mean underflows")
+        if acc < sys.float_info.min:
+            raise ResourceLimitError(f"Poisson mean {lam} too large: e^-mean is not a normal float")
         term = acc
         while 1 - acc > tail:
             cap += 1
@@ -175,8 +178,10 @@ def sample_cycle_counts(
 ) -> np.ndarray:
     """Cycle counts (C_1..C_r) for ``samples`` independent graphs.
 
-    Chunks are seeded independently of how work is scheduled, so results
-    depend only on (seed, n, d, r).
+    Chunk i of the permutation model is seeded by (seed, n, i), independent
+    of how work is scheduled, so results depend only on (seed, n, d, r) and
+    ``chunk``: chunk 0 reads a prefix of the same stream whatever its size,
+    later chunks do not.
     """
     if samples < 1:
         raise InvalidInputError("need at least one sample")

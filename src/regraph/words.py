@@ -181,7 +181,9 @@ class WordClass:
         return format_word(self.letters)
 
 
+@lru_cache(maxsize=1 << 16)
 def canonicalize(word: Word) -> WordClass:
+    """The class of a word; memoized, which is safe since WordClass is frozen."""
     if not is_cyclically_reduced(word):
         raise InvalidInputError(f"word {format_word(word)!r} is not cyclically reduced")
     return WordClass(canonical_form(word))

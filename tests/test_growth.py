@@ -15,14 +15,23 @@ from regraph.growth import (
     GrowthEvent,
     PermTower,
     classify_event,
-    crp_extend,
     growth_count_samples,
     insertion_events,
     poissonized_times,
     simulate_growth,
 )
 from regraph.graphs import CycleSpec
-from regraph.walks import enumerate_cycles, perm_graph_cycles
+from regraph.walks import batch_class_counts, enumerate_cycles, perm_graph_cycles
+
+
+def crp_extend(tower: PermTower, rng: np.random.Generator) -> PermTower:
+    """Seat a new element uniformly in every permutation of a copy of ``tower``."""
+    out = PermTower(tower.d, 0)
+    out.n = tower.n
+    out.succ = [list(s) for s in tower.succ]
+    out.pred = [list(p) for p in tower.pred]
+    out.extend(rng)
+    return out
 
 
 def _tower_from(perm):
@@ -250,3 +259,171 @@ def test_insertion_events_match_census_difference(case):
     full = edge_sets(perm_graph_cycles(after, r))
     rooted = [s for v in range(after.n) for s in edge_sets(perm_graph_cycles(after, r, tops=[v]))]
     assert sorted(map(sorted, full)) == sorted(map(sorted, rooted))
+
+
+def _hit_edges(g_after, new_vertex):
+    """Edges (label, tail, head) of the old graph that the insertion landed on."""
+    return {
+        (l, int(g_after.inv[l, new_vertex]), int(g_after.perms[l, new_vertex]))
+        for l in range(g_after.d)
+        if g_after.perms[l, new_vertex] != new_vertex
+    }
+
+
+def _full_scan_splits(g_before, g_after, new_vertex, r):
+    """Splits by a full census of the old graph: its cycles that the
+    insertion hits in two or more edges."""
+    hit = _hit_edges(g_after, new_vertex)
+    return [c for c in enumerate_cycles(g_before, r).cycles
+            if len(hit & c.directed_labeled_edges()) >= 2]
+
+
+def _event_key(time, kind, cycle, parent=None):
+    word = words.canonicalize(cycle.word)
+    return (float(time), kind, cycle.directed_labeled_edges(), word, parent)
+
+
+def _oracle_growth(d, s, T, grid, r, rng, track_events=False):
+    """simulate_growth the slow way: one scalar seat draw per permutation per
+    vertex, a census before each insertion that passes a grid time, and
+    births and splits from full censuses before and after every insertion.
+    Returns (counts, n_vertices, event multiset)."""
+    jumps = poissonized_times(s + T, 0, rng)
+    tower = PermTower(d, 0)
+    abs_grid = s + np.sort(np.asarray(grid, dtype=float))
+    counts, n_vertices, events = [], [], Counter()
+    for jt in list(jumps) + [np.inf]:
+        while len(counts) < abs_grid.size and abs_grid[len(counts)] < jt:
+            counts.append(batch_class_counts(tower.perms()[None], r)[0][0])
+            n_vertices.append(tower.n)
+        if jt == np.inf:
+            break
+        before = tower.graph() if tower.n else None
+        tower.extend(choices=[int(rng.integers(tower.n + 1)) for _ in range(d)])
+        if not (track_events and jt > s):
+            continue
+        after = tower.graph()
+        v = after.n - 1
+        old = set() if before is None else {
+            c.directed_labeled_edges() for c in enumerate_cycles(before, r).cycles}
+        for c in enumerate_cycles(after, r).cycles:
+            if c.directed_labeled_edges() not in old:
+                kind, parent = classify_event(c, v)
+                events[_event_key(jt, kind, c, parent)] += 1
+        if before is not None:
+            for c in _full_scan_splits(before, after, v, r):
+                events[_event_key(jt, "split", c)] += 1
+    n_classes = len(words.classes_upto(d, r))
+    return (np.array(counts, dtype=np.int64).reshape(-1, n_classes),
+            np.array(n_vertices, dtype=np.int64), events)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_simulate_growth_matches_scalar_draw_oracle(d):
+    cases = [
+        (0.0, 2.0, [0.0, 0.5, 2.0], 4, True),  # from the empty graph on
+        (0.0, 2.0, [0.0, 0.5, 2.0], 4, False),
+        (1.5, 0.8, [0.8, 0.0, 0.3], 3, True),  # unsorted grid
+        (3.0, 1.0, [0.0, 0.25, 1.0], 4, False),
+        (2.0, 1.0, [0.5], 3, False),  # vertices after the last grid time
+    ]
+    for s, T, grid, r, track in cases:
+        for seed in range(3):
+            rng = np.random.default_rng([seed, d])
+            traj = simulate_growth(d, s, T, grid, r, rng, track_events=track)
+            oracle_rng = np.random.default_rng([seed, d])
+            counts, n_vertices, events = _oracle_growth(d, s, T, grid, r, oracle_rng, track)
+            assert traj.counts.dtype == counts.dtype and np.array_equal(traj.counts, counts)
+            assert traj.n_vertices.dtype == n_vertices.dtype
+            assert np.array_equal(traj.n_vertices, n_vertices)
+            got = Counter(_event_key(e.time, e.kind, e.cycle, e.parent) for e in traj.events)
+            assert got == events
+            # the run leaves its generator where the scalar draws leave it
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_growth_count_samples_match_scalar_draw_oracle():
+    for d in (1, 2, 3):
+        got = growth_count_samples(d, 2.5, [0.5, 1.0], 3, replicas=6, seed=31)
+        want = np.array([
+            words.counts_by_length(
+                _oracle_growth(d, 2.5, 1.0, [0.0, 0.5, 1.0], 3, np.random.default_rng([31, b]))[0],
+                words.classes_upto(d, 3), 3)
+            for b in range(6)
+        ])
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@st.composite
+def _seat_block(draw):
+    """d, the seat rows of a tower of n elements, and a block of k more rows."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 10))
+    k = draw(st.integers(0, 12))
+    rows = [[draw(st.integers(0, m)) for _ in range(d)] for m in range(n + k)]
+    return d, rows[:n], rows[n:]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_seat_block(), st.data())
+def test_block_extend_matches_single_extends(case, data):
+    d, prefix, rows = case
+    block, single = PermTower(d, 0), PermTower(d, 0)
+    for row in prefix:
+        block.extend(choices=row)
+        single.extend(choices=row)
+    block.extend(choices=np.array(rows, dtype=np.int64).reshape(len(rows), d))
+    for row in rows:
+        single.extend(choices=row)
+    assert (block.n, block.succ, block.pred) == (single.n, single.succ, single.pred)
+    # one seat out of range rejects the whole block and leaves the tower as it was
+    bad = np.array(rows + [[0] * d], dtype=np.int64).reshape(len(rows) + 1, d)
+    i = data.draw(st.integers(0, len(rows)))
+    l = data.draw(st.integers(0, d - 1))
+    bad[i, l] = data.draw(st.sampled_from([-1, block.n + i + 1, block.n + i + 5]))
+    state = (block.n, [list(x) for x in block.succ], [list(x) for x in block.pred])
+    with pytest.raises(InvalidInputError):
+        block.extend(choices=bad)
+    assert (block.n, block.succ, block.pred) == state
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.integers(8, 40), st.integers(1, 5), st.data())
+def test_local_split_search_matches_full_scan(d, n, r, data):
+    # towers large enough that the searched ball around the hit edges is
+    # mostly smaller than the graph
+    tower = PermTower(d, 0)
+    for m in range(n):
+        tower.extend(choices=[data.draw(st.integers(0, m)) for _ in range(d)])
+    before = tower.graph()
+    cycles = sorted(enumerate_cycles(before, r).cycles, key=lambda c: -c.length)
+    seats = [data.draw(st.integers(0, n)) for _ in range(d)]
+    if cycles and data.draw(st.booleans()):
+        # aim the labels at steps of one short cycle, so that it splits; the
+        # last step seated per label wins, so the sorted order aims at the
+        # tails farthest from the cycle's largest vertex, the edge of the ball
+        cyc = cycles[data.draw(st.integers(0, len(cycles) - 1))]
+        at = cyc.vertices.index(max(cyc.vertices))
+        k = cyc.length
+
+        def reach(step):
+            i = (cyc.vertices.index(step[1]) - at) % k
+            return min(i, k - i)
+
+        steps = cyc.labeled_steps()
+        if data.draw(st.booleans()):
+            steps = sorted(steps, key=reach)
+        else:
+            steps = data.draw(st.permutations(steps))
+        for l, _, head in steps:
+            seats[l] = head
+    tower.extend(choices=seats)
+    after = tower.graph()
+    events = insertion_events(before, after, n, r)
+    got = Counter(_event_key(0.0, e.kind, e.cycle) for e in events if e.kind == "split")
+    want = Counter(_event_key(0.0, "split", c) for c in _full_scan_splits(before, after, n, r))
+    assert got == want
+    old = {c.directed_labeled_edges() for c in cycles}
+    new = {c.directed_labeled_edges() for c in enumerate_cycles(after, r).cycles}
+    births = [e.cycle.directed_labeled_edges() for e in events if e.kind != "split"]
+    assert len(births) == len(set(births)) and set(births) == new - old
