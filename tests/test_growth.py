@@ -261,19 +261,14 @@ def test_insertion_events_match_census_difference(case):
     assert sorted(map(sorted, full)) == sorted(map(sorted, rooted))
 
 
-def _hit_edges(g_after, new_vertex):
-    """Edges (label, tail, head) of the old graph that the insertion landed on."""
-    return {
+def _full_scan_splits(g_before, g_after, new_vertex, r):
+    """Splits by a full census of the old graph: its cycles that the
+    insertion hits in two or more edges (label, tail, head)."""
+    hit = {
         (l, int(g_after.inv[l, new_vertex]), int(g_after.perms[l, new_vertex]))
         for l in range(g_after.d)
         if g_after.perms[l, new_vertex] != new_vertex
     }
-
-
-def _full_scan_splits(g_before, g_after, new_vertex, r):
-    """Splits by a full census of the old graph: its cycles that the
-    insertion hits in two or more edges."""
-    hit = _hit_edges(g_after, new_vertex)
     return [c for c in enumerate_cycles(g_before, r).cycles
             if len(hit & c.directed_labeled_edges()) >= 2]
 
