@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -428,7 +428,12 @@ def monotone_partition(
 
 
 def simple_cycle_census(g: SimpleGraph, r: int) -> dict[frozenset, tuple[int, ...]]:
-    """All cycles of length 3..r as {edge set: vertex tuple}."""
+    """All cycles of length 3..r as {edge set: vertex tuple}.
+
+    Each cycle is found once, in the form of ``_canonical_cycle``, and with
+    neighbours taken in ascending order the tuples of each length come in
+    ascending order.
+    """
     found: dict[frozenset, tuple[int, ...]] = {}
     if r < 3:
         return found
@@ -438,9 +443,8 @@ def simple_cycle_census(g: SimpleGraph, r: int) -> dict[frozenset, tuple[int, ..
         for nxt in g.neighbors[last]:
             if nxt == start and len(path) >= 3:
                 # fix direction: second vertex smaller than last
-                if path[1] < path[-1]:
-                    cyc = CycleSpec(tuple(path))
-                    found[cyc.undirected_edges()] = tuple(path)
+                if path[1] < last:
+                    found[frozenset(map(_edge, path, path[1:] + path[:1]))] = tuple(path)
                 continue
             if nxt <= start or nxt in path:
                 continue
@@ -452,6 +456,14 @@ def simple_cycle_census(g: SimpleGraph, r: int) -> dict[frozenset, tuple[int, ..
     for v in range(g.n):
         dfs(v, [v])
     return found
+
+
+def _canonical_cycle(vs: Sequence[int]) -> tuple[int, ...]:
+    """The rotation and direction of a vertex cycle that starts at its
+    smallest vertex and has its second vertex below its last."""
+    i = vs.index(min(vs))
+    c = tuple(vs[i:]) + tuple(vs[:i])
+    return c if c[1] < c[-1] else c[:1] + c[:0:-1]
 
 
 def apply_switching(
@@ -498,135 +510,35 @@ def apply_switching(
         return None
 
 
-def _cycles_through_edges(g: SimpleGraph, changed: set[Edge], r: int) -> set[frozenset]:
-    """Edge sets of all cycles of length <= r using at least one changed edge."""
-    found: set[frozenset] = set()
+def _cycles_through_edges(
+    neighbors: Sequence[Collection[int]], changed: Iterable[Edge], r: int
+) -> set[tuple[int, ...]]:
+    """Canonical vertex tuples of the cycles of length 3..r that use at least
+    one changed edge, in the graph where x is adjacent to ``neighbors[x]``:
+    a graph's own neighbour tuples, or the sets of ``_complement_neighbors``."""
+    found: set[tuple[int, ...]] = set()
     for u, v in changed:
-        # paths v -> u of length <= r - 1 close a cycle through (u, v)
-        stack = [(v, (v,))]
+        # a path v, ..., x whose end x is adjacent to u closes the cycle u, v, ..., x
+        stack = [(v,)]
         while stack:
-            x, path = stack.pop()
-            for y in g.neighbors[x]:
-                if y == u and len(path) >= 2:
-                    found.add(
-                        frozenset(
-                            [_edge(u, v)]
-                            + [_edge(path[i], path[i + 1]) for i in range(len(path) - 1)]
-                            + [_edge(x, u)]
-                        )
-                    )
-                    continue
-                if y == u or y == v or y in path or len(path) >= r - 1:
-                    continue
-                stack.append((y, path + (y,)))
+            path = stack.pop()
+            x = path[-1]
+            if len(path) >= 2 and u in neighbors[x]:
+                found.add(_canonical_cycle((u,) + path))
+            if len(path) < r - 1:
+                stack.extend(path + (y,) for y in neighbors[x] if y != u and y not in path)
     return found
 
 
-def switching_is_valid(
-    g: SimpleGraph, g2: SimpleGraph, alpha_edges: frozenset, r: int, direction: str
-) -> bool:
-    """Valid switchings change the short-cycle census by exactly ``alpha``.
-
-    Only cycles through a changed edge can appear or disappear, so the check
-    is local to the switched edges.
-    """
-    deleted = set(g.edges - g2.edges)
-    added = set(g2.edges - g.edges)
-    destroyed = _cycles_through_edges(g, deleted, r)
-    created = _cycles_through_edges(g2, added, r)
-    # a cycle through changed edges may survive in neither or both graphs
-    common = destroyed & created
-    destroyed -= common
-    created -= common
-    if direction == "forward":
-        return destroyed == {alpha_edges} and not created
-    return created == {alpha_edges} and not destroyed
-
-
-def forward_switchings(
-    g: SimpleGraph,
-    alpha: CycleSpec,
-    r: int,
-    rng: Optional[np.random.Generator] = None,
-    budget: int = 10**7,
-) -> tuple[int, Optional[tuple]]:
-    """Count valid forward switchings at ``alpha`` and return one uniformly.
-
-    The cycle representation of ``alpha`` is held fixed, so each switching is
-    counted once.  Returns (count, (vs, us, ws)) with the sample None when the
-    count is zero.
-    """
-    if not alpha.contained_in(g):
-        raise InvalidInputError("alpha must be a cycle of g")
-    k = alpha.length
-    if k > r:
-        raise InvalidInputError(f"cycle length {k} exceeds horizon r={r}")
-    directed = [(a, b) for a, b in g.edges] + [(b, a) for a, b in g.edges]
-    if len(directed) ** k > budget:
-        raise ResourceLimitError(f"(nd)^k = {len(directed) ** k} exceeds budget {budget}")
-    vs = alpha.vertices
-    alpha_edges = alpha.undirected_edges()
-    count = 0
-    sample = None
-    for tup in itertools.product(directed, repeat=k):
-        ws = tuple(tup[i][0] for i in range(k))
-        us = tuple(tup[(i - 1) % k][1] for i in range(k))
-        g2 = apply_switching(g, vs, us, ws, "forward")
-        if g2 is None or not switching_is_valid(g, g2, alpha_edges, r, "forward"):
-            continue
-        count += 1
-        if rng is not None and rng.integers(count) == 0:
-            sample = (vs, us, ws)
-        elif rng is None and sample is None:
-            sample = (vs, us, ws)
-    return count, sample
-
-
-def backward_switchings(
-    g: SimpleGraph,
-    alpha: CycleSpec,
-    r: int,
-    rng: Optional[np.random.Generator] = None,
-    budget: int = 10**7,
-) -> tuple[int, Optional[tuple]]:
-    """Count valid backward switchings creating ``alpha``; mirror of forward."""
-    k = alpha.length
-    if k > r:
-        raise InvalidInputError(f"cycle length {k} exceeds horizon r={r}")
-    vs = alpha.vertices
-    alpha_edges = alpha.undirected_edges()
-    per_vertex = [
-        [(u, w) for u in g.neighbors[v] for w in g.neighbors[v] if u != w] for v in vs
-    ]
-    total = 1
-    for p in per_vertex:
-        total *= max(len(p), 1)
-    if total > budget:
-        raise ResourceLimitError(f"(d(d-1))^k = {total} exceeds budget {budget}")
-    count = 0
-    sample = None
-    for combo in itertools.product(*per_vertex):
-        us = tuple(c[0] for c in combo)
-        ws = tuple(c[1] for c in combo)
-        g2 = apply_switching(g, vs, us, ws, "backward")
-        if g2 is None or not switching_is_valid(g, g2, alpha_edges, r, "backward"):
-            continue
-        count += 1
-        if rng is not None and rng.integers(count) == 0:
-            sample = (vs, us, ws)
-        elif rng is None and sample is None:
-            sample = (vs, us, ws)
-    return count, sample
+def _complement_neighbors(g: SimpleGraph) -> list[set[int]]:
+    """Neighbour sets of the complement of g."""
+    everyone = set(range(g.n))
+    return [everyone.difference(nb, (x,)) for x, nb in enumerate(g.neighbors)]
 
 
 def _complement(g: SimpleGraph) -> SimpleGraph:
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
-    ]
-    return SimpleGraph(g.n, g.n - 1 - g.d, edges)
+    co = _complement_neighbors(g)
+    return SimpleGraph(g.n, g.n - 1 - g.d, [(u, v) for u in range(g.n) for v in co[u] if u < v])
 
 
 def _forward_option_counts(g: SimpleGraph, vs: Sequence[int]) -> list[list[tuple[int, int]]]:
@@ -654,6 +566,21 @@ def _forward_option_counts(g: SimpleGraph, vs: Sequence[int]) -> list[list[tuple
     return options
 
 
+def _gain(lost: set, won: set, k: int) -> int:
+    """Net change in the number of k-cycles when ``lost`` go and ``won`` come."""
+    return sum(len(c) == k for c in won) - sum(len(c) == k for c in lost)
+
+
+def _apply_census_change(by_length: dict[int, list], lost: set, won: set) -> None:
+    """Remove ``lost`` from, and insert ``won`` into, ascending per-length lists."""
+    for k, cycles in by_length.items():
+        lost_k = {c for c in lost if len(c) == k}
+        won_k = sorted(c for c in won if len(c) == k)
+        if lost_k or won_k:
+            # two ascending runs, which one merge pass of sorted joins
+            by_length[k] = sorted([c for c in cycles if c not in lost_k] + won_k)
+
+
 class SwitchingChain:
     """Reversible Markov chain on simple d-regular graphs driven by switchings.
 
@@ -670,6 +597,16 @@ class SwitchingChain:
     (at small n such switchings may not exist at all, freezing the chain);
     "structural" accepts any well-formed switching.  Both gates are
     symmetric under reversal, so reversibility holds either way.
+
+    Invariant: ``cycles_by_length[k]`` and ``co_cycles_by_length[k]`` list
+    the k-cycles of the graph and of its complement as canonical vertex
+    tuples (``_canonical_cycle``) in ascending order, which is the order of
+    ``simple_cycle_census``, so every draw of ``rng`` picks the cycle a full
+    census would.  A switching changes at most 4k edges, and only a cycle
+    through a changed edge can appear or disappear, so the lists, the
+    validity gate and the cycle counts of the Metropolis ratio all come from
+    searches through the changed edges (``_cycles_through_edges``), in the
+    graph and in its complement.
     """
 
     def __init__(
@@ -683,111 +620,106 @@ class SwitchingChain:
             raise InvalidInputError(f"need r >= 3, got {r}")
         if validity not in ("census", "structural"):
             raise InvalidInputError(f"unknown validity mode {validity!r}")
+        if g.d < 2:
+            raise InvalidInputError(f"switchings need degree d >= 2, got d={g.d}")
         if g.n - 1 - g.d < 2:
             raise InvalidInputError("graph too dense for switchings (complement degree < 2)")
         self.r = r
         self.rng = rng
         self.validity = validity
-        self._set_graph(g)
+        self.graph = g
+        self.cycles_by_length = self._by_length(simple_cycle_census(g, r))
+        self.co_cycles_by_length = self._by_length(simple_cycle_census(_complement(g), r))
+        self._co_neighbors = _complement_neighbors(g)
 
     @property
     def n(self) -> int:
         return self.graph.n
 
-    def _set_graph(self, g: SimpleGraph) -> None:
-        self.graph = g
-        self.cycles_by_length = self._cycles_of(g)
-        self.co_cycles_by_length = self._cycles_of(_complement(g))
-
-    def _cycles_of(self, g: SimpleGraph) -> dict[int, list[tuple[int, ...]]]:
+    def _by_length(self, census: dict) -> dict[int, list[tuple[int, ...]]]:
         out: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(3, self.r + 1)}
-        for vs in simple_cycle_census(g, self.r).values():
+        for vs in census.values():
             out[len(vs)].append(vs)
         return out
 
-    def _forward_weight(self, g: SimpleGraph, vs: Sequence[int], k_cycles: int) -> float:
-        """Probability (up to the direction/length coin) of proposing the
-        forward switching at vs from g, summed over its representations."""
-        options = _forward_option_counts(g, vs)
-        prod = 1.0
-        for opts in options:
-            if not opts:
-                return 0.0
-            prod /= len(opts)
-        return prod / k_cycles
+    def _complement_change(self, g2: SimpleGraph, deleted: frozenset, added: frozenset):
+        """Neighbour sets of the complement of g2, and the complement cycles
+        lost and won: the complement gains the deleted edges and loses the
+        added ones."""
+        co2 = _complement_neighbors(g2)
+        lost = _cycles_through_edges(self._co_neighbors, added, self.r)
+        return co2, lost, _cycles_through_edges(co2, deleted, self.r)
 
     def step(self) -> bool:
         """Advance one step; returns True when the graph changed."""
         rng = self.rng
         g = self.graph
-        k = int(rng.integers(3, self.r + 1))
+        r = self.r
+        k = int(rng.integers(3, r + 1))
         pair_count = float(g.d * (g.d - 1)) ** k
-        if rng.integers(2) == 0:
-            cycles = self.cycles_by_length[k]
-            if not cycles:
-                return False
-            vs = list(cycles[rng.integers(len(cycles))])
-            rot = int(rng.integers(k))
-            vs = vs[rot:] + vs[:rot]
-            if rng.integers(2):
-                vs = [vs[0]] + vs[1:][::-1]
-            options = _forward_option_counts(g, vs)
-            us = [0] * k
-            ws = [0] * k
+        forward = rng.integers(2) == 0
+        cycles = (self.cycles_by_length if forward else self.co_cycles_by_length)[k]
+        if not cycles:
+            return False
+        vs = list(cycles[rng.integers(len(cycles))])
+        rot = int(rng.integers(k))
+        vs = vs[rot:] + vs[:rot]
+        if rng.integers(2):
+            vs = [vs[0]] + vs[1:][::-1]
+        us = [0] * k
+        ws = [0] * k
+        if forward:
             forward_q = 1.0 / len(cycles)
-            for i, opts in enumerate(options):
+            for i, opts in enumerate(_forward_option_counts(g, vs)):
                 if not opts:
                     return False
                 w, u = opts[rng.integers(len(opts))]
                 ws[i] = w
                 us[(i + 1) % k] = u
                 forward_q /= len(opts)
-            g2 = apply_switching(g, vs, us, ws, "forward")
-            if g2 is None:
+        else:
+            for i in range(k):
+                nb = g.neighbors[vs[i]]
+                a, b = rng.choice(len(nb), size=2, replace=False)
+                us[i], ws[i] = nb[a], nb[b]
+        g2 = apply_switching(g, vs, us, ws, "forward" if forward else "backward")
+        if g2 is None:
+            return False
+        deleted, added = g.edges - g2.edges, g2.edges - g.edges
+        lost = _cycles_through_edges(g.neighbors, deleted, r)
+        won = _cycles_through_edges(g2.neighbors, added, r)
+        if self.validity == "census":
+            # the switching must change the census by exactly its cycle
+            alpha = _canonical_cycle(vs)
+            if (lost, won) != (({alpha}, set()) if forward else (set(), {alpha})):
                 return False
-            alpha_edges = CycleSpec(tuple(vs)).undirected_edges()
-            if self.validity == "census" and not switching_is_valid(
-                g, g2, alpha_edges, self.r, "forward"
-            ):
-                return False
-            co_k = sum(1 for p in self._cycles_of(_complement(g2))[k])
+        co_change = None
+        if forward:
+            co_change = self._complement_change(g2, deleted, added)
+            _, co_lost, co_won = co_change
+            co_k = len(self.co_cycles_by_length[k]) + _gain(co_lost, co_won, k)
             if co_k == 0:
                 raise InvalidInputError("created cycle missing from complement census")
             backward_q = 1.0 / (co_k * pair_count)
             accept = min(1.0, backward_q / forward_q)
         else:
-            co_cycles = self.co_cycles_by_length[k]
-            if not co_cycles:
-                return False
-            vs = list(co_cycles[rng.integers(len(co_cycles))])
-            rot = int(rng.integers(k))
-            vs = vs[rot:] + vs[:rot]
-            if rng.integers(2):
-                vs = [vs[0]] + vs[1:][::-1]
-            us = [0] * k
-            ws = [0] * k
-            for i in range(k):
-                nb = g.neighbors[vs[i]]
-                a, b = rng.choice(len(nb), size=2, replace=False)
-                us[i], ws[i] = nb[a], nb[b]
-            g2 = apply_switching(g, vs, us, ws, "backward")
-            if g2 is None:
-                return False
-            alpha_edges = CycleSpec(tuple(vs)).undirected_edges()
-            if self.validity == "census" and not switching_is_valid(
-                g, g2, alpha_edges, self.r, "backward"
-            ):
-                return False
-            backward_q = 1.0 / (len(co_cycles) * pair_count)
-            target_cycles = self._cycles_of(g2)[k]
+            backward_q = 1.0 / (len(cycles) * pair_count)
             options = _forward_option_counts(g2, vs)
             if any((ws[i], us[(i + 1) % k]) not in options[i] for i in range(k)):
                 # the exact reverse proposal cannot be generated, so the
                 # reverse density is zero and the move must be rejected
                 return False
-            forward_q = self._forward_weight(g2, vs, len(target_cycles))
+            forward_q = 1.0
+            for opts in options:
+                forward_q /= len(opts)
+            forward_q /= len(self.cycles_by_length[k]) + _gain(lost, won, k)
             accept = min(1.0, forward_q / backward_q)
         if rng.random() >= accept:
             return False
-        self._set_graph(g2)
+        if co_change is None:
+            co_change = self._complement_change(g2, deleted, added)
+        self.graph = g2
+        _apply_census_change(self.cycles_by_length, lost, won)
+        self._co_neighbors, co_lost, co_won = co_change
+        _apply_census_change(self.co_cycles_by_length, co_lost, co_won)
         return True

@@ -22,7 +22,13 @@ import numpy as np
 
 from . import walks, words
 from .errors import InvalidInputError, ResourceLimitError
-from .graphs import force_edges, sample_permutation_model, sample_uniform_model
+from .graphs import (
+    CycleSpec,
+    PermGraph,
+    force_edges,
+    sample_permutation_model,
+    sample_uniform_model,
+)
 from .words import WordClass
 
 
@@ -246,43 +252,15 @@ def tv_convergence_experiment(
 # coupling monotonicity at scale
 
 
-class _CandidateArrays:
-    """All cycle representations on n vertices grouped by length."""
-
-    def __init__(self, n: int, d: int, r: int, budget: int = 10**7):
-        self.n, self.d, self.r = n, d, r
-        self.groups = []
-        for k in range(1, r + 1):
-            count = words.count_reduced_words(d, k)
-            for i in range(k):
-                count *= n - i
-            if count > budget:
-                raise ResourceLimitError(f"representation space {count} too large")
-            verts = np.array(list(itertools.permutations(range(n), k)), dtype=np.int64)
-            words_k = sorted(w for w, _ in walks.class_table(d, r)[1] if len(w) == k)
-            letters = np.array(words_k, dtype=np.int64)
-            nv, nw = len(verts), len(letters)
-            v_rep = np.repeat(verts, nw, axis=0)
-            l_rep = np.tile(letters, (nv, 1))
-            # directed step (label, tail, head): inverted letters flip direction
-            heads = np.roll(v_rep, -1, axis=1)
-            tails = v_rep
-            invmask = (l_rep & 1).astype(bool)
-            t = np.where(invmask, heads, tails)
-            h = np.where(invmask, tails, heads)
-            self.groups.append(
-                {
-                    "k": k,
-                    "labels": l_rep // 2,
-                    "tails": t,
-                    "heads": h,
-                }
-            )
-
-    def contained(self, perms: np.ndarray, group: dict) -> np.ndarray:
-        return np.all(
-            perms[group["labels"], group["tails"]] == group["heads"], axis=1
-        )
+def _nth_arrangement(n: int, k: int, i: int) -> tuple[int, ...]:
+    """The i-th ordered k-tuple of distinct elements of range(n), in the
+    lexicographic order of ``itertools.permutations``."""
+    pool = list(range(n))
+    out = []
+    for j in range(k):
+        q, i = divmod(i, math.perm(n - 1 - j, k - 1 - j))
+        out.append(pool.pop(q))
+    return tuple(out)
 
 
 def coupling_monotonicity_report(
@@ -291,52 +269,66 @@ def coupling_monotonicity_report(
     """Force random cycles into random graphs and verify the coupling is
     monotone on the implied partition of all candidate cycles.
 
-    Candidates sharing a partial edge with the forced cycle must be absent
-    afterwards; all others may only appear.  Violations are counted per kind.
+    A candidate is a representation of a cycle of length k <= r: k distinct
+    vertices in order and a cyclically reduced word of length k.  Candidates
+    sharing a partial edge with the forced cycle must be absent afterwards;
+    all others may only appear.  Violations are counted per kind, over every
+    candidate of every trial.
+
+    A minus violation is present in the coupled graph and a plus violation in
+    the sampled one, so only cycles of those two graphs can violate.  A
+    cycle of length k has exactly 2k representations (k rotations, two
+    directions), all with its directed labelled edges, so each cycle found by
+    one census of each graph stands for 2k candidates.  Alpha is drawn, as
+    its representation, uniformly from the candidates of a length drawn with
+    weight proportional to the number of cycles of that length.
     """
-    cands = _CandidateArrays(n, d, r)
-    rng = np.random.default_rng([seed, n, d, r])
+    words_by_length = [
+        sorted(w for w, _ in walks.class_table(d, r)[1] if len(w) == k)
+        for k in range(1, r + 1)
+    ]
+    sizes = [math.perm(n, k) * len(ws) for k, ws in enumerate(words_by_length, 1)]
     # weight lengths by the number of cycles [n]_k * a(d,k) / 2k
-    weights = []
-    for g in cands.groups:
-        weights.append(g["tails"].shape[0] / (2 * g["k"]))
+    weights = [size / (2 * k) for k, size in enumerate(sizes, 1)]
     weights = np.array(weights) / sum(weights)
+    rng = np.random.default_rng([seed, n, d, r])
     minus_violations = 0
     plus_violations = 0
     alpha_installed = 0
-    checked = 0
     for _ in range(trials):
         g = sample_permutation_model(n, d, rng)
-        gi = int(rng.choice(len(cands.groups), p=weights))
-        grp = cands.groups[gi]
-        ri = int(rng.integers(grp["tails"].shape[0]))
-        k = grp["k"]
-        labels = grp["labels"][ri]
-        tails = grp["tails"][ri]
-        heads = grp["heads"][ri]
-        alpha_out = np.full((d, n), -1, dtype=np.int64)
-        alpha_in = np.full((d, n), -1, dtype=np.int64)
-        alpha_out[labels, tails] = heads
-        alpha_in[labels, heads] = tails
-        g2_perms = force_edges(g.perms, g.inv, zip(labels, tails, heads))
-        alpha_installed += int(np.all(g2_perms[labels, tails] == heads))
-        for grp2 in cands.groups:
-            lab, tl, hd = grp2["labels"], grp2["tails"], grp2["heads"]
-            ao = alpha_out[lab, tl]
-            ai = alpha_in[lab, hd]
-            bad = np.any(((ao != -1) & (ao != hd)) | ((ai != -1) & (ai != tl)), axis=1)
-            is_alpha = np.all(ao == hd, axis=1) if grp2["k"] == k else np.zeros(len(lab), bool)
-            in_g = np.all(g.perms[lab, tl] == hd, axis=1)
-            in_g2 = np.all(g2_perms[lab, tl] == hd, axis=1)
-            minus_violations += int(np.sum(bad & in_g2))
-            plus_violations += int(np.sum(~bad & ~is_alpha & in_g & ~in_g2))
-            checked += len(lab)
+        k = int(rng.choice(r, p=weights)) + 1
+        ws = words_by_length[k - 1]
+        ri = int(rng.integers(sizes[k - 1]))
+        alpha = CycleSpec(_nth_arrangement(n, k, ri // len(ws)), ws[ri % len(ws)])
+        steps = alpha.labeled_steps()
+        out_map = {(l, a): b for l, a, b in steps}
+        in_map = {(l, b): a for l, a, b in steps}
+        g2_perms = force_edges(g.perms, g.inv, steps)
+        alpha_installed += all(g2_perms[l, a] == b for l, a, b in steps)
+
+        def conflicts(c_steps: list) -> bool:
+            return any(
+                out_map.get((l, a), b) != b or in_map.get((l, b), a) != a
+                for l, a, b in c_steps
+            )
+
+        for c in walks.perm_graph_cycles(PermGraph(g2_perms), r):
+            if conflicts(c.labeled_steps()):
+                minus_violations += 2 * c.length
+        for c in walks.perm_graph_cycles(g, r):
+            c_steps = c.labeled_steps()
+            # a cycle whose edges all are alpha's is alpha
+            is_alpha = all(out_map.get((l, a)) == b for l, a, b in c_steps)
+            kept = all(g2_perms[l, a] == b for l, a, b in c_steps)
+            if not (conflicts(c_steps) or is_alpha or kept):
+                plus_violations += 2 * c.length
     return {
         "n": n,
         "d": d,
         "r": r,
         "trials": trials,
-        "representations_checked": checked,
+        "representations_checked": trials * sum(sizes),
         "alpha_installed": alpha_installed,
         "minus_violations": minus_violations,
         "plus_violations": plus_violations,

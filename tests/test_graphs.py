@@ -6,27 +6,27 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regraph.errors import InvalidInputError
+from regraph.errors import InvalidInputError, ResourceLimitError
 from regraph.graphs import (
     CycleSpec,
     PermGraph,
     SimpleGraph,
     SwitchingChain,
     _complement,
+    _edge,
     _forward_option_counts,
     all_cycle_candidates,
     apply_switching,
-    backward_switchings,
     enumerate_labeled_regular_graphs,
-    forward_switchings,
     graph_from_json,
     monotone_partition,
     sample_permutation_model,
     sample_uniform_model,
     simple_cycle_census,
     size_bias_coupling,
-    switching_is_valid,
 )
 
 
@@ -200,6 +200,217 @@ def test_monotone_partition_is_monotone():
             # can only be created: present before means present after
             assert not cand.contained_in(g) or cand.contained_in(g2)
         assert len(minus) + len(plus) == len(candidates) - 1
+
+
+# ---------------------------------------------------------------------------
+# switching oracles: brute force and full recensus
+
+
+def _edge_sets_through(g, changed, r):
+    """Edge sets of all cycles of length <= r using at least one changed edge."""
+    found = set()
+    for u, v in changed:
+        # paths v -> u of length <= r - 1 close a cycle through (u, v)
+        stack = [(v, (v,))]
+        while stack:
+            x, path = stack.pop()
+            for y in g.neighbors[x]:
+                if y == u and len(path) >= 2:
+                    found.add(
+                        frozenset(
+                            [_edge(u, v)]
+                            + [_edge(path[i], path[i + 1]) for i in range(len(path) - 1)]
+                            + [_edge(x, u)]
+                        )
+                    )
+                    continue
+                if y == u or y == v or y in path or len(path) >= r - 1:
+                    continue
+                stack.append((y, path + (y,)))
+    return found
+
+
+def switching_is_valid(g, g2, alpha_edges, r, direction):
+    """Valid switchings change the short-cycle census by exactly ``alpha``.
+
+    Only cycles through a changed edge can appear or disappear, so the check
+    is local to the switched edges.
+    """
+    destroyed = _edge_sets_through(g, g.edges - g2.edges, r)
+    created = _edge_sets_through(g2, g2.edges - g.edges, r)
+    if direction == "forward":
+        return destroyed == {alpha_edges} and not created
+    return created == {alpha_edges} and not destroyed
+
+
+def forward_switchings(g, alpha, r, rng=None, budget=10**7):
+    """Count valid forward switchings at ``alpha`` and return one uniformly.
+
+    The cycle representation of ``alpha`` is held fixed, so each switching is
+    counted once.  Returns (count, (vs, us, ws)) with the sample None when the
+    count is zero.
+    """
+    if not alpha.contained_in(g):
+        raise InvalidInputError("alpha must be a cycle of g")
+    k = alpha.length
+    if k > r:
+        raise InvalidInputError(f"cycle length {k} exceeds horizon r={r}")
+    directed = [(a, b) for a, b in g.edges] + [(b, a) for a, b in g.edges]
+    if len(directed) ** k > budget:
+        raise ResourceLimitError(f"(nd)^k = {len(directed) ** k} exceeds budget {budget}")
+    vs = alpha.vertices
+    alpha_edges = alpha.undirected_edges()
+    count = 0
+    sample = None
+    for tup in itertools.product(directed, repeat=k):
+        ws = tuple(tup[i][0] for i in range(k))
+        us = tuple(tup[(i - 1) % k][1] for i in range(k))
+        g2 = apply_switching(g, vs, us, ws, "forward")
+        if g2 is None or not switching_is_valid(g, g2, alpha_edges, r, "forward"):
+            continue
+        count += 1
+        if rng is not None and rng.integers(count) == 0:
+            sample = (vs, us, ws)
+        elif rng is None and sample is None:
+            sample = (vs, us, ws)
+    return count, sample
+
+
+def backward_switchings(g, alpha, r, rng=None, budget=10**7):
+    """Count valid backward switchings creating ``alpha``; mirror of forward."""
+    k = alpha.length
+    if k > r:
+        raise InvalidInputError(f"cycle length {k} exceeds horizon r={r}")
+    vs = alpha.vertices
+    alpha_edges = alpha.undirected_edges()
+    per_vertex = [
+        [(u, w) for u in g.neighbors[v] for w in g.neighbors[v] if u != w] for v in vs
+    ]
+    total = 1
+    for p in per_vertex:
+        total *= max(len(p), 1)
+    if total > budget:
+        raise ResourceLimitError(f"(d(d-1))^k = {total} exceeds budget {budget}")
+    count = 0
+    sample = None
+    for combo in itertools.product(*per_vertex):
+        us = tuple(c[0] for c in combo)
+        ws = tuple(c[1] for c in combo)
+        g2 = apply_switching(g, vs, us, ws, "backward")
+        if g2 is None or not switching_is_valid(g, g2, alpha_edges, r, "backward"):
+            continue
+        count += 1
+        if rng is not None and rng.integers(count) == 0:
+            sample = (vs, us, ws)
+        elif rng is None and sample is None:
+            sample = (vs, us, ws)
+    return count, sample
+
+
+def _cycles_of(g, r):
+    """Full census of g by length, each length in census order."""
+    out = {k: [] for k in range(3, r + 1)}
+    for vs in simple_cycle_census(g, r).values():
+        out[len(vs)].append(vs)
+    return out
+
+
+class RecensusChain:
+    """SwitchingChain's proposal and Metropolis ratio with a full census of
+    the graph and of its complement after every move and for every ratio."""
+
+    def __init__(self, g, r, rng, validity="census"):
+        self.r = r
+        self.rng = rng
+        self.validity = validity
+        self._set_graph(g)
+
+    def _set_graph(self, g):
+        self.graph = g
+        self.cycles_by_length = _cycles_of(g, self.r)
+        self.co_cycles_by_length = _cycles_of(_complement(g), self.r)
+
+    def _forward_weight(self, g, vs, k_cycles):
+        options = _forward_option_counts(g, vs)
+        prod = 1.0
+        for opts in options:
+            if not opts:
+                return 0.0
+            prod /= len(opts)
+        return prod / k_cycles
+
+    def step(self):
+        rng = self.rng
+        g = self.graph
+        k = int(rng.integers(3, self.r + 1))
+        pair_count = float(g.d * (g.d - 1)) ** k
+        if rng.integers(2) == 0:
+            cycles = self.cycles_by_length[k]
+            if not cycles:
+                return False
+            vs = list(cycles[rng.integers(len(cycles))])
+            rot = int(rng.integers(k))
+            vs = vs[rot:] + vs[:rot]
+            if rng.integers(2):
+                vs = [vs[0]] + vs[1:][::-1]
+            options = _forward_option_counts(g, vs)
+            us = [0] * k
+            ws = [0] * k
+            forward_q = 1.0 / len(cycles)
+            for i, opts in enumerate(options):
+                if not opts:
+                    return False
+                w, u = opts[rng.integers(len(opts))]
+                ws[i] = w
+                us[(i + 1) % k] = u
+                forward_q /= len(opts)
+            g2 = apply_switching(g, vs, us, ws, "forward")
+            if g2 is None:
+                return False
+            alpha_edges = CycleSpec(tuple(vs)).undirected_edges()
+            if self.validity == "census" and not switching_is_valid(
+                g, g2, alpha_edges, self.r, "forward"
+            ):
+                return False
+            co_k = len(_cycles_of(_complement(g2), self.r)[k])
+            if co_k == 0:
+                raise InvalidInputError("created cycle missing from complement census")
+            backward_q = 1.0 / (co_k * pair_count)
+            accept = min(1.0, backward_q / forward_q)
+        else:
+            co_cycles = self.co_cycles_by_length[k]
+            if not co_cycles:
+                return False
+            vs = list(co_cycles[rng.integers(len(co_cycles))])
+            rot = int(rng.integers(k))
+            vs = vs[rot:] + vs[:rot]
+            if rng.integers(2):
+                vs = [vs[0]] + vs[1:][::-1]
+            us = [0] * k
+            ws = [0] * k
+            for i in range(k):
+                nb = g.neighbors[vs[i]]
+                a, b = rng.choice(len(nb), size=2, replace=False)
+                us[i], ws[i] = nb[a], nb[b]
+            g2 = apply_switching(g, vs, us, ws, "backward")
+            if g2 is None:
+                return False
+            alpha_edges = CycleSpec(tuple(vs)).undirected_edges()
+            if self.validity == "census" and not switching_is_valid(
+                g, g2, alpha_edges, self.r, "backward"
+            ):
+                return False
+            backward_q = 1.0 / (len(co_cycles) * pair_count)
+            target_cycles = _cycles_of(g2, self.r)[k]
+            options = _forward_option_counts(g2, vs)
+            if any((ws[i], us[(i + 1) % k]) not in options[i] for i in range(k)):
+                return False
+            forward_q = self._forward_weight(g2, vs, len(target_cycles))
+            accept = min(1.0, forward_q / backward_q)
+        if rng.random() >= accept:
+            return False
+        self._set_graph(g2)
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -385,3 +596,88 @@ def test_switching_chain_rejects_bad_input():
         SwitchingChain(g6, 2, rng)
     with pytest.raises(InvalidInputError):
         SwitchingChain(g6, 3, rng, validity="bogus")
+
+
+def test_switching_chain_rejects_degree_below_two():
+    # with d < 2 no vertex has the two neighbours a backward proposal draws,
+    # and the backward proposal density has a zero denominator
+    rng = np.random.default_rng(14)
+    for d in (0, 1):
+        g = sample_uniform_model(8, 1, rng) if d else SimpleGraph(8, 0, [])
+        with pytest.raises(InvalidInputError):
+            SwitchingChain(g, 3, rng)
+
+
+@pytest.mark.parametrize(
+    "n, d, r, validity, seed, steps, min_moves",
+    [
+        (20, 3, 3, "census", 0, 150, 1),
+        (20, 3, 3, "structural", 0, 60, 1),
+        # census-valid switchings are too rare here for the chain to move,
+        # so only the gate's rejections are compared
+        (16, 4, 4, "census", 0, 300, 0),
+        (16, 4, 4, "structural", 0, 20, 1),
+        (30, 3, 4, "census", 4, 12, 1),
+        (30, 3, 4, "structural", 0, 3, 1),
+        (40, 4, 3, "census", 1, 30, 1),
+        (40, 4, 3, "structural", 0, 8, 1),
+        (12, 2, 5, "census", 2, 100, 1),
+        (12, 2, 5, "structural", 1, 90, 1),
+    ],
+)
+def test_switching_chain_matches_recensus_oracle(n, d, r, validity, seed, steps, min_moves):
+    """Incremental censuses give the same trajectory as full recensuses: the
+    same moves, graphs, cycle lists and final generator state."""
+    seeds = [seed, n, d, r]
+    g = sample_uniform_model(n, d, np.random.default_rng(seeds))
+    chain = SwitchingChain(g, r, np.random.default_rng(seeds), validity=validity)
+    oracle = RecensusChain(g, r, np.random.default_rng(seeds), validity=validity)
+    moved = 0
+    for _ in range(steps):
+        step = chain.step()
+        assert step == oracle.step()
+        moved += step
+        assert chain.graph == oracle.graph
+        assert chain.cycles_by_length == oracle.cycles_by_length
+        assert chain.co_cycles_by_length == oracle.co_cycles_by_length
+    assert chain.rng.bit_generator.state == oracle.rng.bit_generator.state
+    assert moved >= min_moves
+
+
+@st.composite
+def _switching_case(draw):
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(d + 3, 12).filter(lambda m: m * d % 2 == 0))
+    r = draw(st.integers(3, 4 if n > 9 else 5))
+    return n, d, r, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_switching_case())
+def test_switching_roundtrip_and_incremental_census(case):
+    n, d, r, seed = case
+    rng = np.random.default_rng(seed)
+    chain = SwitchingChain(sample_uniform_model(n, d, rng), r, rng, validity="structural")
+    for _ in range(15):
+        g = chain.graph
+        # forward then backward at a random representation of a random cycle
+        cycles = [c for k in range(3, r + 1) for c in chain.cycles_by_length[k]]
+        if cycles:
+            base = list(cycles[rng.integers(len(cycles))])
+            shift = int(rng.integers(len(base)))
+            vs = base[shift:] + base[:shift]
+            options = _forward_option_counts(g, vs)
+            if all(options):
+                combo = [opts[rng.integers(len(opts))] for opts in options]
+                ws = [c[0] for c in combo]
+                us = [combo[i - 1][1] for i in range(len(vs))]
+                g2 = apply_switching(g, vs, us, ws, "forward")
+                if g2 is not None:
+                    assert apply_switching(g2, vs, us, ws, "backward") == g
+        if chain.step():
+            census = simple_cycle_census(chain.graph, r)
+            assert all(edges == CycleSpec(vs).undirected_edges() for edges, vs in census.items())
+            assert chain.cycles_by_length == _cycles_of(chain.graph, r)
+            assert chain.co_cycles_by_length == _cycles_of(_complement(chain.graph), r)
+            for by_length in (chain.cycles_by_length, chain.co_cycles_by_length):
+                assert all(cs == sorted(cs) for cs in by_length.values())

@@ -8,9 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from regraph import words
+from regraph import poissonlab, walks, words
 from regraph.errors import InvalidInputError, ResourceLimitError
-from regraph.graphs import PermGraph
+from regraph.graphs import PermGraph, force_edges, sample_permutation_model
 from regraph.poissonlab import (
     class_poisson_means,
     coupling_monotonicity_report,
@@ -195,3 +195,102 @@ def test_coupling_monotonicity_report_no_violations():
     assert report["minus_violations"] == 0
     assert report["plus_violations"] == 0
     assert report["alpha_installed"] == 40
+
+
+def _scan_report(n, d, r, trials, seed):
+    """The coupling report by a scan of every candidate representation: each
+    one's containment in both graphs is tested by numpy gathers."""
+    groups = []
+    for k in range(1, r + 1):
+        verts = np.array(list(itertools.permutations(range(n), k)), dtype=np.int64)
+        words_k = sorted(w for w, _ in walks.class_table(d, r)[1] if len(w) == k)
+        letters = np.array(words_k, dtype=np.int64)
+        v_rep = np.repeat(verts, len(letters), axis=0)
+        l_rep = np.tile(letters, (len(verts), 1))
+        # directed step (label, tail, head): inverted letters flip direction
+        heads = np.roll(v_rep, -1, axis=1)
+        invmask = (l_rep & 1).astype(bool)
+        groups.append(
+            {
+                "k": k,
+                "labels": l_rep // 2,
+                "tails": np.where(invmask, heads, v_rep),
+                "heads": np.where(invmask, v_rep, heads),
+            }
+        )
+    rng = np.random.default_rng([seed, n, d, r])
+    weights = [grp["tails"].shape[0] / (2 * grp["k"]) for grp in groups]
+    weights = np.array(weights) / sum(weights)
+    minus_violations = plus_violations = alpha_installed = checked = 0
+    for _ in range(trials):
+        g = sample_permutation_model(n, d, rng)
+        grp = groups[int(rng.choice(len(groups), p=weights))]
+        ri = int(rng.integers(grp["tails"].shape[0]))
+        k = grp["k"]
+        labels, tails, heads = grp["labels"][ri], grp["tails"][ri], grp["heads"][ri]
+        alpha_out = np.full((d, n), -1, dtype=np.int64)
+        alpha_in = np.full((d, n), -1, dtype=np.int64)
+        alpha_out[labels, tails] = heads
+        alpha_in[labels, heads] = tails
+        g2_perms = poissonlab.force_edges(g.perms, g.inv, zip(labels, tails, heads))
+        alpha_installed += int(np.all(g2_perms[labels, tails] == heads))
+        for grp2 in groups:
+            lab, tl, hd = grp2["labels"], grp2["tails"], grp2["heads"]
+            ao = alpha_out[lab, tl]
+            ai = alpha_in[lab, hd]
+            bad = np.any(((ao != -1) & (ao != hd)) | ((ai != -1) & (ai != tl)), axis=1)
+            is_alpha = np.all(ao == hd, axis=1) if grp2["k"] == k else np.zeros(len(lab), bool)
+            in_g = np.all(g.perms[lab, tl] == hd, axis=1)
+            in_g2 = np.all(g2_perms[lab, tl] == hd, axis=1)
+            minus_violations += int(np.sum(bad & in_g2))
+            plus_violations += int(np.sum(~bad & ~is_alpha & in_g & ~in_g2))
+            checked += len(lab)
+    return {
+        "n": n,
+        "d": d,
+        "r": r,
+        "trials": trials,
+        "representations_checked": checked,
+        "alpha_installed": alpha_installed,
+        "minus_violations": minus_violations,
+        "plus_violations": plus_violations,
+    }
+
+
+@pytest.mark.parametrize(
+    "n, d, r, trials",
+    [(10, 2, 3, 40), (8, 3, 3, 30), (7, 2, 4, 20), (5, 1, 4, 40), (6, 3, 2, 40)],
+)
+def test_coupling_report_matches_scan_oracle(n, d, r, trials):
+    assert coupling_monotonicity_report(n, d, r, trials, 17) == _scan_report(n, d, r, trials, 17)
+
+
+def _leaky_force_edges(perms, inv, edges):
+    """force_edges, then one more value swap at the tail of alpha's first
+    edge: it removes alpha again and destroys and creates other cycles."""
+    edges = list(edges)
+    out = force_edges(perms, inv, edges)
+    l, a, _ = edges[0]
+    b = (a + 1) % out.shape[1]
+    out[l, [a, b]] = out[l, [b, a]]
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, d, r, trials",
+    [(10, 2, 3, 40), (8, 3, 3, 30), (7, 2, 4, 20), (5, 1, 4, 60), (4, 2, 2, 60)],
+)
+def test_coupling_report_counts_violations_like_scan_oracle(monkeypatch, n, d, r, trials):
+    monkeypatch.setattr(poissonlab, "force_edges", _leaky_force_edges)
+    report = coupling_monotonicity_report(n, d, r, trials, 18)
+    assert report["minus_violations"] > 0 and report["plus_violations"] > 0
+    assert report == _scan_report(n, d, r, trials, 18)
+
+
+def test_coupling_report_with_fewer_vertices_than_r():
+    # no candidate of length 3 fits on two vertices; lengths 1 and 2 still do
+    report = coupling_monotonicity_report(2, 2, 3, trials=5, seed=19)
+    per_trial = sum(math.perm(2, k) * words.count_reduced_words(2, k) for k in (1, 2))
+    assert report["representations_checked"] == 5 * per_trial
+    assert report["alpha_installed"] == 5
+    assert report["minus_violations"] == report["plus_violations"] == 0
