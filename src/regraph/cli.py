@@ -108,6 +108,10 @@ def _as_list(value: Any) -> list:
     return list(value) if isinstance(value, list) else [value]
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 _REQUIRED: dict[str, tuple[str, ...]] = {
     "sample": ("model", "n", "d"),
     "cycles": ("model", "n", "d", "r"),
@@ -128,6 +132,8 @@ def validate(config: ExperimentConfig) -> list[str]:
     for name in _REQUIRED[kind]:
         if name not in p:
             violations.append(f"missing required field {name!r} for kind {kind}")
+        elif name in ("s", "T", "grid", "lags") and not all(map(_is_number, _as_list(p[name]))):
+            violations.append(f"{name} must be a number or a list of numbers")
     if violations:
         return violations
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Collection, Iterable, Optional, Sequence
 
@@ -123,7 +124,6 @@ class SimpleGraph:
         self.n = n
         self.d = d
         self.edges = frozenset(edge_set)
-        self.neighbors: list[tuple[int, ...]] = [()] * n
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edge_set:
             adj[u].append(v)
@@ -133,9 +133,6 @@ class SimpleGraph:
     @property
     def degree(self) -> int:
         return self.d
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return _edge(u, v) in self.edges
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.int64)
@@ -228,10 +225,7 @@ def enumerate_labeled_regular_graphs(n: int, d: int, budget: int = 10**7) -> lis
     m = n * d // 2
     if (n * d) % 2:
         raise InvalidInputError(f"n*d must be even, got n={n}, d={d}")
-    try:
-        size = __import__("math").comb(len(all_edges), m)
-    except OverflowError:  # pragma: no cover
-        size = budget + 1
+    size = math.comb(len(all_edges), m)
     if size > budget:
         raise ResourceLimitError(f"search space {size} exceeds budget {budget}")
     out = []
@@ -335,26 +329,6 @@ class CycleSpec:
         raise InvalidInputError(f"unsupported graph type {type(g)!r}")
 
 
-def all_cycle_candidates(n: int, d: int, k: int, budget: int = 10**7) -> list[CycleSpec]:
-    """Every length-k permutation-model cycle on n vertices, one spec per cycle."""
-    word_count = words.count_reduced_words(d, k)
-    size = word_count
-    for i in range(k):
-        size *= n - i
-    if size > budget:
-        raise ResourceLimitError(f"candidate space {size} exceeds budget {budget}")
-    all_words = set()
-    for wc in (w for j in [k] for w in words.enumerate_word_classes(d, j)):
-        all_words |= wc.orbit()
-    out = []
-    for vs in itertools.permutations(range(n), k):
-        for w in all_words:
-            spec = CycleSpec(vs, w)
-            if spec.canonical() == spec:
-                out.append(spec)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # size-biased coupling
 
@@ -390,37 +364,6 @@ def size_bias_coupling(g: PermGraph, alpha: CycleSpec) -> PermGraph:
     if any(letter_index(c) > g.d for c in alpha.word):
         raise InvalidInputError("cycle word uses labels beyond d")
     return PermGraph(force_edges(g.perms, g.inv, alpha.labeled_steps()))
-
-
-def monotone_partition(
-    alpha: CycleSpec, candidates: Sequence[CycleSpec]
-) -> tuple[list[CycleSpec], list[CycleSpec]]:
-    """Split candidate cycles into the (minus, plus) classes used by the coupling.
-
-    A candidate lands in ``minus`` when one of its directed labeled edges
-    shares a tail or head with an edge required by ``alpha`` but disagrees on
-    the other endpoint; such cycles can only be destroyed by forcing alpha in.
-    All remaining candidates other than alpha itself land in ``plus``.
-    """
-    if alpha.word is None:
-        raise InvalidInputError("monotone partition needs permutation-model cycles")
-    out_map: dict[tuple[int, int], int] = {}
-    in_map: dict[tuple[int, int], int] = {}
-    for l, a, b in alpha.directed_labeled_edges():
-        out_map[(l, a)] = b
-        in_map[(l, b)] = a
-    alpha_edges = alpha.directed_labeled_edges()
-    minus, plus = [], []
-    for cand in candidates:
-        edges = cand.directed_labeled_edges()
-        if edges == alpha_edges:
-            continue
-        bad = any(
-            out_map.get((l, a), b) != b or in_map.get((l, b), a) != a
-            for l, a, b in edges
-        )
-        (minus if bad else plus).append(cand)
-    return minus, plus
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ def sample_cycle_counts(
         b = min(chunk, samples - start)
         perms = np.argsort(rng.random((b, d, n)), axis=-1)
         cc, classes = walks.batch_class_counts(perms, r)
-        out[start : start + b] = walks.counts_by_length(cc, classes, r)
+        out[start : start + b] = words.counts_by_length(cc, classes, r)
     return out
 
 
@@ -283,8 +283,9 @@ def coupling_monotonicity_report(
     its representation, uniformly from the candidates of a length drawn with
     weight proportional to the number of cycles of that length.
     """
+    classes = words.classes_upto(d, r)
     words_by_length = [
-        sorted(w for w, _ in walks.class_table(d, r)[1] if len(w) == k)
+        sorted(w for wc in classes if wc.length == k for w in wc.orbit())
         for k in range(1, r + 1)
     ]
     sizes = [math.perm(n, k) * len(ws) for k, ws in enumerate(words_by_length, 1)]

@@ -247,14 +247,12 @@ class KestenMcKay:
         x = np.asarray(x, dtype=float)
         d = self.d
         inside = np.abs(x) <= self.radius
-        out = np.zeros_like(x, dtype=float)
         xs = np.where(inside, x, 0.0)
-        out = np.where(
+        return np.where(
             inside,
             d * np.sqrt(np.maximum(4 * (d - 1) - xs**2, 0.0)) / (2 * math.pi * (d**2 - xs**2)),
             0.0,
         )
-        return out
 
     def unit_density(self, u) -> np.ndarray:
         """Density of the spectrum rescaled to [-1, 1]."""

@@ -13,7 +13,6 @@ whose short cycles are vertex-disjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -23,7 +22,6 @@ from . import words
 from .errors import InvalidInputError, ResourceLimitError
 from .graphs import CycleSpec, PermGraph, SimpleGraph, simple_cycle_census
 from .words import WordClass
-from .words import counts_by_length as counts_by_length
 
 
 @dataclass
@@ -46,44 +44,41 @@ def perm_graph_cycles(
 
     Only the vertices in ``tops`` are searched as largest vertex; None
     searches them all, giving the full census.
+
+    Leaving-letter rule: a walk that leaves by letter ``a`` and closes by
+    ``c`` is kept only if ``a < c ^ 1``.  Its reverse leaves by ``c ^ 1``,
+    so of a cycle's two walks the one met first by the depth-first order
+    is kept; a loop (``a == c``) once, by its forward letter, and a
+    backtrack over one edge (``a == c ^ 1``) never.
     """
-    perms, inv, d = g.perms, g.inv, g.d
-    seen: dict[frozenset, CycleSpec] = {}
+    # rows[letter][x] is the vertex that letter leads to from x
+    rows = [row for l in range(g.d) for row in (g.perms[l], g.inv[l])]
+    found: list[CycleSpec] = []
     steps = 0
 
-    def moves(x: int):
-        for l in range(d):
-            yield int(perms[l, x]), (l, x), 2 * l
-            y = int(inv[l, x])
-            yield y, (l, y), 2 * l + 1
-
-    def dfs(v0: int, path: list[int], used: set, word: list[int]) -> None:
+    def dfs(v0: int, path: list[int], word: list[int]) -> None:
         nonlocal steps
         x = path[-1]
-        for y, edge, letter in moves(x):
+        for letter, row in enumerate(rows):
             steps += 1
             if steps > budget:
                 raise ResourceLimitError(f"cycle search exceeded {budget} steps")
-            if edge in used:
-                continue
+            y = int(row[x])
             if y == v0:
-                key = frozenset(used | {edge})
-                if key not in seen:
-                    seen[key] = CycleSpec(tuple(path), tuple(word + [letter]))
+                if (word[0] if word else letter) < letter ^ 1:
+                    found.append(CycleSpec(tuple(path), tuple(word + [letter])))
                 continue
             if y > v0 or y in path or len(path) >= r:
                 continue
             path.append(y)
-            used.add(edge)
             word.append(letter)
-            dfs(v0, path, used, word)
+            dfs(v0, path, word)
             path.pop()
-            used.remove(edge)
             word.pop()
 
     for v0 in range(g.n) if tops is None else tops:
-        dfs(v0, [v0], set(), [])
-    return list(seen.values())
+        dfs(v0, [v0], [])
+    return found
 
 
 def enumerate_cycles(g, r: int, budget: int = 10**8) -> CycleCensus:
@@ -199,14 +194,6 @@ def bad_walk_probe(g, r: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # vectorized word-walk censuses for the permutation model
-
-
-@lru_cache(maxsize=None)
-def class_table(d: int, r: int) -> tuple[tuple[WordClass, ...], tuple[tuple[words.Word, int], ...]]:
-    """All word classes of length <= r plus every reduced word tagged by class."""
-    classes = words.classes_upto(d, r)
-    word_rows = tuple((w, ci) for ci, wc in enumerate(classes) for w in wc.orbit())
-    return classes, word_rows
 
 
 def batch_class_counts(perms: np.ndarray, r: int) -> tuple[np.ndarray, tuple[WordClass, ...]]:

@@ -13,7 +13,6 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from regraph import cli, gffcheck, growth, limitproc, poissonlab, spectra, walks, words

@@ -175,6 +175,19 @@ def test_uniform_model_validation_matches_sampler(tmp_path, capsys, kind, text, 
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind, text", [
+    ("grow", "d = 2\ns = 1.0\nT = 1.0\ngrid = 0, x\nr = 3\n"),
+    ("grow", "d = 2\ns = 1.0\nT = abc\ngrid = 0.0, 0.5\nr = 3\n"),
+    ("gff-check", "jmax = 2\nkmax = 2\nlags = foo\n"),
+], ids=["grow-grid", "grow-T", "gff-check-lags"])
+def test_non_numeric_value_exits_2(tmp_path, capsys, kind, text):
+    cfg = _write(tmp_path, "n.cfg", text)
+    assert _run(kind, cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_failed_run_leaves_no_output_directory(tmp_path):
     # valid config whose product-Poisson box exceeds the pmf budget at run time
     cfg = _write(tmp_path, "p.cfg",

@@ -1,6 +1,5 @@
 """Tests for the Gaussian-field covariance checks."""
 
-import cmath
 import math
 
 import numpy as np

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regraph import words
 from regraph.errors import InvalidInputError, ResourceLimitError
 from regraph.graphs import (
     CycleSpec,
@@ -18,11 +19,9 @@ from regraph.graphs import (
     _complement,
     _edge,
     _forward_option_counts,
-    all_cycle_candidates,
     apply_switching,
     enumerate_labeled_regular_graphs,
     graph_from_json,
-    monotone_partition,
     sample_permutation_model,
     sample_uniform_model,
     simple_cycle_census,
@@ -182,6 +181,47 @@ def test_coupling_output_is_conditionally_uniform():
     ]
     assert len(hits) == len(conditioned) == 2
     assert set(hits.values()) == {12}
+
+
+def all_cycle_candidates(n, d, k):
+    """Every length-k permutation-model cycle on n vertices, one spec per cycle."""
+    all_words = set()
+    for wc in words.enumerate_word_classes(d, k):
+        all_words |= wc.orbit()
+    out = []
+    for vs in itertools.permutations(range(n), k):
+        for w in all_words:
+            spec = CycleSpec(vs, w)
+            if spec.canonical() == spec:
+                out.append(spec)
+    return out
+
+
+def monotone_partition(alpha, candidates):
+    """Split candidate cycles into the (minus, plus) classes used by the coupling.
+
+    A candidate lands in ``minus`` when one of its directed labeled edges
+    shares a tail or head with an edge required by ``alpha`` but disagrees on
+    the other endpoint; such cycles can only be destroyed by forcing alpha in.
+    All remaining candidates other than alpha itself land in ``plus``.
+    """
+    out_map = {}
+    in_map = {}
+    for l, a, b in alpha.directed_labeled_edges():
+        out_map[(l, a)] = b
+        in_map[(l, b)] = a
+    alpha_edges = alpha.directed_labeled_edges()
+    minus, plus = [], []
+    for cand in candidates:
+        edges = cand.directed_labeled_edges()
+        if edges == alpha_edges:
+            continue
+        bad = any(
+            out_map.get((l, a), b) != b or in_map.get((l, b), a) != a
+            for l, a, b in edges
+        )
+        (minus if bad else plus).append(cand)
+    return minus, plus
 
 
 def test_monotone_partition_is_monotone():

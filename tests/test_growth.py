@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from regraph import words
 from regraph.errors import InvalidInputError, ResourceLimitError
 from regraph.growth import (
-    GrowthEvent,
     PermTower,
     classify_event,
     growth_count_samples,

@@ -1,4 +1,4 @@
-"""Every name a ``regraph`` module imports is used by that module.
+"""Every name a ``regraph`` or test module imports is used by that module.
 
 No linter runs on this repository, so this keeps dead imports out.  Exempt
 are ``from __future__`` imports, names listed in ``__all__`` and explicit
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "regraph"
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "regraph").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -61,6 +62,6 @@ def test_detector_flags_unused_and_respects_exemptions():
     assert unused_imports(source) == ["line 2: os", "line 4: Sequence"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

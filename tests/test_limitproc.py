@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from regraph import words
 from regraph.errors import InvalidInputError, ResourceLimitError
 from regraph.limitproc import (
     chebyshev_fluctuation_series,

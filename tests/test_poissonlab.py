@@ -8,8 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from regraph import poissonlab, walks, words
-from regraph.errors import InvalidInputError, ResourceLimitError
+from regraph import poissonlab, words
+from regraph.errors import ResourceLimitError
 from regraph.graphs import PermGraph, force_edges, sample_permutation_model
 from regraph.poissonlab import (
     class_poisson_means,
@@ -203,7 +203,9 @@ def _scan_report(n, d, r, trials, seed):
     groups = []
     for k in range(1, r + 1):
         verts = np.array(list(itertools.permutations(range(n), k)), dtype=np.int64)
-        words_k = sorted(w for w, _ in walks.class_table(d, r)[1] if len(w) == k)
+        words_k = sorted(
+            w for wc in words.classes_upto(d, r) if wc.length == k for w in wc.orbit()
+        )
         letters = np.array(words_k, dtype=np.int64)
         v_rep = np.repeat(verts, len(letters), axis=0)
         l_rep = np.tile(letters, (len(verts), 1))

@@ -9,9 +9,7 @@ from scipy import integrate
 from regraph.errors import InvalidInputError
 from regraph.graphs import sample_permutation_model, sample_uniform_model
 from regraph.spectra import (
-    KestenMcKay,
     PolySeries,
-    Spectrum,
     cheb_t_poly,
     cnbw_from_spectrum,
     eigenvalues,

@@ -7,17 +7,17 @@ from hypothesis import strategies as st
 
 from regraph import words
 from regraph.errors import ResourceLimitError
-from regraph.graphs import PermGraph, sample_permutation_model, sample_uniform_model
+from regraph.graphs import CycleSpec, PermGraph, sample_permutation_model, sample_uniform_model
 from regraph.walks import (
     bad_walk_probe,
     batch_class_counts,
-    class_table,
     cnbw_from_cycles,
     cnbw_via_nb_matrix,
-    counts_by_length,
     enumerate_cycles,
     nb_edge_matrix,
+    perm_graph_cycles,
 )
+from regraph.words import counts_by_length
 
 
 def _brute_force_cnbw(g, r):
@@ -99,9 +99,9 @@ def test_bad_walks_vanish_iff_counts_match():
     assert hits > 0  # disjoint short cycles are common at this size
 
 
-def test_class_table_covers_all_reduced_words():
+def test_class_orbits_cover_all_reduced_words():
     for d, r in ((1, 4), (2, 4), (3, 3)):
-        classes, word_rows = class_table(d, r)
+        word_rows = [(w, ci) for ci, wc in enumerate(words.classes_upto(d, r)) for w in wc.orbit()]
         for k in range(1, r + 1):
             n_words = sum(1 for w, _ in word_rows if len(w) == k)
             assert n_words == words.count_reduced_words(d, k)
@@ -152,3 +152,68 @@ def test_enumerate_cycles_budget():
     g = sample_permutation_model(30, 3, rng)
     with pytest.raises(ResourceLimitError):
         enumerate_cycles(g, 6, budget=100)
+
+
+def _edge_set_cycles(g, r, tops=None):
+    """Cycles of length <= r by a search that walks each cycle both ways and
+    keeps the first walk of each edge set; also returns the moves it tried."""
+    perms, inv, d = g.perms, g.inv, g.d
+    seen = {}
+    steps = 0
+
+    def moves(x):
+        for l in range(d):
+            yield int(perms[l, x]), (l, x), 2 * l
+            y = int(inv[l, x])
+            yield y, (l, y), 2 * l + 1
+
+    def dfs(v0, path, used, word):
+        nonlocal steps
+        x = path[-1]
+        for y, edge, letter in moves(x):
+            steps += 1
+            if edge in used:
+                continue
+            if y == v0:
+                key = frozenset(used | {edge})
+                if key not in seen:
+                    seen[key] = CycleSpec(tuple(path), tuple(word + [letter]))
+                continue
+            if y > v0 or y in path or len(path) >= r:
+                continue
+            path.append(y)
+            used.add(edge)
+            word.append(letter)
+            dfs(v0, path, used, word)
+            path.pop()
+            used.remove(edge)
+            word.pop()
+
+    for v0 in range(g.n) if tops is None else tops:
+        dfs(v0, [v0], set(), [])
+    return list(seen.values()), steps
+
+
+@st.composite
+def _search_case(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    perms = np.array([draw(st.permutations(range(n))) for _ in range(d)], dtype=np.int64)
+    tops = None
+    if draw(st.booleans()):
+        tops = draw(st.lists(st.integers(0, n - 1), unique=True))
+    return PermGraph(perms), draw(st.integers(1, 5)), tops
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_search_case())
+def test_perm_graph_cycles_matches_edge_set_oracle(case):
+    # same vertices, words and order as the edge-set search, and the budget
+    # runs out at the same step
+    g, r, tops = case
+    expected, steps = _edge_set_cycles(g, r, tops)
+    found = perm_graph_cycles(g, r, tops=tops, budget=steps)
+    assert [(c.vertices, c.word) for c in found] == [(c.vertices, c.word) for c in expected]
+    if steps:
+        with pytest.raises(ResourceLimitError):
+            perm_graph_cycles(g, r, tops=tops, budget=steps - 1)

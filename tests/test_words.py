@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regraph.errors import InvalidInputError, ResourceLimitError
-from regraph import words
 from regraph.words import (
     WordClass,
     canonical_form,
@@ -210,3 +211,30 @@ class TestDoublingHalving:
             double_letter(wc, 0)
         with pytest.raises(InvalidInputError):
             double_letter(wc, 3)
+
+
+@st.composite
+def _cyclically_reduced_word(draw):
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 10))
+    w = [draw(st.integers(0, 2 * d - 1))]
+    while len(w) < k:
+        banned = {w[-1] ^ 1, w[0] ^ 1} if len(w) == k - 1 else {w[-1] ^ 1}
+        w.append(draw(st.sampled_from([c for c in range(2 * d) if c not in banned])))
+    return tuple(w), draw(st.integers(0, k - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_cyclically_reduced_word())
+def test_canonicalize_properties(case):
+    w, shift = case
+    k = len(w)
+    wc = canonicalize(w)
+    assert canonicalize(w[shift:] + w[:shift]) == wc
+    assert canonicalize(inverted_reversal(w)) == wc
+    assert canonicalize(wc.letters) == wc
+    assert k % wc.h == 0
+    orbit = wc.orbit()
+    assert w in orbit
+    assert len(orbit) == 2 * k // wc.h
+    assert all(canonicalize(u) == wc for u in orbit)
