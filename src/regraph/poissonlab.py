@@ -5,15 +5,13 @@ converges to independent Poissons whose mean at length k is the number of
 reduced words of length k divided by 2k; word classes individually have
 Poisson(1/h) limits.  In the uniform model only lengths >= 3 appear and the
 mean is (d-1)^k / 2k.  This module computes those targets exactly, samples
-cycle counts at scale, and estimates the total-variation distance between the
-empirical law and the product Poisson target.
+cycle counts at scale, and computes the exact total-variation distance between
+the empirical law and the product Poisson target.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -81,57 +79,7 @@ def rate_shape(model: str, d: int, r: int, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# product Poisson pmf and total variation
-
-
-def _poisson_pmf_vector(lam: float, cap: int) -> np.ndarray:
-    out = np.empty(cap + 1)
-    out[0] = math.exp(-lam)
-    for i in range(1, cap + 1):
-        out[i] = out[i - 1] * lam / i
-    return out
-
-
-def product_poisson_pmf(
-    means: Sequence, tail: float = 1e-6, budget: int = 10**7
-) -> tuple[dict[tuple[int, ...], float], float]:
-    """Probability masses of independent Poissons on a truncation box.
-
-    Each coordinate is capped at its (1 - tail) quantile; returns the pmf on
-    the box, keyed in lexicographic order, together with the total mass lying
-    outside it.  The box is the outer product of the per-coordinate pmf
-    vectors, multiplied left to right, and its mass is summed in key order.
-    Raises ResourceLimitError once the box would exceed ``budget`` entries,
-    or when a mean is so large (above about 708) that e^-mean is not a
-    normal float: a subnormal start has too few significant bits to give
-    the masses.
-    """
-    lams = [float(m) for m in means]
-    if any(l < 0 for l in lams):
-        raise InvalidInputError("Poisson means must be nonnegative")
-    caps = []
-    size = 1
-    for lam in lams:
-        cap = 0
-        acc = math.exp(-lam)
-        if acc < sys.float_info.min:
-            raise ResourceLimitError(f"Poisson mean {lam} too large: e^-mean is not a normal float")
-        term = acc
-        while 1 - acc > tail:
-            cap += 1
-            if size * (cap + 1) > budget:
-                raise ResourceLimitError(f"pmf box exceeds budget {budget}")
-            term *= lam / cap
-            acc += term
-        caps.append(cap)
-        size *= cap + 1
-    probs = np.ones(())
-    for lam, cap in zip(lams, caps):
-        probs = np.multiply.outer(probs, _poisson_pmf_vector(lam, cap))
-    probs = probs.ravel()
-    total = float(np.add.accumulate(probs)[-1])
-    keys = itertools.product(*(range(c + 1) for c in caps))
-    return dict(zip(keys, probs.tolist())), 1.0 - total
+# total variation to the product Poisson target
 
 
 def empirical_pmf(samples: np.ndarray) -> dict[tuple[int, ...], float]:
@@ -144,24 +92,30 @@ def empirical_pmf(samples: np.ndarray) -> dict[tuple[int, ...], float]:
     return {tuple(int(x) for x in v): c / n for v, c in zip(vals, counts)}
 
 
-def tv_distance(
-    p: dict[tuple[int, ...], float],
-    q: dict[tuple[int, ...], float],
-    q_tail: float = 0.0,
-) -> float:
-    """Total variation between two (sub-)pmfs; mass of q outside its support
-    box is charged in full.
+def tv_distance(p: dict[tuple[int, ...], float], means: Sequence) -> float:
+    """Exact total variation between the pmf ``p`` and independent
+    Poisson(means).
 
-    Sums |p_k - q_k| over the support of p plus q_k over the rest of q's
-    support; the second sum is every q_k minus those on p's support, taken
-    exactly by one ``math.fsum``, so the Python-level work is O(|p|) and the
-    result does not depend on key order.
+    The target's mass off the support of p is 1 - q(support), so q is needed
+    only at p's keys: TV is half of 1 plus, for each key k, |p_k - q_k| - q_k,
+    summed exactly by one ``math.fsum``.  Each q_k is a product of Poisson
+    masses taken in log space, so no mean is too large; a zero mean is the
+    point mass at 0.
     """
-    terms = []
+    lams = [float(m) for m in means]
+    if any(lam < 0 for lam in lams):
+        raise InvalidInputError("Poisson means must be nonnegative")
+    terms = [1.0]
     for k, pk in p.items():
-        qk = q.get(k, 0.0)
+        log_q = 0.0
+        for x, lam in zip(k, lams, strict=True):
+            if lam > 0:
+                log_q += x * math.log(lam) - lam - math.lgamma(x + 1)
+            elif x > 0:
+                log_q = -math.inf
+        qk = math.exp(log_q)
         terms += (abs(pk - qk), -qk)
-    return 0.5 * (math.fsum(itertools.chain(terms, q.values())) + q_tail)
+    return 0.5 * math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +134,6 @@ def sample_cycle_counts(
     samples: int,
     seed: int,
     chunk: int = 256,
-    uniform_budget: int = UNIFORM_SAMPLE_CAP,
 ) -> np.ndarray:
     """Cycle counts (C_1..C_r) for ``samples`` independent graphs.
 
@@ -192,9 +145,9 @@ def sample_cycle_counts(
     if samples < 1:
         raise InvalidInputError("need at least one sample")
     if model == "uniform":
-        if samples > uniform_budget:
+        if samples > UNIFORM_SAMPLE_CAP:
             raise ResourceLimitError(
-                f"uniform-model sampling capped at {uniform_budget} graphs"
+                f"uniform-model sampling capped at {UNIFORM_SAMPLE_CAP} graphs"
             )
         rng = np.random.default_rng([seed, n, 1])
         out = np.zeros((samples, r), dtype=np.int64)
@@ -223,16 +176,14 @@ def tv_convergence_experiment(
     n_list: Sequence[int],
     samples: int,
     seed: int,
-    tail: float = 1e-6,
 ) -> list[dict]:
     """Empirical TV distance to the product-Poisson target for each n."""
     target = poisson_targets(model, d, r)
-    pmf, tail_mass = product_poisson_pmf(target.by_length, tail=tail)
     rows = []
     for n in n_list:
         counts = sample_cycle_counts(model, n, d, r, samples, seed)
         emp = empirical_pmf(counts)
-        tv = tv_distance(emp, pmf, q_tail=tail_mass)
+        tv = tv_distance(emp, target.by_length)
         rows.append(
             {
                 "model": model,
@@ -241,7 +192,7 @@ def tv_convergence_experiment(
                 "n": int(n),
                 "samples": int(samples),
                 "tv": float(tv),
-                "tv_bias_bound": len(emp) / (2 * samples) + float(tail_mass),
+                "tv_bias_bound": len(emp) / (2 * samples),
                 "rate_shape": rate_shape(model, d, r, n),
             }
         )

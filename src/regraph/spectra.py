@@ -24,10 +24,14 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from scipy import integrate
 
-from .errors import InvalidInputError, NumericError
+from .errors import InvalidInputError, NumericError, ResourceLimitError
 from .graphs import PermGraph, SimpleGraph
 
 _BASES = ("monomial", "cheb_t", "cheb_u", "nb_unit", "nb_half")
+
+# most bytes the dense n x n copies of one eigen-solve may take: the int64
+# adjacency, its float copy and the solver's own float copy, 8 bytes each
+EIGEN_BYTE_CAP = 2**31
 
 
 def _correction(degree: int, k: int) -> float:
@@ -183,6 +187,10 @@ class Spectrum:
 def eigenvalues(g, scale: str = "unit") -> Spectrum:
     """Adjacency spectrum of a permutation-model or uniform-model graph."""
     if isinstance(g, (PermGraph, SimpleGraph)):
+        if 3 * 8 * g.n * g.n > EIGEN_BYTE_CAP:
+            raise ResourceLimitError(
+                f"dense eigen-solve at n={g.n} exceeds {EIGEN_BYTE_CAP} bytes"
+            )
         a = g.adjacency()
         degree = g.degree
     else:

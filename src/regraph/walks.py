@@ -152,15 +152,22 @@ def nb_edge_matrix(g) -> sp.csr_matrix:
     return sp.csr_matrix((data, (rows, cols)), shape=(ne, ne))
 
 
-def cnbw_via_nb_matrix(g, r: int, budget: int = 10**9) -> np.ndarray:
+# most bytes the dense trace may take: two int64 (ne x ne) arrays, the power
+# and its product with the edge matrix, are live together
+NB_TRACE_BYTE_CAP = 2**31
+
+
+def cnbw_via_nb_matrix(g, r: int) -> np.ndarray:
     """Closed cyclically non-backtracking walk counts for lengths 1..r,
     computed as traces of powers of the edge matrix."""
     if r < 1:
         raise InvalidInputError(f"need r >= 1, got {r}")
+    ne = g.degree * g.n  # directed edges, the rows of the edge matrix
+    if 2 * 8 * ne * ne > NB_TRACE_BYTE_CAP:
+        raise ResourceLimitError(
+            f"edge matrix with {ne} rows exceeds {NB_TRACE_BYTE_CAP} bytes dense"
+        )
     b = nb_edge_matrix(g)
-    ne = b.shape[0]
-    if ne * ne > budget:
-        raise ResourceLimitError(f"edge matrix with {ne} rows too large for budget")
     out = np.zeros(r, dtype=np.int64)
     power = b.toarray()
     out[0] = np.trace(power)

@@ -189,12 +189,21 @@ def test_non_numeric_value_exits_2(tmp_path, capsys, kind, text):
 
 
 def test_failed_run_leaves_no_output_directory(tmp_path):
-    # valid config whose product-Poisson box exceeds the pmf budget at run time
-    cfg = _write(tmp_path, "p.cfg",
-                 "model = permutation\nd = 2\nr = 7\nn_values = 8\nsamples = 10\n")
-    assert _run("poisson-test", cfg, tmp_path / "new" / "out") == 3
+    # valid config whose warm-up to s = 20 passes the 10^6-vertex cap of
+    # growth.poissonized_times at run time
+    cfg = _write(tmp_path, "g.cfg", "d = 2\ns = 20\nT = 0\ngrid = 0\nr = 3\n")
+    assert _run("grow", cfg, tmp_path / "new" / "out") == 3
     assert not (tmp_path / "new").exists()
     # a directory the run did not create is left in place
     (tmp_path / "mine").mkdir()
-    assert _run("poisson-test", cfg, tmp_path / "mine") == 3
+    assert _run("grow", cfg, tmp_path / "mine") == 3
     assert (tmp_path / "mine").is_dir()
+
+
+def test_poisson_test_with_large_means_runs(tmp_path):
+    # seven target means up to 156, whose product has no small truncation box
+    cfg = _write(tmp_path, "p.cfg",
+                 "model = permutation\nd = 2\nr = 7\nn_values = 8\nsamples = 10\n")
+    assert _run("poisson-test", cfg, tmp_path / "out") == 0
+    rows = json.loads((tmp_path / "out" / "report.json").read_text())["body"]["rows"]
+    assert all(0 <= row["tv"] <= 1 for row in rows)

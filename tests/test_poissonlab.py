@@ -12,11 +12,11 @@ from regraph import poissonlab, words
 from regraph.errors import ResourceLimitError
 from regraph.graphs import PermGraph, force_edges, sample_permutation_model
 from regraph.poissonlab import (
+    UNIFORM_SAMPLE_CAP,
     class_poisson_means,
     coupling_monotonicity_report,
     empirical_pmf,
     poisson_targets,
-    product_poisson_pmf,
     rate_shape,
     sample_cycle_counts,
     tv_convergence_experiment,
@@ -58,20 +58,6 @@ def test_rate_shape_shrinks_with_n():
         assert math.isclose(vals[0] / vals[1], 10.0)
 
 
-def test_product_poisson_pmf_mass():
-    pmf, tail = product_poisson_pmf([2.0, 0.5, 1.25], tail=1e-8)
-    assert 0 <= tail < 1e-6
-    assert math.isclose(sum(pmf.values()) + tail, 1.0, abs_tol=1e-12)
-    # marginal of the first coordinate matches a plain Poisson
-    p0 = sum(v for k, v in pmf.items() if k[0] == 0)
-    assert math.isclose(p0, math.exp(-2.0), abs_tol=1e-7)
-
-
-def test_product_poisson_pmf_budget():
-    with pytest.raises(ResourceLimitError):
-        product_poisson_pmf([50.0] * 8, tail=1e-12, budget=10)
-
-
 def _sequential_pmf(means, tail):
     """Box pmf built one entry at a time, in key order."""
     lams = [float(m) for m in means]
@@ -109,41 +95,38 @@ def _sequential_pmf(means, tail):
     ([], 1e-6),
 ])
 def test_product_poisson_pmf_matches_sequential_oracle(means, tail):
-    pmf, tail_mass = product_poisson_pmf(means, tail=tail)
-    oracle, oracle_tail = _sequential_pmf(means, tail)
-    assert list(pmf.items()) == list(oracle.items())
-    assert tail_mass == oracle_tail
-
-
-def test_product_poisson_pmf_large_mean_raises_promptly():
-    start = time.monotonic()
-    with pytest.raises(ResourceLimitError):
-        product_poisson_pmf(poisson_targets("permutation", 2, 10).by_length)
-    with pytest.raises(ResourceLimitError):
-        product_poisson_pmf([2952.0])  # e^-mean underflows
-    assert time.monotonic() - start < 5.0
-
-
-def test_product_poisson_pmf_subnormal_mean_raises():
-    # e^-744 is subnormal: the masses built from it came out negative
-    with pytest.raises(ResourceLimitError):
-        product_poisson_pmf([744.0])
-    pmf, tail = product_poisson_pmf([700.0])  # e^-700 is still normal
-    assert min(pmf.values()) >= 0.0 and 0.0 <= tail <= 1e-6
+    # the point mass at k lies exactly 1 - q_k from the target in TV
+    oracle, _ = _sequential_pmf(means, tail)
+    for k, qk in oracle.items():
+        assert math.isclose(1.0 - tv_distance({k: 1.0}, means), qk,
+                            rel_tol=1e-12, abs_tol=1e-15)
 
 
 def test_tv_distance_matches_exact_fractions():
+    # the oracle's box TV charges its whole tail (under 1e-13 here) as mismatch
     rng = np.random.default_rng(9)
     for _ in range(20):
         means = rng.uniform(0.2, 3.0, size=rng.integers(1, 4))
-        q, q_tail = product_poisson_pmf(means, tail=float(rng.choice([1e-6, 1e-2])))
+        q, q_tail = _sequential_pmf(means, 1e-13)
         samples = rng.poisson(means, size=(int(rng.integers(1, 500)), len(means)))
         p = empirical_pmf(samples)
-        exact = Fraction(q_tail)
+        box = Fraction(q_tail)
         for k in set(p) | set(q):
-            exact += abs(Fraction(p.get(k, 0.0)) - Fraction(q.get(k, 0.0)))
-        exact /= 2
-        assert abs(Fraction(tv_distance(p, q, q_tail)) - exact) <= exact * Fraction(1, 10**15)
+            box += abs(Fraction(p.get(k, 0.0)) - Fraction(q.get(k, 0.0)))
+        box /= 2
+        assert abs(Fraction(tv_distance(p, means)) - box) <= Fraction(1, 10**12)
+
+
+def test_tv_distance_large_means_promptly():
+    # e^-744 is subnormal and e^-2952 underflows, so these masses must come
+    # from log space
+    rng = np.random.default_rng(4)
+    start = time.monotonic()
+    for means in (poisson_targets("permutation", 2, 10).by_length, [744.0], [2952.0]):
+        lams = [float(m) for m in means]
+        p = empirical_pmf(rng.poisson(lams, size=(500, len(lams))))
+        assert 0.0 <= tv_distance(p, means) < 1.0
+    assert time.monotonic() - start < 5.0
 
 
 def test_empirical_pmf_and_tv():
@@ -151,8 +134,8 @@ def test_empirical_pmf_and_tv():
     pmf = empirical_pmf(samples)
     assert pmf[(0, 1)] == 0.5
     assert math.isclose(sum(pmf.values()), 1.0)
-    assert tv_distance(pmf, pmf) == 0.0
-    assert tv_distance(pmf, {}, q_tail=1.0) == 1.0
+    assert tv_distance({(0, 0): 1.0}, [0.0, 0.0]) == 0.0
+    assert tv_distance(pmf, [0.0, 0.0]) == 1.0
 
 
 def test_sample_cycle_counts_deterministic_and_correct():
@@ -176,7 +159,7 @@ def test_sample_cycle_counts_uniform_model():
     assert counts.shape == (5, 4)
     assert np.all(counts[:, :2] == 0)  # simple graphs: no loops or 2-cycles
     with pytest.raises(ResourceLimitError):
-        sample_cycle_counts("uniform", 10, 3, 4, samples=50, seed=3, uniform_budget=10)
+        sample_cycle_counts("uniform", 10, 3, 4, samples=UNIFORM_SAMPLE_CAP + 1, seed=3)
 
 
 def test_tv_convergence_rows():

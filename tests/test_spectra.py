@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from regraph.errors import InvalidInputError
-from regraph.graphs import sample_permutation_model, sample_uniform_model
+from regraph.errors import InvalidInputError, ResourceLimitError
+from regraph.graphs import PermGraph, sample_permutation_model, sample_uniform_model
 from regraph.spectra import (
     PolySeries,
     cheb_t_poly,
@@ -81,6 +81,14 @@ def test_eigenvalues_validates_matrix_input():
         eigenvalues(np.array([[0, 1], [0, 0]]))
     with pytest.raises(InvalidInputError):
         eigenvalues(np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]]))  # irregular
+
+
+def test_eigenvalues_refuses_dense_copies_over_the_byte_cap(monkeypatch):
+    # three 8-byte n x n copies at n = 20,000 would take 9.6 GB
+    g = sample_permutation_model(20_000, 1, np.random.default_rng(0))
+    monkeypatch.setattr(PermGraph, "adjacency", lambda self: pytest.fail("adjacency built"))
+    with pytest.raises(ResourceLimitError):
+        eigenvalues(g)
 
 
 def test_cnbw_recovered_from_spectrum_uniform_model():
@@ -157,8 +165,7 @@ def test_mobius_statistic_counts_cycles():
                 _moebius(k // j) * cnbw[j - 1] for j in range(1, k + 1) if k % j == 0
             ) / (2 * k)
             assert math.isclose(stat, inverted, abs_tol=1e-6)
-            if np.all(cnbw_via_nb_matrix(g, k) >= 0):
-                pass
+            assert (cnbw >= 0).all()
             # when short cycles are vertex-disjoint this is the cycle count
             from regraph.walks import bad_walk_probe
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regraph import words
+from regraph import walks, words
 from regraph.errors import ResourceLimitError
 from regraph.graphs import CycleSpec, PermGraph, sample_permutation_model, sample_uniform_model
 from regraph.walks import (
@@ -51,6 +51,14 @@ def test_cnbw_matches_brute_force_uniform_model():
     rng = np.random.default_rng(1)
     g = sample_uniform_model(8, 3, rng)
     assert np.array_equal(cnbw_via_nb_matrix(g, 4), _brute_force_cnbw(g, 4))
+
+
+def test_nb_trace_refuses_dense_powers_over_the_byte_cap(monkeypatch):
+    # two int64 copies of the 40,000 x 40,000 edge matrix would take 25.6 GB
+    g = sample_permutation_model(20_000, 1, np.random.default_rng(0))
+    monkeypatch.setattr(walks, "nb_edge_matrix", lambda g: pytest.fail("edge matrix built"))
+    with pytest.raises(ResourceLimitError):
+        cnbw_via_nb_matrix(g, 3)
 
 
 def test_loop_contributes_two_walks_per_length():
