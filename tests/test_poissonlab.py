@@ -118,15 +118,32 @@ def test_tv_distance_matches_exact_fractions():
 
 
 def test_tv_distance_large_means_promptly():
-    # e^-744 is subnormal and e^-2952 underflows, so these masses must come
-    # from log space
+    # e^-2952 underflows, so these masses must come from log space
     rng = np.random.default_rng(4)
     start = time.monotonic()
-    for means in (poisson_targets("permutation", 2, 10).by_length, [744.0], [2952.0]):
+    for means in (poisson_targets("permutation", 2, 10).by_length, [2952.0]):
         lams = [float(m) for m in means]
         p = empirical_pmf(rng.poisson(lams, size=(500, len(lams))))
         assert 0.0 <= tv_distance(p, means) < 1.0
     assert time.monotonic() - start < 5.0
+
+
+def test_tv_distance_subnormal_mean():
+    # e^-744 is subnormal (e^-700 is not): a point mass at k is 1 - q_k away
+    # from Poisson(lam), and q_k must match a sum-of-logs oracle and keep its
+    # total mass over a wide window
+    rng = np.random.default_rng(5)
+    for lam in (700.0, 744.0):
+        p = empirical_pmf(rng.poisson([lam], size=(500, 1)))
+        assert 0.0 <= tv_distance(p, [lam]) < 1.0
+        masses = []
+        for k in range(int(lam) - 300, int(lam) + 301):
+            qk = 1.0 - tv_distance({(k,): 1.0}, [lam])
+            log_oracle = math.fsum(math.log(lam / j) for j in range(1, k + 1)) - lam
+            assert qk >= 0.0
+            assert math.isclose(qk, math.exp(log_oracle), rel_tol=1e-9, abs_tol=1e-15)
+            masses.append(qk)
+        assert math.isclose(math.fsum(masses), 1.0, rel_tol=1e-9)
 
 
 def test_empirical_pmf_and_tv():
