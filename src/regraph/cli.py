@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import metadata
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,6 +43,10 @@ KINDS = (
 )
 
 _LIMIT_CHUNK = 1024  # replicas per RNG stream; fixed so workers never matter
+
+# one CSV output: its header and its rows, each row a sequence of cells;
+# rows may be a generator, so a file is written as its rows are made
+Csv = tuple[Sequence[str], Iterable[Sequence[Any]]]
 
 
 def _version() -> str:
@@ -231,35 +235,30 @@ def _grow_one(d: int, s: float, horizon: float, grid: tuple, r: int,
     traj = growth.simulate_growth(d, s, horizon, list(grid), r, rng, track_events=True)
     return {
         "classes": [str(wc) for wc in traj.classes],
-        "counts": traj.counts.tolist(),
-        "by_length": traj.by_length(r).tolist(),
-        "n_vertices": traj.n_vertices.tolist(),
+        "counts": traj.counts,
+        "by_length": traj.by_length(r),
         "events": [
-            {
-                "time": float(ev.time),
-                "kind": ev.kind,
-                "word": None if ev.word is None else str(ev.word),
-                "parent": None if ev.parent is None else str(ev.parent),
-            }
+            (float(ev.time), ev.kind, str(ev.word),
+             "" if ev.parent is None else str(ev.parent))
             for ev in traj.events
         ],
     }
 
 
 def _limit_chunk(d: int, K: int, horizon: float, grid: tuple, replicas: int,
-                 seed: int, idx: int) -> list:
+                 seed: int, idx: int) -> np.ndarray:
     rng = np.random.default_rng([seed, idx])
     counts, _model = limitproc.simulate_limit(
         d, K, horizon, list(grid), True, rng, replicas=replicas
     )
-    return counts.tolist()
+    return counts
 
 
 # ---------------------------------------------------------------------------
 # experiment bodies (deterministic given config + seed)
 
 
-def _body_sample(config: ExperimentConfig) -> tuple[dict, dict[str, list[dict]]]:
+def _body_sample(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
     p = config.params
     count = p.get("count", 1)
     jobs = [(p["model"], p["n"], p["d"], config.seed, i) for i in range(count)]
@@ -267,7 +266,7 @@ def _body_sample(config: ExperimentConfig) -> tuple[dict, dict[str, list[dict]]]
     return {"model": p["model"], "n": p["n"], "d": p["d"], "graphs": graphs}, {}
 
 
-def _body_cycles(config: ExperimentConfig) -> tuple[dict, dict[str, list[dict]]]:
+def _body_cycles(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
     p = config.params
     count = p.get("count", 1)
     jobs = [(p["model"], p["n"], p["d"], p["r"], config.seed, i) for i in range(count)]
@@ -276,7 +275,7 @@ def _body_cycles(config: ExperimentConfig) -> tuple[dict, dict[str, list[dict]]]
     return body, {}
 
 
-def _body_spectrum(config: ExperimentConfig) -> tuple[dict, dict[str, list[dict]]]:
+def _body_spectrum(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
     p = config.params
     scale = p.get("scale", "unit")
     rng = np.random.default_rng([config.seed, 0])
@@ -292,43 +291,36 @@ def _body_spectrum(config: ExperimentConfig) -> tuple[dict, dict[str, list[dict]
         "scale": spec.scale,
         "eigenvalues": [float(v) for v in spec.values],
     }
-    csv_rows = [{spec.scale: repr(float(v))} for v in spec.values]
-    return body, {"spectrum.csv": csv_rows}
+    return body, {"spectrum.csv": ((spec.scale,), ((v,) for v in spec.values))}
 
 
-def _body_poisson_test(config: ExperimentConfig) -> tuple[dict, dict[str, list[dict]]]:
+def _body_poisson_test(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
     p = config.params
     n_list = [int(n) for n in _as_list(p["n_values"])]
     rows = poissonlab.tv_convergence_experiment(
         p["model"], p["d"], p["r"], n_list, p["samples"], config.seed
     )
     body = {"model": p["model"], "d": p["d"], "r": p["r"], "rows": rows}
-    csv_rows = [
-        {k: repr(row[k]) if isinstance(row[k], float) else row[k] for k in row}
-        for row in rows
-    ]
-    return body, {"rows.csv": csv_rows}
+    # validate() admits no empty n_values, so rows[0] exists
+    return body, {"rows.csv": (tuple(rows[0]), (tuple(row.values()) for row in rows))}
 
 
-def _trajectory_rows(run_id: int, source: str, grid: Sequence[float],
-                     classes: Sequence[str], counts: np.ndarray,
-                     by_length: np.ndarray) -> list[dict]:
-    rows = []
-    counts = np.asarray(counts)
-    by_length = np.asarray(by_length)
-    for ti, t in enumerate(grid):
-        for ci, name in enumerate(classes):
-            rows.append({"run_id": run_id, "t": repr(float(t)), "key_type": "word",
-                         "key": name, "count": int(counts[ti, ci]),
-                         "source": source})
-        for k in range(1, by_length.shape[1] + 1):
-            rows.append({"run_id": run_id, "t": repr(float(t)), "key_type": "length",
-                         "key": str(k), "count": int(by_length[ti, k - 1]),
-                         "source": source})
-    return rows
+def _trajectory_csv(source: str, grid: Sequence[float], classes: Sequence[str],
+                    counts: np.ndarray, by_length: np.ndarray) -> Csv:
+    """trajectory.csv of (replicas, grid, classes) counts and (replicas, grid, K)
+    per-length counts: per replica, per grid time, the classes then lengths 1..K."""
+    lengths = [str(k) for k in range(1, by_length.shape[2] + 1)]
+    columns = [(repr(t), key_type, key) for t in grid
+               for key_type, keys in (("word", classes), ("length", lengths))
+               for key in keys]
+    table = np.concatenate([counts, by_length], axis=2).reshape(len(counts), -1).tolist()
+    rows = ((run_id, t, key_type, key, count, source)
+            for run_id, values in enumerate(table)
+            for (t, key_type, key), count in zip(columns, values))
+    return ("run_id", "t", "key_type", "key", "count", "source"), rows
 
 
-def _body_grow(config: ExperimentConfig) -> tuple[dict, dict[str, list[dict]]]:
+def _body_grow(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
     p = config.params
     replicas = p.get("replicas", 1)
     grid = tuple(float(t) for t in _as_list(p["grid"]))
@@ -337,27 +329,21 @@ def _body_grow(config: ExperimentConfig) -> tuple[dict, dict[str, list[dict]]]:
     results = _run_indexed(_grow_one, jobs, config.workers)
 
     classes = results[0]["classes"]
-    traj_rows: list[dict] = []
-    event_rows: list[dict] = []
-    mean_by_length = np.zeros((len(grid), p["r"]))
-    for run_id, res in enumerate(results):
-        traj_rows.extend(_trajectory_rows(run_id, "growth", grid, classes,
-                                          res["counts"], res["by_length"]))
-        mean_by_length += np.asarray(res["by_length"], dtype=float)
-        for ev in res["events"]:
-            event_rows.append({"run_id": run_id, "time": repr(ev["time"]),
-                               "kind": ev["kind"], "word": ev["word"] or "",
-                               "parent": ev["parent"] or ""})
-    mean_by_length /= replicas
+    counts = np.stack([res["counts"] for res in results])
+    by_len = np.stack([res["by_length"] for res in results])
+    events = ((run_id, *ev) for run_id, res in enumerate(results) for ev in res["events"])
     body = {
         "d": p["d"], "s": float(p["s"]), "T": float(p["T"]), "r": p["r"],
         "grid": list(grid), "replicas": replicas, "classes": classes,
-        "mean_counts_by_length": mean_by_length.tolist(),
+        "mean_counts_by_length": by_len.mean(axis=0).tolist(),
     }
-    return body, {"trajectory.csv": traj_rows, "events.csv": event_rows}
+    return body, {
+        "trajectory.csv": _trajectory_csv("growth", grid, classes, counts, by_len),
+        "events.csv": (("run_id", "time", "kind", "word", "parent"), events),
+    }
 
 
-def _body_limit_sim(config: ExperimentConfig) -> tuple[dict, dict[str, list[dict]]]:
+def _body_limit_sim(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
     p = config.params
     replicas = p.get("replicas", 1)
     grid = tuple(float(t) for t in _as_list(p["grid"]))
@@ -367,40 +353,34 @@ def _body_limit_sim(config: ExperimentConfig) -> tuple[dict, dict[str, list[dict
     jobs = [(p["d"], p["K"], float(p["T"]), grid, size, config.seed, idx)
             for idx, size in chunks]
     pieces = _run_indexed(_limit_chunk, jobs, config.workers)
-    counts = np.concatenate([np.asarray(piece, dtype=np.int64) for piece in pieces])
+    counts = np.concatenate(pieces)
 
     classes = [str(wc) for wc in model.classes]
     by_len = limitproc.counts_by_length(counts, model)
-    traj_rows: list[dict] = []
-    for run_id in range(replicas):
-        traj_rows.extend(_trajectory_rows(run_id, "limit", grid, classes,
-                                          counts[run_id], by_len[run_id]))
     body = {
         "d": p["d"], "K": p["K"], "T": float(p["T"]), "grid": list(grid),
         "replicas": replicas, "classes": classes,
         "mean_counts_by_length": by_len.mean(axis=0).tolist(),
     }
-    return body, {"trajectory.csv": traj_rows}
+    return body, {"trajectory.csv": _trajectory_csv("limit", grid, classes, counts, by_len)}
 
 
-def _body_gff_check(config: ExperimentConfig) -> tuple[dict, dict[str, list[dict]]]:
+def _body_gff_check(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
     p = config.params
     lags = [float(l) for l in _as_list(p["lags"])]
-    pairs = []
+    header = ("j", "k", "lag", "numeric", "closed_form", "abs_err")
+    rows = []
     for j in range(1, p["jmax"] + 1):
         for k in range(1, p["kmax"] + 1):
             for lag in lags:
                 numeric = gffcheck.gff_cheb_covariance(j, k, 0.0, lag)
                 closed = gffcheck.gff_closed_form(j, k, 0.0, lag)
-                pairs.append({"j": j, "k": k, "lag": lag, "numeric": numeric,
-                              "closed_form": closed,
-                              "abs_err": abs(numeric - closed)})
-    csv_rows = [{key: repr(row[key]) if isinstance(row[key], float) else row[key]
-                 for key in row} for row in pairs]
-    return {"pairs": pairs}, {"pairs.csv": csv_rows}
+                rows.append((j, k, lag, numeric, closed, abs(numeric - closed)))
+    pairs = [dict(zip(header, row)) for row in rows]
+    return {"pairs": pairs}, {"pairs.csv": (header, rows)}
 
 
-_BODIES: dict[str, Callable[[ExperimentConfig], tuple[dict, dict]]] = {
+_BODIES: dict[str, Callable[[ExperimentConfig], tuple[dict, dict[str, Csv]]]] = {
     "sample": _body_sample,
     "cycles": _body_cycles,
     "spectrum": _body_spectrum,
@@ -415,11 +395,11 @@ _BODIES: dict[str, Callable[[ExperimentConfig], tuple[dict, dict]]] = {
 # orchestration
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    fieldnames = list(rows[0]) if rows else ["empty"]
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Write a header line, then stream the rows; floats are written by repr."""
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
         writer.writerows(rows)
 
 
@@ -434,10 +414,10 @@ def run(config: ExperimentConfig) -> Path:
     start = time.monotonic()
     try:
         body, csv_files = _BODIES[config.kind](config)
-        for name, rows in csv_files.items():
+        for name, (header, rows) in csv_files.items():
             path = config.out / name
             written.append(path)
-            _write_csv(path, rows)
+            _write_csv(path, header, rows)
         report = {
             "kind": config.kind,
             "config": {k: config.params[k] for k in sorted(config.params)},

@@ -67,11 +67,13 @@ class PermGraph:
         return 2 * self.d
 
     def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.int64)
+        """Float n x n adjacency matrix, filled in place (a loop counts 2)."""
+        a = np.zeros((self.n, self.n))
         rows = np.arange(self.n)
-        for l in range(self.d):
-            np.add.at(a, (rows, self.perms[l]), 1)
-        return a + a.T
+        for perm in self.perms:
+            np.add.at(a, (rows, perm), 1)
+            np.add.at(a, (perm, rows), 1)
+        return a
 
     def key(self) -> tuple:
         return tuple(map(tuple, self.perms))
@@ -135,7 +137,8 @@ class SimpleGraph:
         return self.d
 
     def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.int64)
+        """Float n x n adjacency matrix."""
+        a = np.zeros((self.n, self.n))
         for u, v in self.edges:
             a[u, v] += 1
             a[v, u] += 1

@@ -29,8 +29,8 @@ from .graphs import PermGraph, SimpleGraph
 
 _BASES = ("monomial", "cheb_t", "cheb_u", "nb_unit", "nb_half")
 
-# most bytes the dense n x n copies of one eigen-solve may take: the int64
-# adjacency, its float copy and the solver's own float copy, 8 bytes each
+# most bytes the dense n x n copies of one eigen-solve may take: the float
+# adjacency and the solver's own float copy, 8 bytes each
 EIGEN_BYTE_CAP = 2**31
 
 
@@ -187,7 +187,7 @@ class Spectrum:
 def eigenvalues(g, scale: str = "unit") -> Spectrum:
     """Adjacency spectrum of a permutation-model or uniform-model graph."""
     if isinstance(g, (PermGraph, SimpleGraph)):
-        if 3 * 8 * g.n * g.n > EIGEN_BYTE_CAP:
+        if 2 * 8 * g.n * g.n > EIGEN_BYTE_CAP:
             raise ResourceLimitError(
                 f"dense eigen-solve at n={g.n} exceeds {EIGEN_BYTE_CAP} bytes"
             )
@@ -203,7 +203,7 @@ def eigenvalues(g, scale: str = "unit") -> Spectrum:
         if not np.allclose(rowsum, rowsum[0]):
             raise InvalidInputError("graph must be regular")
         degree = int(round(rowsum[0]))
-    vals = np.linalg.eigvalsh(a.astype(float))[::-1]
+    vals = np.linalg.eigvalsh(a)[::-1]
     raw = Spectrum(tuple(float(v) for v in vals), degree, "raw")
     return raw.rescaled(scale)
 

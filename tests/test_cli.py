@@ -1,12 +1,16 @@
 """Tests for the command-line experiment runner."""
 
+import csv
+import io
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from regraph import cli
-from regraph.errors import InvalidInputError
+from regraph import cli, growth, limitproc
+from regraph.errors import InvalidInputError, ResourceLimitError
 
 
 def _write(tmp_path: Path, name: str, text: str) -> Path:
@@ -207,3 +211,120 @@ def test_poisson_test_with_large_means_runs(tmp_path):
     assert _run("poisson-test", cfg, tmp_path / "out") == 0
     rows = json.loads((tmp_path / "out" / "report.json").read_text())["body"]["rows"]
     assert all(0 <= row["tv"] <= 1 for row in rows)
+
+
+def test_grow_without_events_writes_events_header(tmp_path):
+    cfg = _write(tmp_path, "g.cfg", "d = 2\ns = 0.5\nT = 0\ngrid = 0\nr = 3\n")
+    assert _run("grow", cfg, tmp_path / "out") == 0
+    assert (tmp_path / "out" / "events.csv").read_text() == "run_id,time,kind,word,parent\n"
+
+
+# The dict-per-row CSV path the CLI used before it streamed row tuples; the
+# streamed files must match it byte for byte.
+
+def _trajectory_rows(run_id, source, grid, classes, counts, by_length):
+    rows = []
+    counts = np.asarray(counts)
+    by_length = np.asarray(by_length)
+    for ti, t in enumerate(grid):
+        for ci, name in enumerate(classes):
+            rows.append({"run_id": run_id, "t": repr(float(t)), "key_type": "word",
+                         "key": name, "count": int(counts[ti, ci]),
+                         "source": source})
+        for k in range(1, by_length.shape[1] + 1):
+            rows.append({"run_id": run_id, "t": repr(float(t)), "key_type": "length",
+                         "key": str(k), "count": int(by_length[ti, k - 1]),
+                         "source": source})
+    return rows
+
+
+def _dict_csv(rows):
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_streamed_csvs_match_dict_row_oracle(tmp_path, seed):
+    d, K, horizon, grid, replicas = 2, 3, 1.0, [0.0, 0.5, 1.0], 1100  # two chunks
+    cfg = _write(tmp_path, "l.cfg",
+                 f"d = {d}\nK = {K}\nT = 1.0\ngrid = 0.0, 0.5, 1.0\nreplicas = {replicas}\n")
+    assert _run("limit-sim", cfg, tmp_path / "l", "--seed", str(seed)) == 0
+    pieces = []
+    for idx in range(math.ceil(replicas / cli._LIMIT_CHUNK)):
+        size = min(cli._LIMIT_CHUNK, replicas - idx * cli._LIMIT_CHUNK)
+        counts, model = limitproc.simulate_limit(
+            d, K, horizon, grid, True, np.random.default_rng([seed, idx]), replicas=size)
+        pieces.append(counts)
+    counts = np.concatenate(pieces)
+    by_len = limitproc.counts_by_length(counts, model)
+    classes = [str(wc) for wc in model.classes]
+    rows = []
+    for run_id in range(replicas):
+        rows.extend(_trajectory_rows(run_id, "limit", grid, classes,
+                                     counts[run_id], by_len[run_id]))
+    assert (tmp_path / "l" / "trajectory.csv").read_bytes() == _dict_csv(rows)
+
+    s, r, replicas = 0.5, 3, 3
+    cfg = _write(tmp_path, "g.cfg",
+                 f"d = {d}\ns = {s}\nT = 1.0\ngrid = 0.0, 0.5, 1.0\nr = {r}\n"
+                 f"replicas = {replicas}\n")
+    assert _run("grow", cfg, tmp_path / "g", "--seed", str(seed)) == 0
+    traj_rows, event_rows = [], []
+    for run_id in range(replicas):
+        traj = growth.simulate_growth(d, s, horizon, grid, r,
+                                      np.random.default_rng([seed, run_id]),
+                                      track_events=True)
+        traj_rows.extend(_trajectory_rows(run_id, "growth", grid,
+                                          [str(wc) for wc in traj.classes],
+                                          traj.counts, traj.by_length(r)))
+        for ev in traj.events:
+            event_rows.append({"run_id": run_id, "time": repr(float(ev.time)),
+                               "kind": ev.kind, "word": str(ev.word),
+                               "parent": "" if ev.parent is None else str(ev.parent)})
+    assert event_rows  # the events file is checked on real rows
+    assert (tmp_path / "g" / "trajectory.csv").read_bytes() == _dict_csv(traj_rows)
+    assert (tmp_path / "g" / "events.csv").read_bytes() == _dict_csv(event_rows)
+
+
+def test_limit_sim_independent_of_workers(tmp_path):
+    # 1100 replicas span two RNG chunks, so two workers take one each
+    cfg = _write(tmp_path, "l.cfg",
+                 "d = 2\nK = 3\nT = 1.0\ngrid = 0.0, 0.5, 1.0\nreplicas = 1100\n")
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        assert _run("limit-sim", cfg, out, "--seed", "13", "--workers", str(workers)) == 0
+        report = json.loads((out / "report.json").read_text())
+        outputs.append((json.dumps(report["body"], sort_keys=True),
+                        (out / "trajectory.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_write_csv_round_trips_quoted_fields(tmp_path):
+    header = ("plain", "comma,name")
+    rows = [("a, b", 'say "hi"'), ("two\nlines", 3), ("", 0.1)]
+    path = tmp_path / "q.csv"
+    cli._write_csv(path, header, iter(rows))
+    with path.open(newline="") as fh:
+        read = list(csv.reader(fh))
+    assert read == [list(header), ["a, b", 'say "hi"'], ["two\nlines", "3"], ["", "0.1"]]
+
+
+def test_failed_stream_leaves_no_csv_or_output_directory(tmp_path, monkeypatch):
+    def failing_body(config):
+        def rows():
+            for i in range(5000):
+                yield (i, "x" * 20)
+            raise ResourceLimitError("row source failed midway")
+        return {}, {"pairs.csv": (("i", "x"), rows())}
+
+    monkeypatch.setitem(cli._BODIES, "gff-check", failing_body)
+    cfg = _write(tmp_path, "f.cfg", "jmax = 1\nkmax = 1\nlags = 0.0\n")
+    assert _run("gff-check", cfg, tmp_path / "new" / "out") == 3
+    assert not (tmp_path / "new").exists()
+    (tmp_path / "mine").mkdir()
+    assert _run("gff-check", cfg, tmp_path / "mine") == 3
+    assert list((tmp_path / "mine").iterdir()) == []
