@@ -183,6 +183,11 @@ def validate(config: ExperimentConfig) -> list[str]:
     if "replicas" in p:
         check(isinstance(p["replicas"], int) and p["replicas"] >= 1,
               "replicas must be a positive integer")
+    if kind == "limit-sim" and not violations:
+        need = _limit_sim_bytes(p)
+        check(need <= limitproc.LIMIT_BYTE_CAP,
+              f"limit-sim needs about {need:.0f} bytes, over {limitproc.LIMIT_BYTE_CAP}; "
+              f"lower replicas")
     if "count" in p:
         check(isinstance(p["count"], int) and p["count"] >= 1,
               "count must be a positive integer")
@@ -191,6 +196,24 @@ def validate(config: ExperimentConfig) -> list[str]:
         check(isinstance(p["kmax"], int) and p["kmax"] >= 1, "kmax must be >= 1")
         check(all(float(l) >= 0 for l in _as_list(p["lags"])), "lags must be >= 0")
     return violations
+
+
+def _limit_sim_bytes(p: dict[str, Any]) -> float:
+    """Peak bytes of a valid limit-sim run.
+
+    It holds its int64 (R, G, C) counts twice (the chunks and their
+    concatenation), the (R, G, K) per-length counts, and the (R, G·(C+K))
+    value table as an array and as lists of 8-byte pointers to cached small
+    ints, under 128 bytes of list object per row; and it simulates one chunk
+    at a time.
+    """
+    model = limitproc.limit_model(p["d"], p["K"])
+    replicas, grid_size = p.get("replicas", 1), len(_as_list(p["grid"]))
+    ncls = len(model.classes)
+    held = 8.0 * replicas * (grid_size * (4 * ncls + 3 * p["K"]) + 16)
+    chunk = limitproc.limit_bytes(model, min(replicas, _LIMIT_CHUNK), grid_size,
+                                  float(p["T"]), True)
+    return held + chunk
 
 
 # ---------------------------------------------------------------------------

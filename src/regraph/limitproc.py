@@ -128,6 +128,12 @@ def trace_covariance(d: int, k: int, lag: float) -> float:
 # ---------------------------------------------------------------------------
 # simulation
 
+# most bytes one simulate_limit call may hold, by limit_bytes
+LIMIT_BYTE_CAP = 2**31
+# bytes per expected atom at a call's peak; tracemalloc measured at most 38
+# beyond the cell and table terms of limit_bytes
+ATOM_BYTES = 48
+
 
 @dataclass(frozen=True)
 class LimitModel:
@@ -172,6 +178,30 @@ def limit_model(d: int, K: int) -> LimitModel:
     )
 
 
+def _index_dtype(size: int) -> type:
+    """The narrower signed integer type that holds indices below size."""
+    return np.int32 if size <= 2**31 else np.int64
+
+
+def limit_bytes(model: LimitModel, replicas: int, grid_size: int, T: float,
+                stationary_init: bool) -> float:
+    """Bytes simulate_limit holds at its peak, estimated before any draw.
+
+    The int64 counts and the flat cell indices gathered for them take at most
+    8 bytes each per (replica, grid point, class) cell in expectation (no more
+    atoms are alive at a time than the stationary mean sum of 1/h over the
+    classes), a Poisson draw table's int64 draws and their int32 cell index
+    12 bytes per (replica, class), and every expected atom at most ATOM_BYTES.
+    """
+    ncls = len(model.classes)
+    expected_atoms = replicas * (
+        (model.stationary_means.sum() if stationary_init else 0.0)
+        + model.immigration_rates.sum() * T
+    )
+    return (16.0 * replicas * grid_size * ncls + 12.0 * replicas * ncls
+            + ATOM_BYTES * expected_atoms)
+
+
 def simulate_limit(
     d: int,
     K: int,
@@ -180,7 +210,7 @@ def simulate_limit(
     stationary_init: bool,
     rng: np.random.Generator,
     replicas: int = 1,
-    budget: int = 10**8,
+    budget: int = LIMIT_BYTE_CAP,
 ) -> tuple[np.ndarray, LimitModel]:
     """Exact simulation of the atom process on a time grid.
 
@@ -188,7 +218,8 @@ def simulate_limit(
     (replicas, len(grid), number of classes): counts[b, g, ci] is the number
     of class-ci atoms alive at grid time g in replica b.  Atoms never
     interact, so every atom is advanced independently with exact exponential
-    holding times; no discretization is involved.
+    holding times; no discretization is involved.  ``budget`` bounds the
+    bytes of limit_bytes, checked before anything is drawn.
     """
     grid = np.asarray(grid, dtype=float)
     if T < 0 or replicas < 1:
@@ -199,56 +230,69 @@ def simulate_limit(
         raise InvalidInputError("grid must be nondecreasing")
     model = limit_model(d, K)
     ncls = len(model.classes)
-    expected_atoms = replicas * (
-        (model.stationary_means.sum() if stationary_init else 0.0)
-        + model.immigration_rates.sum() * T
-    )
-    if expected_atoms > budget:
-        raise ResourceLimitError(
-            f"about {expected_atoms:.0f} atoms exceed the budget {budget}"
-        )
+    need = limit_bytes(model, replicas, grid.size, T, stationary_init)
+    if need > budget:
+        raise ResourceLimitError(f"about {need:.0f} bytes exceed the budget {budget}")
+
+    def atoms(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # atom (replica, class) pairs in row-major order of the draws
+        cell = np.repeat(np.arange(draws.size, dtype=_index_dtype(draws.size)), draws.ravel())
+        return np.divmod(cell, ncls)
 
     reps: list[np.ndarray] = []
     clss: list[np.ndarray] = []
     times: list[np.ndarray] = []
     if stationary_init:
-        init = rng.poisson(model.stationary_means, size=(replicas, ncls))
-        rr, cc = np.nonzero(init)
-        counts0 = init[rr, cc]
-        reps.append(np.repeat(rr, counts0))
-        clss.append(np.repeat(cc, counts0))
-        times.append(np.zeros(int(counts0.sum())))
+        rep0, cls0 = atoms(rng.poisson(model.stationary_means, size=(replicas, ncls)))
+        reps.append(rep0)
+        clss.append(cls0)
+        times.append(np.zeros(rep0.size))
     if T > 0:
-        immi = rng.poisson(model.immigration_rates * T, size=(replicas, ncls))
-        rr, cc = np.nonzero(immi)
-        counts0 = immi[rr, cc]
-        n_im = int(counts0.sum())
-        reps.append(np.repeat(rr, counts0))
-        clss.append(np.repeat(cc, counts0))
-        times.append(rng.uniform(0.0, T, n_im))
-    rep = np.concatenate(reps) if reps else np.zeros(0, dtype=np.int64)
-    cls = np.concatenate(clss) if clss else np.zeros(0, dtype=np.int64)
+        rep0, cls0 = atoms(rng.poisson(model.immigration_rates * T, size=(replicas, ncls)))
+        reps.append(rep0)
+        clss.append(cls0)
+        times.append(rng.uniform(0.0, T, rep0.size))
+    rep = np.concatenate(reps) if reps else np.zeros(0, dtype=np.int32)
+    cls = np.concatenate(clss) if clss else np.zeros(0, dtype=np.int32)
     t = np.concatenate(times) if times else np.zeros(0)
+    del reps, clss, times
+    # each atom carries the index of the first grid point at or after its time
+    g0 = np.searchsorted(grid, t).astype(np.min_scalar_type(grid.size))
 
-    counts = np.zeros((replicas, grid.size, ncls), dtype=np.int64)
+    transitions = model.transitions.astype(cls.dtype)
+    cell_t = _index_dtype(replicas * grid.size * ncls)
+    cells: list[np.ndarray] = []
     while rep.size:
         lens = model.lengths[cls]
-        t_next = t + rng.exponential(1.0, rep.size) / lens
-        i0 = np.searchsorted(grid, t, side="left")
-        i1 = np.searchsorted(grid, t_next, side="left")
-        offset = 0
-        while True:
-            sel = i0 + offset < i1
-            if not np.any(sel):
-                break
-            np.add.at(counts, (rep[sel], i0[sel] + offset, cls[sel]), 1)
-            offset += 1
-        pos = rng.integers(0, lens)
-        cls = model.transitions[cls, pos]
-        t = t_next
-        keep = (t < T) & (cls >= 0)
-        rep, cls, t = rep[keep], cls[keep], t[keep]
-    return counts, model
+        step = rng.standard_exponential(rep.size)
+        step /= lens
+        t += step
+        del step
+        g1 = np.searchsorted(grid, t).astype(g0.dtype)
+        # the atom is alive, in its class, at the grid points g0 <= g < g1
+        hit = np.flatnonzero(g1 > g0)
+        cell = rep[hit].astype(cell_t)
+        cell *= grid.size
+        cell += g0[hit]
+        cell *= ncls
+        cell += cls[hit]
+        left = g1[hit]
+        left -= g0[hit]
+        while cell.size:
+            cells.append(cell)
+            more = np.flatnonzero(left > 1)
+            cell = cell[more] + ncls
+            left = left[more] - 1
+        del hit
+        cls = transitions[cls, rng.integers(0, lens)]
+        del lens
+        keep = np.flatnonzero((t < T) & (cls >= 0))
+        rep, cls, t, g0 = rep[keep], cls[keep], t[keep], g1[keep]
+    # bincount counts in intp; casting while concatenating saves it a copy
+    flat = np.concatenate(cells, dtype=np.intp) if cells else np.zeros(0, dtype=np.intp)
+    del cells
+    counts = np.bincount(flat, minlength=replicas * grid.size * ncls)
+    return counts.reshape(replicas, grid.size, ncls), model
 
 
 def counts_by_length(counts: np.ndarray, model: LimitModel) -> np.ndarray:

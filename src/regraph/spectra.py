@@ -32,6 +32,8 @@ _BASES = ("monomial", "cheb_t", "cheb_u", "nb_unit", "nb_half")
 # most bytes the dense n x n copies of one eigen-solve may take: the float
 # adjacency and the solver's own float copy, 8 bytes each
 EIGEN_BYTE_CAP = 2**31
+# entries of one row block in the symmetry check of an adjacency array
+_CHECK_BLOCK_ENTRIES = 2**16
 
 
 def _correction(degree: int, k: int) -> float:
@@ -194,11 +196,21 @@ def eigenvalues(g, scale: str = "unit") -> Spectrum:
         a = g.adjacency()
         degree = g.degree
     else:
-        a = np.asarray(g, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        shape = np.shape(g)
+        if len(shape) != 2 or shape[0] != shape[1]:
             raise InvalidInputError("adjacency must be square")
-        if not np.allclose(a, a.T):
-            raise InvalidInputError("adjacency must be symmetric")
+        n = shape[0]
+        if 2 * 8 * n * n > EIGEN_BYTE_CAP:
+            raise ResourceLimitError(
+                f"dense eigen-solve at n={n} exceeds {EIGEN_BYTE_CAP} bytes"
+            )
+        a = np.asarray(g, dtype=float)
+        # compare row blocks with the matching column blocks, so the check
+        # makes no n x n temporary
+        rows = max(1, _CHECK_BLOCK_ENTRIES // max(n, 1))
+        for lo in range(0, n, rows):
+            if not np.allclose(a[lo:lo + rows], a[:, lo:lo + rows].T):
+                raise InvalidInputError("adjacency must be symmetric")
         rowsum = a.sum(axis=1)
         if not np.allclose(rowsum, rowsum[0]):
             raise InvalidInputError("graph must be regular")

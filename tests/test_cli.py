@@ -204,6 +204,18 @@ def test_failed_run_leaves_no_output_directory(tmp_path):
     assert (tmp_path / "mine").is_dir()
 
 
+def test_limit_sim_replicas_over_byte_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # 10^7 replicas at the perfbench limit-sim shape would hold about 28 GB
+    text = "d = 2\nK = 4\nT = 1.0\ngrid = 0.0, 0.5, 1.0\nreplicas = {}\n"
+    assert cli.validate(cli.ExperimentConfig("limit-sim", cli.parse_config_file(
+        _write(tmp_path, "ok.cfg", text.format(4096))))) == []
+    monkeypatch.setitem(cli._BODIES, "limit-sim", lambda config: pytest.fail("limit-sim ran"))
+    cfg = _write(tmp_path, "l.cfg", text.format(10**7))
+    assert _run("limit-sim", cfg, tmp_path / "new" / "out") == 2
+    assert "replicas" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
 def test_poisson_test_with_large_means_runs(tmp_path):
     # seven target means up to 156, whose product has no small truncation box
     cfg = _write(tmp_path, "p.cfg",

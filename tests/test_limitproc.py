@@ -1,6 +1,7 @@
 """Tests for the limiting birth/growth process and its closed-form moments."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from regraph.limitproc import (
     counts_by_length,
     expected_alpha,
     limit_covariance,
+    limit_bytes,
     limit_model,
     nu_rate,
     ou_covariance,
@@ -157,3 +159,101 @@ def test_simulate_limit_validates_and_budgets():
         simulate_limit(2, 2, 1.0, [2.0], True, rng, replicas=10)
     with pytest.raises(ResourceLimitError):
         simulate_limit(2, 3, 1.0, [0.0, 1.0], True, rng, replicas=10**6, budget=10)
+
+
+def _reference_simulate_limit(d, K, T, grid, stationary_init, rng, replicas=1):
+    """The int64 atom loop with one np.add.at per grid offset, kept as the
+    oracle of simulate_limit: the same draws in the same order."""
+    grid = np.asarray(grid, dtype=float)
+    model = limit_model(d, K)
+    ncls = len(model.classes)
+    reps, clss, times = [], [], []
+    if stationary_init:
+        init = rng.poisson(model.stationary_means, size=(replicas, ncls))
+        rr, cc = np.nonzero(init)
+        counts0 = init[rr, cc]
+        reps.append(np.repeat(rr, counts0))
+        clss.append(np.repeat(cc, counts0))
+        times.append(np.zeros(int(counts0.sum())))
+    if T > 0:
+        immi = rng.poisson(model.immigration_rates * T, size=(replicas, ncls))
+        rr, cc = np.nonzero(immi)
+        counts0 = immi[rr, cc]
+        reps.append(np.repeat(rr, counts0))
+        clss.append(np.repeat(cc, counts0))
+        times.append(rng.uniform(0.0, T, int(counts0.sum())))
+    rep = np.concatenate(reps) if reps else np.zeros(0, dtype=np.int64)
+    cls = np.concatenate(clss) if clss else np.zeros(0, dtype=np.int64)
+    t = np.concatenate(times) if times else np.zeros(0)
+
+    counts = np.zeros((replicas, grid.size, ncls), dtype=np.int64)
+    while rep.size:
+        lens = model.lengths[cls]
+        t_next = t + rng.exponential(1.0, rep.size) / lens
+        i0 = np.searchsorted(grid, t, side="left")
+        i1 = np.searchsorted(grid, t_next, side="left")
+        offset = 0
+        while True:
+            sel = i0 + offset < i1
+            if not np.any(sel):
+                break
+            np.add.at(counts, (rep[sel], i0[sel] + offset, cls[sel]), 1)
+            offset += 1
+        pos = rng.integers(0, lens)
+        cls = model.transitions[cls, pos]
+        t = t_next
+        keep = (t < T) & (cls >= 0)
+        rep, cls, t = rep[keep], cls[keep], t[keep]
+    return counts
+
+
+_ORACLE_CASES = [
+    *[(d, K, 1.0, [0.0, 0.5, 1.0], True, 60) for d in (1, 2, 3) for K in range(1, 6)],
+    (2, 3, 1.0, [0.0, 0.4, 1.0], False, 80),  # no stationary atoms
+    (2, 3, 0.0, [0.0], True, 80),  # T = 0: no immigrants, nothing moves past 0
+    (2, 3, 0.0, [0.0], False, 5),  # no atoms at all
+    (2, 3, 1.0, [], True, 50),  # empty grid
+    (2, 3, 1.0, [0.2, 0.2, 0.7, 0.7, 0.7], True, 60),  # repeated grid points
+    (1, 4, 0.8, [0.3, 0.8], True, 60),  # a grid point at exactly T
+    (2, 3, 2.0, list(np.linspace(0.0, 2.0, 300)), True, 20),  # more than 255 points
+    (2, 4, 1.0, [0.0, 1.0], True, 1),
+    (3, 2, 1.5, [0.5], False, 1),
+]
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES, ids=lambda c: "d{}-K{}-T{}-G{}-{}-R{}".format(
+    c[0], c[1], c[2], len(c[3]), "stat" if c[4] else "empty", c[5]))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_simulate_limit_matches_reference_loop(case, seed):
+    d, K, T, grid, stationary_init, replicas = case
+    counts, model = simulate_limit(d, K, T, grid, stationary_init,
+                                   np.random.default_rng(seed), replicas=replicas)
+    want = _reference_simulate_limit(d, K, T, grid, stationary_init,
+                                     np.random.default_rng(seed), replicas=replicas)
+    assert counts.dtype == want.dtype == np.int64
+    assert counts.shape == want.shape == (replicas, len(grid), len(model.classes))
+    assert np.array_equal(counts, want)
+
+
+@pytest.mark.parametrize("d, K, T, grid, replicas", [
+    (2, 3, 1.0, [0.0, 0.5, 1.0], 20000),  # the atoms dominate
+    (2, 4, 1.0, list(np.linspace(0.0, 1.0, 300)), 400),  # the cells dominate
+])
+def test_simulate_limit_peak_under_byte_estimate(d, K, T, grid, replicas):
+    model = limit_model(d, K)
+    need = limit_bytes(model, replicas, len(grid), T, True)
+    # refused before any draw: the generator is left as it was
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ResourceLimitError):
+        simulate_limit(d, K, T, grid, True, rng, replicas=replicas, budget=int(need) - 1)
+    assert rng.bit_generator.state == state
+    tracemalloc.start()
+    try:
+        counts, _ = simulate_limit(d, K, T, grid, True, rng, replicas=replicas,
+                                   budget=int(need) + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() > 0
+    assert peak <= need

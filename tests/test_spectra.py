@@ -1,6 +1,7 @@
 """Tests for spectra, polynomial bases, and the Kesten-McKay law."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,37 @@ def test_eigenvalues_refuses_dense_copies_over_the_byte_cap(monkeypatch):
     monkeypatch.setattr(PermGraph, "adjacency", lambda self: pytest.fail("adjacency built"))
     with pytest.raises(ResourceLimitError):
         eigenvalues(g)
+
+
+def test_eigenvalues_refuses_array_over_the_byte_cap_before_converting():
+    class Huge:
+        shape = (20_000, 20_000)
+
+        def __array__(self, *args, **kwargs):
+            pytest.fail("array input converted")
+
+    with pytest.raises(ResourceLimitError):
+        eigenvalues(Huge())
+
+
+def test_eigenvalues_array_checks_make_no_dense_temporaries():
+    n = 1200
+    g = sample_permutation_model(n, 2, np.random.default_rng(1))
+    a = g.adjacency()
+    want = eigenvalues(g)
+    tracemalloc.start()
+    try:
+        spec = eigenvalues(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec == want
+    # the old whole-matrix allclose(a, a.T) took about 2.1 n x n float copies
+    assert peak < 0.25 * 8 * n * n
+    # an asymmetry within the last row block is still found
+    a[n - 1, n - 2] += 1e-3
+    with pytest.raises(InvalidInputError, match="symmetric"):
+        eigenvalues(a)
 
 
 def test_cnbw_recovered_from_spectrum_uniform_model():
