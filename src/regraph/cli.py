@@ -30,7 +30,13 @@ import numpy as np
 
 from . import gffcheck, growth, limitproc, poissonlab, spectra, walks
 from .errors import InvalidInputError, NumericError, ResourceLimitError
-from .graphs import sample_permutation_model, sample_uniform_model, simple_regular_exists
+from .graphs import (
+    PermGraph,
+    SimpleGraph,
+    sample_permutation_model,
+    sample_uniform_model,
+    simple_regular_exists,
+)
 
 KINDS = (
     "sample",
@@ -201,16 +207,14 @@ def validate(config: ExperimentConfig) -> list[str]:
 def _limit_sim_bytes(p: dict[str, Any]) -> float:
     """Peak bytes of a valid limit-sim run.
 
-    It holds its int64 (R, G, C) counts twice (the chunks and their
-    concatenation), the (R, G, K) per-length counts, and the (R, G·(C+K))
-    value table as an array and as lists of 8-byte pointers to cached small
-    ints, under 128 bytes of list object per row; and it simulates one chunk
-    at a time.
+    It holds its int64 (R, G, C) counts twice while the chunks are
+    concatenated, then the counts, the (R, G, K) per-length counts and the
+    (R, G·(C+K)) value table together; a replica's values become a list only
+    as its rows are written.  It simulates one chunk at a time.
     """
     model = limitproc.limit_model(p["d"], p["K"])
     replicas, grid_size = p.get("replicas", 1), len(_as_list(p["grid"]))
-    ncls = len(model.classes)
-    held = 8.0 * replicas * (grid_size * (4 * ncls + 3 * p["K"]) + 16)
+    held = 16.0 * replicas * grid_size * (len(model.classes) + p["K"])
     chunk = limitproc.limit_bytes(model, min(replicas, _LIMIT_CHUNK), grid_size,
                                   float(p["T"]), True)
     return held + chunk
@@ -228,21 +232,20 @@ def _run_indexed(fn: Callable, jobs: Sequence[tuple], workers: int) -> list:
         return list(pool.map(fn, *zip(*jobs)))
 
 
-def _sample_one(model: str, n: int, d: int, seed: int, idx: int) -> dict:
-    rng = np.random.default_rng([seed, idx])
+def _sample_graph(model: str, n: int, d: int,
+                  rng: np.random.Generator) -> PermGraph | SimpleGraph:
     if model == "permutation":
-        g = sample_permutation_model(n, d, rng)
-    else:
-        g = sample_uniform_model(n, d, rng)
+        return sample_permutation_model(n, d, rng)
+    return sample_uniform_model(n, d, rng)
+
+
+def _sample_one(model: str, n: int, d: int, seed: int, idx: int) -> dict:
+    g = _sample_graph(model, n, d, np.random.default_rng([seed, idx]))
     return json.loads(g.to_json())
 
 
 def _census_one(model: str, n: int, d: int, r: int, seed: int, idx: int) -> dict:
-    rng = np.random.default_rng([seed, idx])
-    if model == "permutation":
-        g = sample_permutation_model(n, d, rng)
-    else:
-        g = sample_uniform_model(n, d, rng)
+    g = _sample_graph(model, n, d, np.random.default_rng([seed, idx]))
     census = walks.enumerate_cycles(g, r)
     body: dict[str, Any] = {
         "by_length": {str(k): census.by_length[k] for k in sorted(census.by_length)}
@@ -301,11 +304,7 @@ def _body_cycles(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
 def _body_spectrum(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
     p = config.params
     scale = p.get("scale", "unit")
-    rng = np.random.default_rng([config.seed, 0])
-    if p["model"] == "permutation":
-        g = sample_permutation_model(p["n"], p["d"], rng)
-    else:
-        g = sample_uniform_model(p["n"], p["d"], rng)
+    g = _sample_graph(p["model"], p["n"], p["d"], np.random.default_rng([config.seed, 0]))
     spec = spectra.eigenvalues(g, scale=scale)
     body = {
         "model": p["model"],
@@ -336,10 +335,10 @@ def _trajectory_csv(source: str, grid: Sequence[float], classes: Sequence[str],
     columns = [(repr(t), key_type, key) for t in grid
                for key_type, keys in (("word", classes), ("length", lengths))
                for key in keys]
-    table = np.concatenate([counts, by_length], axis=2).reshape(len(counts), -1).tolist()
+    table = np.concatenate([counts, by_length], axis=2).reshape(len(counts), -1)
     rows = ((run_id, t, key_type, key, count, source)
             for run_id, values in enumerate(table)
-            for (t, key_type, key), count in zip(columns, values))
+            for (t, key_type, key), count in zip(columns, values.tolist()))
     return ("run_id", "t", "key_type", "key", "count", "source"), rows
 
 
@@ -375,8 +374,7 @@ def _body_limit_sim(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
               for i in range(math.ceil(replicas / _LIMIT_CHUNK))]
     jobs = [(p["d"], p["K"], float(p["T"]), grid, size, config.seed, idx)
             for idx, size in chunks]
-    pieces = _run_indexed(_limit_chunk, jobs, config.workers)
-    counts = np.concatenate(pieces)
+    counts = np.concatenate(_run_indexed(_limit_chunk, jobs, config.workers))
 
     classes = [str(wc) for wc in model.classes]
     by_len = limitproc.counts_by_length(counts, model)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import walks, words
 from .errors import InvalidInputError, ResourceLimitError
-from .graphs import CycleSpec, PermGraph
+from .graphs import CycleSpec
 from .words import WordClass
 
 
@@ -98,9 +98,6 @@ class PermTower:
     def perms(self) -> np.ndarray:
         return np.array(self.succ, dtype=np.int64)
 
-    def graph(self) -> PermGraph:
-        return PermGraph(self.perms())
-
 
 def poissonized_times(
     horizon: float, n0: int, rng: np.random.Generator, max_events: int = 10**7
@@ -169,66 +166,44 @@ def classify_event(cycle: CycleSpec, new_vertex: int) -> tuple[str, Optional[Wor
     return "spontaneous", None
 
 
-def _births(g: PermGraph, new_vertex: int, r: int, time: float) -> list[GrowthEvent]:
-    """Birth events of the cycles through ``new_vertex``, the largest vertex of g."""
-    out = []
-    for cyc in walks.perm_graph_cycles(g, r, tops=[new_vertex]):
-        kind, parent = classify_event(cyc, new_vertex)
-        out.append(
-            GrowthEvent(
-                time=time,
-                kind=kind,
-                cycle=cyc,
-                word=words.canonicalize(cyc.word),
-                parent=parent,
-            )
-        )
-    return out
-
-
-def insertion_events(
-    g_before: PermGraph, g_after: PermGraph, new_vertex: int, r: int, time: float = 0.0
-) -> list[GrowthEvent]:
-    """Events caused by inserting ``new_vertex``: births and splits.
+def insertion_events(tower: PermTower, r: int, time: float = 0.0) -> list[GrowthEvent]:
+    """Events caused by inserting the tower's newest element: births and splits.
 
     All new cycles pass through the inserted vertex; destroyed cycles pass
-    through one of the edges the insertion landed on.
+    through one of the edges the insertion landed on.  The split search runs
+    on the previous level, so the insertion is undone and then redone with
+    the same seats; the tower is left as it was found.
     """
-    if g_after.n != g_before.n + 1 or new_vertex != g_before.n:
-        raise InvalidInputError("expected g_after = g_before plus one new last vertex")
-    out = _births(g_after, new_vertex, r, time)
-    # splits: an existing cycle hit by the insertion in >= 2 of its edges
-    hit_edges = set()
-    for l in range(g_before.d):
-        j = int(g_after.perms[l, new_vertex])
-        if j != new_vertex:
-            p = int(g_after.inv[l, new_vertex])
-            hit_edges.add((l, p, j))  # edge of g_before: pi_l(p) = j
+    v = tower.n - 1
+    succ, pred = tower.succ, tower.pred
+    out = []
+    for cyc in walks.perm_graph_cycles(succ, pred, r, tops=[v]):
+        kind, parent = classify_event(cyc, v)
+        out.append(GrowthEvent(time, kind, cyc, words.canonicalize(cyc.word), parent))
+    # splits: an existing cycle hit by the insertion in >= 2 of its edges,
+    # each an edge pi_l(p) = j of the previous level
+    hit_edges = {(l, pred[l][v], succ[l][v]) for l in range(tower.d) if succ[l][v] != v}
     if len(hit_edges) < 2:
         return out
-    # a cycle of length <= r through a hit edge has its largest vertex within
-    # r // 2 steps of that edge's tail; a split passes two hit edges, so only
-    # tops within that reach of two hit tails are searched
-    reach: Counter = Counter()
-    for _, p, _ in hit_edges:
-        ball = {p}
-        for _ in range(r // 2):
-            idx = list(ball)
-            ball.update(g_before.perms[:, idx].ravel().tolist(),
-                        g_before.inv[:, idx].ravel().tolist())
-        reach.update(ball)
-    tops = sorted(v for v, c in reach.items() if c >= 2)
-    for cyc in walks.perm_graph_cycles(g_before, r, tops=tops):
-        hits = sum(1 for e in cyc.directed_labeled_edges() if e in hit_edges)
-        if hits >= 2:
-            out.append(
-                GrowthEvent(
-                    time=time,
-                    kind="split",
-                    cycle=cyc,
-                    word=words.canonicalize(cyc.word),
-                )
-            )
+    seats = [row[v] for row in succ]
+    tower.delete_last()
+    try:
+        # a cycle of length <= r through a hit edge has its largest vertex
+        # within r // 2 steps of that edge's tail; a split passes two hit
+        # edges, so only tops within that reach of two hit tails are searched
+        rows = succ + pred
+        reach: Counter = Counter()
+        for _, p, _ in hit_edges:
+            ball = {p}
+            for _ in range(r // 2):
+                ball |= {row[x] for row in rows for x in ball}
+            reach.update(ball)
+        tops = sorted(x for x, c in reach.items() if c >= 2)
+        for cyc in walks.perm_graph_cycles(succ, pred, r, tops=tops):
+            if sum(1 for e in cyc.directed_labeled_edges() if e in hit_edges) >= 2:
+                out.append(GrowthEvent(time, "split", cyc, words.canonicalize(cyc.word)))
+    finally:
+        tower.extend(choices=seats)
     return out
 
 
@@ -285,27 +260,18 @@ def simulate_growth(
     n_vertices = np.searchsorted(jumps, abs_grid, side="right").astype(np.int64)
     counts = np.zeros((abs_grid.size, len(classes)), dtype=np.int64)
     events: list[GrowthEvent] = []
-    before: Optional[PermGraph] = None
 
     def grow_to(size: int) -> None:
-        nonlocal before
         if not track_events:
             tower.extend(choices=seats[tower.n : size])
             return
         for v in range(tower.n, size):
             tower.extend(choices=seats[v])
-            after = tower.graph()
-            if before is None:
-                # first vertex of the run: its births are the d fresh loops
-                events.extend(_births(after, 0, r, jumps[v]))
-            else:
-                events.extend(insertion_events(before, after, v, r, time=jumps[v]))
-            before = after
+            events.extend(insertion_events(tower, r, time=jumps[v]))
 
     if track_events:
         # grow to time s in one block; later insertions are classified one by one
         tower.extend(choices=seats[: np.searchsorted(jumps, s, side="right")])
-        before = tower.graph() if tower.n else None
     for gi, size in enumerate(n_vertices):
         grow_to(size)
         cc, _ = walks.batch_class_counts(tower.perms()[None], r)

@@ -256,8 +256,9 @@ def coupling_monotonicity_report(
         steps = alpha.labeled_steps()
         out_map = {(l, a): b for l, a, b in steps}
         in_map = {(l, b): a for l, a, b in steps}
-        g2_perms = force_edges(g.perms, g.inv, steps)
-        alpha_installed += all(g2_perms[l, a] == b for l, a, b in steps)
+        g2 = PermGraph(force_edges(g.perms, g.inv, steps))
+        g2_perms = g2.perms.tolist()
+        alpha_installed += all(g2_perms[l][a] == b for l, a, b in steps)
 
         def conflicts(c_steps: list) -> bool:
             return any(
@@ -265,14 +266,14 @@ def coupling_monotonicity_report(
                 for l, a, b in c_steps
             )
 
-        for c in walks.perm_graph_cycles(PermGraph(g2_perms), r):
+        for c in walks.perm_graph_cycles(g2_perms, g2.inv.tolist(), r):
             if conflicts(c.labeled_steps()):
                 minus_violations += 2 * c.length
-        for c in walks.perm_graph_cycles(g, r):
+        for c in walks.perm_graph_cycles(g.perms.tolist(), g.inv.tolist(), r):
             c_steps = c.labeled_steps()
             # a cycle whose edges all are alpha's is alpha
             is_alpha = all(out_map.get((l, a)) == b for l, a, b in c_steps)
-            kept = all(g2_perms[l, a] == b for l, a, b in c_steps)
+            kept = all(g2_perms[l][a] == b for l, a, b in c_steps)
             if not (conflicts(c_steps) or is_alpha or kept):
                 plus_violations += 2 * c.length
     return {

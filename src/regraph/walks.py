@@ -38,12 +38,17 @@ class CycleCensus:
 
 
 def perm_graph_cycles(
-    g: PermGraph, r: int, tops: Optional[list[int]] = None, budget: int = 10**8
+    succ: list[list[int]],
+    pred: list[list[int]],
+    r: int,
+    tops: Optional[list[int]] = None,
+    budget: int = 10**8,
 ) -> list[CycleSpec]:
     """Cycles of length <= r, each found once from its largest vertex.
 
-    Only the vertices in ``tops`` are searched as largest vertex; None
-    searches them all, giving the full census.
+    ``succ[l][x]`` is the image of x under permutation l and ``pred[l]`` the
+    inverse, as int lists.  Only the vertices in ``tops`` are searched as
+    largest vertex; None searches them all, giving the full census.
 
     Leaving-letter rule: a walk that leaves by letter ``a`` and closes by
     ``c`` is kept only if ``a < c ^ 1``.  Its reverse leaves by ``c ^ 1``,
@@ -51,8 +56,9 @@ def perm_graph_cycles(
     is kept; a loop (``a == c``) once, by its forward letter, and a
     backtrack over one edge (``a == c ^ 1``) never.
     """
-    # rows[letter][x] is the vertex that letter leads to from x
-    rows = [row for l in range(g.d) for row in (g.perms[l], g.inv[l])]
+    # rows[letter][x] is the vertex that letter leads to from x: letter 2l
+    # is pi_l and letter 2l + 1 its inverse
+    rows = [row for pair in zip(succ, pred) for row in pair]
     found: list[CycleSpec] = []
     steps = 0
 
@@ -63,7 +69,7 @@ def perm_graph_cycles(
             steps += 1
             if steps > budget:
                 raise ResourceLimitError(f"cycle search exceeded {budget} steps")
-            y = int(row[x])
+            y = row[x]
             if y == v0:
                 if (word[0] if word else letter) < letter ^ 1:
                     found.append(CycleSpec(tuple(path), tuple(word + [letter])))
@@ -76,7 +82,7 @@ def perm_graph_cycles(
             path.pop()
             word.pop()
 
-    for v0 in range(g.n) if tops is None else tops:
+    for v0 in range(len(succ[0])) if tops is None else tops:
         dfs(v0, [v0], [])
     return found
 
@@ -86,7 +92,7 @@ def enumerate_cycles(g, r: int, budget: int = 10**8) -> CycleCensus:
     if r < 1:
         raise InvalidInputError(f"need r >= 1, got {r}")
     if isinstance(g, PermGraph):
-        cycles = perm_graph_cycles(g, r, budget=budget)
+        cycles = perm_graph_cycles(g.perms.tolist(), g.inv.tolist(), r, budget=budget)
         by_word: dict[WordClass, int] = {}
         for c in cycles:
             wc = words.canonicalize(c.word)

@@ -19,7 +19,7 @@ from regraph.growth import (
     poissonized_times,
     simulate_growth,
 )
-from regraph.graphs import CycleSpec
+from regraph.graphs import CycleSpec, PermGraph
 from regraph.walks import batch_class_counts, enumerate_cycles, perm_graph_cycles
 
 
@@ -107,9 +107,8 @@ def test_vertex_count_grows_exponentially():
 def test_classify_grown_cycle():
     # a 5-cycle of one permutation grows into a 6-cycle
     tower = _tower_from([1, 2, 3, 4, 0])
-    before = tower.graph()
     tower.extend(np.random.default_rng(0), choices=[1])  # 0 -> new -> 1
-    events = insertion_events(before, tower.graph(), 5, 6)
+    events = insertion_events(tower, 6)
     assert len(events) == 1
     ev = events[0]
     assert ev.kind == "grown"
@@ -122,9 +121,8 @@ def test_classify_spontaneous_cycle():
     tower = PermTower(2, 2)
     tower.succ = [[1, 0], [0, 1]]
     tower.pred = [[1, 0], [0, 1]]
-    before = tower.graph()
     tower.extend(np.random.default_rng(0), choices=[1, 0])
-    events = insertion_events(before, tower.graph(), 2, 4)
+    events = insertion_events(tower, 4)
     kinds = {(e.kind, words.format_word(e.word.letters)) for e in events}
     assert ("spontaneous", "a b") in kinds
     assert ("grown", "a a a") in kinds  # the 2-cycle of pi_1 grew into a triangle
@@ -138,10 +136,9 @@ def test_classify_split_cycle():
     tower = PermTower(2, 4)
     tower.succ = [[1, 2, 3, 0], [1, 2, 3, 0]]
     tower.pred = [[3, 0, 1, 2], [3, 0, 1, 2]]
-    before = tower.graph()
     # cycle 0 ->a 1 ->b 2 ->a 3 ->b 0 is hit by inserting into pi_a at 1 and pi_b at 0
     tower.extend(np.random.default_rng(0), choices=[1, 0])
-    events = insertion_events(before, tower.graph(), 4, 4)
+    events = insertion_events(tower, 4)
     by_kind = Counter(e.kind for e in events)
     assert by_kind["split"] >= 1
     # the four 4-cycles of ``before`` that use both hit edges, each split once
@@ -177,21 +174,29 @@ def test_simulate_growth_census_matches_direct_count():
 
 def test_simulate_growth_event_log_replays_count_deltas():
     rng = np.random.default_rng(8)
-    traj = simulate_growth(2, 1.0, 1.5, [0.0, 1.5], 3, rng, track_events=True)
+    r = 3
+    traj = simulate_growth(2, 1.0, 1.5, [0.0, 1.5], r, rng, track_events=True)
     idx = {wc: i for i, wc in enumerate(traj.classes)}
     births = np.zeros(len(traj.classes), dtype=np.int64)
     deaths = np.zeros(len(traj.classes), dtype=np.int64)
+    splits = np.zeros(len(traj.classes), dtype=np.int64)
     for e in traj.events:
         if not traj.grid[0] < e.time <= traj.grid[1]:
             continue
-        if e.kind in ("grown", "spontaneous"):
+        if e.kind == "split":
+            splits[idx[e.word]] += 1
+        else:
             births[idx[e.word]] += 1
-            if e.kind == "grown" and e.parent in idx:
+            if e.kind == "grown":
                 deaths[idx[e.parent]] += 1
     delta = traj.counts[1] - traj.counts[0]
-    # grown/spontaneous births explain all increases; decreases come from
-    # grown transitions and splits/overwrites recorded as destroyed cycles
-    assert np.all(delta <= births)
+    # a cycle dies when the insertion lands on its edges: on two or more it
+    # splits, on one it grows into a cycle one longer, a grown birth naming it
+    # as parent; a length-r cycle grows past r, so its deaths go unrecorded
+    short = np.array([wc.length < r for wc in traj.classes])
+    assert np.array_equal(delta[short], (births - deaths - splits)[short])
+    assert np.all(delta[~short] <= (births - splits)[~short])
+    assert not deaths[~short].any()
 
 
 def test_simulate_growth_d1_spontaneous_births_are_loops():
@@ -239,24 +244,26 @@ def test_insertion_events_match_census_difference(case):
     tower = PermTower(d, 0)
     for choices in seats[:-1]:
         tower.extend(None, choices=choices)
-    before = tower.graph()
+    before = PermGraph(tower.perms())
     tower.extend(None, choices=seats[-1])
-    after = tower.graph()
+    after = PermGraph(tower.perms())
 
     def edge_sets(cycles):
         return [c.directed_labeled_edges() for c in cycles]
 
     old = set(edge_sets(enumerate_cycles(before, r).cycles))
     new = set(edge_sets(enumerate_cycles(after, r).cycles))
-    events = insertion_events(before, after, before.n, r)
+    events = insertion_events(tower, r)
     births = edge_sets(e.cycle for e in events if e.kind != "split")
     assert len(births) == len(set(births))
     assert set(births) == new - old
     assert all(s in old and s not in new
                for s in edge_sets(e.cycle for e in events if e.kind == "split"))
     # every cycle is found from exactly one top: its largest vertex
-    full = edge_sets(perm_graph_cycles(after, r))
-    rooted = [s for v in range(after.n) for s in edge_sets(perm_graph_cycles(after, r, tops=[v]))]
+    succ, pred = tower.succ, tower.pred
+    full = edge_sets(perm_graph_cycles(succ, pred, r))
+    rooted = [s for v in range(tower.n)
+              for s in edge_sets(perm_graph_cycles(succ, pred, r, tops=[v]))]
     assert sorted(map(sorted, full)) == sorted(map(sorted, rooted))
 
 
@@ -292,11 +299,11 @@ def _oracle_growth(d, s, T, grid, r, rng, track_events=False):
             n_vertices.append(tower.n)
         if jt == np.inf:
             break
-        before = tower.graph() if tower.n else None
+        before = PermGraph(tower.perms()) if tower.n else None
         tower.extend(choices=[int(rng.integers(tower.n + 1)) for _ in range(d)])
         if not (track_events and jt > s):
             continue
-        after = tower.graph()
+        after = PermGraph(tower.perms())
         v = after.n - 1
         old = set() if before is None else {
             c.directed_labeled_edges() for c in enumerate_cycles(before, r).cycles}
@@ -389,7 +396,7 @@ def test_local_split_search_matches_full_scan(d, n, r, data):
     tower = PermTower(d, 0)
     for m in range(n):
         tower.extend(choices=[data.draw(st.integers(0, m)) for _ in range(d)])
-    before = tower.graph()
+    before = PermGraph(tower.perms())
     cycles = sorted(enumerate_cycles(before, r).cycles, key=lambda c: -c.length)
     seats = [data.draw(st.integers(0, n)) for _ in range(d)]
     if cycles and data.draw(st.booleans()):
@@ -412,8 +419,11 @@ def test_local_split_search_matches_full_scan(d, n, r, data):
         for l, _, head in steps:
             seats[l] = head
     tower.extend(choices=seats)
-    after = tower.graph()
-    events = insertion_events(before, after, n, r)
+    after = PermGraph(tower.perms())
+    state = (tower.n, [list(x) for x in tower.succ], [list(x) for x in tower.pred])
+    events = insertion_events(tower, r)
+    # the split search undoes and redoes the insertion; the tower ends as it was
+    assert (tower.n, tower.succ, tower.pred) == state
     got = Counter(_event_key(0.0, e.kind, e.cycle) for e in events if e.kind == "split")
     want = Counter(_event_key(0.0, "split", c) for c in _full_scan_splits(before, after, n, r))
     assert got == want

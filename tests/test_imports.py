@@ -1,8 +1,10 @@
-"""Every name a ``regraph`` or test module imports is used by that module.
+"""Every name a ``regraph`` or test module imports is used by that module,
+and every private module-level name of ``regraph`` is used by its module.
 
-No linter runs on this repository, so this keeps dead imports out.  Exempt
-are ``from __future__`` imports, names listed in ``__all__`` and explicit
-``import x as x`` re-exports.
+No linter runs on this repository, so this keeps dead imports and left-over
+private helpers out.  Exempt from the import check are ``from __future__``
+imports, names listed in ``__all__`` and explicit ``import x as x``
+re-exports.
 """
 
 import ast
@@ -11,14 +13,29 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted((ROOT / "src" / "regraph").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "regraph").glob("*.py"))
+MODULES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    """Names used under ``node``, also in quoted annotations such as "PermTower"."""
+    used: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                expr = ast.parse(sub.value, mode="eval")
+            except SyntaxError:
+                continue
+            used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return used
 
 
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported: dict[str, int] = {}
     exported: set[str] = set()
-    used: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
@@ -27,19 +44,11 @@ def unused_imports(source: str) -> list[str]:
                 if alias.asname is not None and alias.asname == alias.name.split(".")[-1]:
                     continue  # explicit re-export
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.Name):
-            used.add(node.id)
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             exported |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            # quoted annotations such as "PermTower"
-            try:
-                expr = ast.parse(node.value, mode="eval")
-            except SyntaxError:
-                continue
-            used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    used = referenced_names(tree)
     return sorted(
         f"line {line}: {name}"
         for name, line in imported.items()
@@ -65,3 +74,48 @@ def test_detector_flags_unused_and_respects_exemptions():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_private_names(source: str) -> list[str]:
+    """Module-level ``_name`` functions, classes and constants that no other
+    top-level statement of the module uses; a recursive call is no use."""
+    body = ast.parse(source).body
+    refs = [referenced_names(node) for node in body]
+    unused = []
+    for i, node in enumerate(body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        elsewhere = set().union(*refs[:i], *refs[i + 1 :])
+        unused += [
+            f"line {node.lineno}: {name}"
+            for name in names
+            if name.startswith("_") and not name.startswith("__") and name not in elsewhere
+        ]
+    return sorted(unused)
+
+
+def test_private_name_detector_flags_unused_and_respects_exemptions():
+    source = (
+        "_CAP = 3\n"
+        "_SPARE: int = 4\n"
+        "__all__ = ['public']\n"
+        "def _helper(x):\n"
+        "    return _helper(x - 1) if x else _CAP\n"
+        "def _used() -> '_Kind':\n"
+        "    return _Kind()\n"
+        "class _Kind:\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _used()\n"
+    )
+    assert unused_private_names(source) == ["line 2: _SPARE", "line 4: _helper"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_has_no_unused_private_names(path):
+    assert unused_private_names(path.read_text()) == []

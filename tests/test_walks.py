@@ -220,8 +220,9 @@ def test_perm_graph_cycles_matches_edge_set_oracle(case):
     # runs out at the same step
     g, r, tops = case
     expected, steps = _edge_set_cycles(g, r, tops)
-    found = perm_graph_cycles(g, r, tops=tops, budget=steps)
+    succ, pred = g.perms.tolist(), g.inv.tolist()
+    found = perm_graph_cycles(succ, pred, r, tops=tops, budget=steps)
     assert [(c.vertices, c.word) for c in found] == [(c.vertices, c.word) for c in expected]
     if steps:
         with pytest.raises(ResourceLimitError):
-            perm_graph_cycles(g, r, tops=tops, budget=steps - 1)
+            perm_graph_cycles(succ, pred, r, tops=tops, budget=steps - 1)
