@@ -461,18 +461,38 @@ def _cycles_through_edges(
 ) -> set[tuple[int, ...]]:
     """Canonical vertex tuples of the cycles of length 3..r that use at least
     one changed edge, in the graph where x is adjacent to ``neighbors[x]``:
-    a graph's own neighbour tuples, or the sets of ``_complement_neighbors``."""
+    a graph's own neighbour tuples, or the sets of ``_complement_neighbors``.
+
+    Each cycle is found once, from the first changed edge it uses in the
+    iteration order: the search from a changed edge neither steps nor closes
+    along an earlier one, in either direction."""
     found: set[tuple[int, ...]] = set()
+    if r < 3:
+        return found
+    cut: dict[int, set[int]] = {}  # x -> the other ends of the earlier changed edges at x
     for u, v in changed:
         # a path v, ..., x whose end x is adjacent to u closes the cycle u, v, ..., x
-        stack = [(v,)]
+        banned = cut.get(u, ())
+        skip = cut.get(v, ())
+        stack = [(v, y) for y in neighbors[v] if y != u and y not in skip]
         while stack:
             path = stack.pop()
             x = path[-1]
-            if len(path) >= 2 and u in neighbors[x]:
+            if u in neighbors[x] and x not in banned:
                 found.add(_canonical_cycle((u,) + path))
             if len(path) < r - 1:
-                stack.extend(path + (y,) for y in neighbors[x] if y != u and y not in path)
+                skip = cut.get(x)
+                # most vertices touch no earlier changed edge: filter only at those that do
+                if skip is None:
+                    stack.extend(path + (y,) for y in neighbors[x] if y != u and y not in path)
+                else:
+                    stack.extend(
+                        path + (y,)
+                        for y in neighbors[x]
+                        if y != u and y not in path and y not in skip
+                    )
+        cut.setdefault(u, set()).add(v)
+        cut.setdefault(v, set()).add(u)
     return found
 
 

@@ -269,13 +269,17 @@ def simulate_growth(
             tower.extend(choices=seats[v])
             events.extend(insertion_events(tower, r, time=jumps[v]))
 
+    def snapshots():
+        for size in n_vertices:
+            grow_to(size)
+            yield tower.perms()
+
     if track_events:
         # grow to time s in one block; later insertions are classified one by one
         tower.extend(choices=seats[: np.searchsorted(jumps, s, side="right")])
-    for gi, size in enumerate(n_vertices):
-        grow_to(size)
-        cc, _ = walks.batch_class_counts(tower.perms()[None], r)
-        counts[gi] = cc[0]
+    if abs_grid.size:
+        # one census of all grid snapshots, drawn lazily as the tower grows
+        counts = walks.batch_class_counts(snapshots(), r)[0]
     if track_events:
         grow_to(jumps.size)
     return Trajectory(

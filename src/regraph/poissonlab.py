@@ -89,7 +89,7 @@ def empirical_pmf(samples: np.ndarray) -> dict[tuple[int, ...], float]:
         raise InvalidInputError("samples must be a 2-d array")
     vals, counts = np.unique(samples, axis=0, return_counts=True)
     n = samples.shape[0]
-    return {tuple(int(x) for x in v): c / n for v, c in zip(vals, counts)}
+    return {tuple(v): c / n for v, c in zip(vals.tolist(), counts.tolist())}
 
 
 def tv_distance(p: dict[tuple[int, ...], float], means: Sequence) -> float:
@@ -105,12 +105,13 @@ def tv_distance(p: dict[tuple[int, ...], float], means: Sequence) -> float:
     lams = [float(m) for m in means]
     if any(lam < 0 for lam in lams):
         raise InvalidInputError("Poisson means must be nonnegative")
+    logs = [math.log(lam) if lam > 0 else 0.0 for lam in lams]
     terms = [1.0]
     for k, pk in p.items():
         log_q = 0.0
-        for x, lam in zip(k, lams, strict=True):
+        for x, lam, log_lam in zip(k, lams, logs, strict=True):
             if lam > 0:
-                log_q += x * math.log(lam) - lam - math.lgamma(x + 1)
+                log_q += x * log_lam - lam - math.lgamma(x + 1)
             elif x > 0:
                 log_q = -math.inf
         qk = math.exp(log_q)

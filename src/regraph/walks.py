@@ -12,8 +12,10 @@ whose short cycles are vertex-disjoint.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import Iterable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -209,50 +211,127 @@ def bad_walk_probe(g, r: int) -> np.ndarray:
 # vectorized word-walk censuses for the permutation model
 
 
-def batch_class_counts(perms: np.ndarray, r: int) -> tuple[np.ndarray, tuple[WordClass, ...]]:
+# most bytes one census chunk's tables and position arrays may take; graphs
+# are censused in chunks of whole graphs under it, which keeps the arrays of
+# a chunk cache-sized
+CENSUS_CHUNK_BYTES = 4 * 2**20
+
+# most bytes the census may take for one graph, which is censused alone when
+# it passes the chunk; under it every flat vertex index fits int32
+CENSUS_BYTE_CAP = 2**31
+
+
+@lru_cache(maxsize=None)
+def _census_plan(d: int, r: int):
+    """The classes of length <= r, the half-words their census walks and,
+    per class, the indices of its two halves.
+
+    A class word w splits as w = u v with |u| = ceil(k/2), and x is a fixed
+    point of w exactly when walking u from x ends where walking the inverted
+    reversal of v does.  The half-words are prefix-closed and sorted by
+    (length, word), so entry i > 0 is entry ``steps[i - 1][0]`` extended by
+    the letter ``steps[i - 1][1]``; entry 0 is the empty word.
+    """
+    classes = words.classes_upto(d, r)
+    halves: set[words.Word] = set()
+    pairs = []
+    for wc in classes:
+        w = wc.letters
+        m = (len(w) + 1) // 2
+        pair = (w[:m], words.inverted_reversal(w[m:]))
+        pairs.append(pair)
+        for h in pair:
+            halves.update(h[:i] for i in range(len(h) + 1))
+    order = sorted(halves, key=lambda h: (len(h), h))
+    index = {h: i for i, h in enumerate(order)}
+    steps = tuple((index[h[:-1]], h[-1]) for h in order[1:])
+    return classes, steps, tuple((index[u], index[v]) for u, v in pairs)
+
+
+def batch_class_counts(
+    perms: Iterable[np.ndarray], r: int
+) -> tuple[np.ndarray, tuple[WordClass, ...]]:
     """Cycle counts per word class for a batch of permutation tuples.
 
-    ``perms`` has shape (batch, d, n); the result has shape
-    (batch, number of classes of length <= r).
+    ``perms`` is any iterable of (d, n_b) permutation arrays, sizes free; a
+    (batch, d, n) array is one.  It is read lazily, in chunks of whole
+    graphs under ``CENSUS_CHUNK_BYTES``.  The result has shape (batch,
+    number of classes of length <= r), columns in ``words.classes_upto``
+    order.  An empty batch needs a (0, d, n) array, which fixes d.
 
-    Only each class's canonical word is walked, from every start vertex.  A
-    cycle of the class reads every word of its orbit exactly ``h`` times (no
-    cyclically reduced word is conjugate to its inverse, so the orbit has
-    size 2k/h), so the closed walks with distinct vertices number ``h``
-    times the cycle count.  Distinctness is tested only at the starts whose
-    walk closes.
+    A class's fixed points are found by meeting in the middle (see
+    ``_census_plan``): every half-word's position array is one gather from
+    its parent prefix's, shared by all classes.  A cycle of the class reads
+    every word of its orbit exactly ``h`` times (no cyclically reduced word
+    is conjugate to its inverse, so the orbit has size 2k/h), so the closed
+    walks with distinct vertices number ``h`` times the cycle count.
+    Distinctness is tested only at the starts whose walk closes.
     """
-    perms = np.asarray(perms)
-    if perms.ndim == 2:
-        perms = perms[None]
-    batch, d, n = perms.shape
-    classes = words.classes_upto(d, r)
-    counts = np.zeros((batch, len(classes)), dtype=np.int64)
-    dtype = np.int32 if batch * n < 2**31 else np.int64
-    # row 2l maps the flat vertex b*n + x to b*n + pi_l(x) in graph b; row
-    # 2l + 1 is its inverse, built by scatter
-    starts = np.arange(batch * n, dtype=dtype)
-    offsets = (np.arange(batch) * n)[:, None]
-    tables = np.empty((2 * d, batch * n), dtype=dtype)
+    graphs = iter(perms)
+    first = next(graphs, None)
+    if first is None:
+        if not (isinstance(perms, np.ndarray) and perms.ndim == 3):
+            raise InvalidInputError("an empty batch needs a (0, d, n) array to fix d")
+        classes = words.classes_upto(perms.shape[1], r)
+        return np.zeros((0, len(classes)), dtype=np.int64), classes
+    d = len(first)
+    plan = _census_plan(d, r)
+    classes, steps, _ = plan
+    # int32 tables, position arrays (one per half-word), start and graph indices
+    per_vertex = 4 * (2 * d + len(steps) + 1 + 2)
+    rows: list[np.ndarray] = []
+    chunk: list[np.ndarray] = []
+    size = 0
+    for g in itertools.chain([first], graphs):
+        g = np.asarray(g)
+        if g.ndim != 2 or g.shape[0] != d:
+            raise InvalidInputError(f"need (d, n) permutation arrays with d = {d}, got {g.shape}")
+        n = g.shape[1]
+        if per_vertex * n > CENSUS_BYTE_CAP:
+            raise ResourceLimitError(
+                f"census of one graph with {n} vertices exceeds {CENSUS_BYTE_CAP} bytes"
+            )
+        if chunk and per_vertex * (size + n) > CENSUS_CHUNK_BYTES:
+            rows.append(_census_chunk(chunk, plan))
+            chunk, size = [], 0
+        chunk.append(g)
+        size += n
+    rows.append(_census_chunk(chunk, plan))
+    return np.concatenate(rows), classes
+
+
+def _census_chunk(graphs: list[np.ndarray], plan) -> np.ndarray:
+    """Per-class cycle counts of a chunk of graphs, one flat table set."""
+    classes, steps, pairs = plan
+    sizes = [g.shape[1] for g in graphs]
+    total = sum(sizes)
+    d = graphs[0].shape[0]
+    # row 2l maps the flat vertex o_b + x to o_b + pi_l(x) in graph b, whose
+    # vertices start at o_b; row 2l + 1 is its inverse, built by scatter
+    tables = np.empty((2 * d, total), dtype=np.int32)
+    np.concatenate(graphs, axis=1, out=tables[0::2])
+    tables[0::2] += np.repeat(np.cumsum([0] + sizes[:-1], dtype=np.int32), sizes)
+    starts = np.arange(total, dtype=np.int32)
     for l in range(d):
-        tables[2 * l] = (perms[:, l, :] + offsets).ravel()
         tables[2 * l + 1][tables[2 * l]] = starts
-    for ci, wc in enumerate(classes):
-        w = wc.letters
-        pos = tables[w[0]]
-        for c in w[1:]:
-            pos = tables[c].take(pos)
-        closed = (pos == starts).nonzero()[0]
+    graph_of = np.repeat(np.arange(len(graphs), dtype=np.int32), sizes)
+    pos = [starts]
+    for parent, letter in steps:
+        pos.append(tables[letter] if parent == 0 else tables[letter].take(pos[parent]))
+    counts = np.zeros((len(graphs), len(classes)), dtype=np.int64)
+    for ci, (wc, (iu, iv)) in enumerate(zip(classes, pairs)):
+        closed = (pos[iu] == pos[iv]).nonzero()[0]
         if not closed.size:
             continue
-        trail = np.empty((len(w), closed.size), dtype=dtype)
+        w = wc.letters
+        trail = np.empty((len(w), closed.size), dtype=np.int32)
         trail[0] = closed
         for i, c in enumerate(w[:-1]):
             tables[c].take(trail[i], out=trail[i + 1])
         trail.sort(axis=0)
         distinct = (trail[1:] != trail[:-1]).all(axis=0)
-        reps = np.bincount(closed[distinct] // n, minlength=batch)
+        reps = np.bincount(graph_of[closed[distinct]], minlength=len(graphs))
         counts[:, ci] = reps // wc.h
         if (counts[:, ci] * wc.h != reps).any():
             raise InvalidInputError(f"closed walk count not divisible by h = {wc.h}")
-    return counts, classes
+    return counts

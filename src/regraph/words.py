@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, NumericError, ResourceLimitError
 
 Word = tuple[int, ...]
 
@@ -242,8 +242,12 @@ def _enumerate_classes_cached(d: int, k: int, budget: int) -> tuple[WordClass, .
 
     extend(0)
     classes = tuple(WordClass(w) for w in sorted(canon))
-    # Orbit sizes must tile the full set of reduced words.
-    assert sum(wc.orbit_size for wc in classes) == count_reduced_words(d, k)
+    # orbit sizes must tile the full set of reduced words
+    tiled = sum(wc.orbit_size for wc in classes)
+    if tiled != count_reduced_words(d, k):
+        raise NumericError(
+            f"class orbits at d={d}, k={k} cover {tiled} words, not {count_reduced_words(d, k)}"
+        )
     return classes
 
 

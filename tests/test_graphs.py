@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regraph import words
+from regraph import graphs, words
 from regraph.errors import InvalidInputError, ResourceLimitError
 from regraph.graphs import (
     CycleSpec,
@@ -17,6 +17,8 @@ from regraph.graphs import (
     SimpleGraph,
     SwitchingChain,
     _complement,
+    _complement_neighbors,
+    _cycles_through_edges,
     _edge,
     _forward_option_counts,
     apply_switching,
@@ -721,3 +723,34 @@ def test_switching_roundtrip_and_incremental_census(case):
             assert chain.co_cycles_by_length == _cycles_of(_complement(chain.graph), r)
             for by_length in (chain.cycles_by_length, chain.co_cycles_by_length):
                 assert all(cs == sorted(cs) for cs in by_length.values())
+
+
+@st.composite
+def _changed_edges_case(draw):
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(d + 1, 10).filter(lambda m: m * d % 2 == 0))
+    g = sample_uniform_model(n, d, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    if draw(st.booleans()) and n - 1 - d >= 2:
+        neighbors, edges = _complement_neighbors(g), _complement(g).edges
+    else:
+        neighbors, edges = g.neighbors, g.edges
+    changed = draw(st.lists(st.sampled_from(sorted(edges)), min_size=1, max_size=8, unique=True))
+    return neighbors, changed, draw(st.integers(3, 6))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_changed_edges_case())
+def test_cycles_through_edges_finds_each_cycle_once(case):
+    # the cycles through a changed edge, each canonicalized once: found only
+    # from the first changed edge it uses
+    neighbors, changed, r = case
+    g = SimpleGraph(len(neighbors), len(neighbors[0]),
+                    [(x, y) for x, nb in enumerate(neighbors) for y in nb if x < y])
+    expected = {vs for edges, vs in simple_cycle_census(g, r).items() if edges & set(changed)}
+    calls = []
+    canonical = graphs._canonical_cycle
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(graphs, "_canonical_cycle", lambda vs: calls.append(vs) or canonical(vs))
+        found = _cycles_through_edges(neighbors, changed, r)
+    assert found == expected
+    assert len(calls) == len(found)

@@ -1,12 +1,14 @@
 """Tests for cycle censuses and non-backtracking walk counts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regraph import walks, words
-from regraph.errors import ResourceLimitError
+from regraph.errors import InvalidInputError, ResourceLimitError
 from regraph.graphs import CycleSpec, PermGraph, sample_permutation_model, sample_uniform_model
 from regraph.walks import (
     bad_walk_probe,
@@ -153,6 +155,95 @@ def test_batch_class_counts_matches_census_property(case):
     for i in range(perms.shape[0]):
         by_word = enumerate_cycles(PermGraph(perms[i]), r).by_word
         assert {wc: int(c) for wc, c in zip(classes, counts[i]) if c} == by_word
+
+
+def _random_perms(rng, d, n):
+    return np.stack([rng.permutation(n) for _ in range(d)])
+
+
+def test_batch_class_counts_ragged_matches_per_graph_and_oracle():
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 3):
+        for r in range(1, 6):
+            graphs = [_random_perms(rng, d, n) for n in (1, 2, 7, 1, 13, 2, 4)]
+            counts, classes = batch_class_counts(graphs, r)
+            assert counts.dtype == np.int64 and counts.shape == (len(graphs), len(classes))
+            assert classes == words.classes_upto(d, r)
+            for g, row in zip(graphs, counts):
+                alone, _ = batch_class_counts([g], r)
+                assert np.array_equal(alone[0], row)
+                by_word = enumerate_cycles(PermGraph(g), r).by_word
+                assert {wc: int(c) for wc, c in zip(classes, row) if c} == by_word
+
+
+def test_batch_class_counts_empty_and_generator():
+    counts, classes = batch_class_counts(np.zeros((0, 2, 5), dtype=np.int64), 3)
+    assert counts.dtype == np.int64 and counts.shape == (0, len(classes))
+    assert classes == words.classes_upto(2, 3)
+    with pytest.raises(InvalidInputError):
+        batch_class_counts([], 3)  # no graph, no shape: d is unknown
+    with pytest.raises(InvalidInputError):
+        batch_class_counts([np.arange(4)], 3)  # one (n,) row is not a (d, n) graph
+    rng = np.random.default_rng(13)
+    perms = np.stack([_random_perms(rng, 2, 9) for _ in range(5)])
+    expected, _ = batch_class_counts(perms, 4)
+    counts, _ = batch_class_counts((g for g in perms), 4)
+    assert np.array_equal(counts, expected)
+
+
+def test_batch_class_counts_chunks_agree(monkeypatch):
+    rng = np.random.default_rng(14)
+    graphs = [_random_perms(rng, 2, n) for n in (30, 5, 40, 1, 25, 30, 2, 60)]
+    whole, classes = batch_class_counts(graphs, 5)
+    chunks = []
+    census_chunk = walks._census_chunk
+    monkeypatch.setattr(walks, "_census_chunk", lambda gs, plan: chunks.append(len(gs))
+                        or census_chunk(gs, plan))
+    for cap in (10**4, 1):  # a few graphs a chunk; one graph a chunk
+        chunks.clear()
+        monkeypatch.setattr(walks, "CENSUS_CHUNK_BYTES", cap)
+        counts, _ = batch_class_counts(graphs, 5)
+        assert np.array_equal(counts, whole)
+        assert sum(chunks) == len(graphs) and len(chunks) > 1
+    assert chunks == [1] * len(graphs)
+
+
+def test_batch_class_counts_refuses_before_allocating(monkeypatch):
+    n = 5000
+    g = _random_perms(np.random.default_rng(15), 2, n)
+    batch_class_counts([g[:, :0]], 4)  # fill the plan cache
+    monkeypatch.setattr(walks, "CENSUS_BYTE_CAP", 4 * n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            batch_class_counts([g], 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n  # less than one int32 vertex array
+
+
+def test_batch_class_counts_memory_bounded_by_chunk():
+    # the working set is one chunk, whatever the batch size
+    rng = np.random.default_rng(16)
+    perms = np.argsort(rng.random((256, 2, 800)), axis=-1)
+    batch_class_counts(perms[:1], 4)
+
+    def peak(batch):
+        tracemalloc.start()
+        try:
+            batch_class_counts(batch, 4)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def drawn(b):
+        for g in perms[:b]:
+            yield g.copy()
+
+    assert peak(perms) < 2 * walks.CENSUS_CHUNK_BYTES
+    for b in (16, 256):
+        assert peak(drawn(b)) < 2 * walks.CENSUS_CHUNK_BYTES
 
 
 def test_enumerate_cycles_budget():

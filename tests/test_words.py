@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regraph.errors import InvalidInputError, ResourceLimitError
+from regraph import words
+from regraph.errors import InvalidInputError, NumericError, ResourceLimitError
 from regraph.words import (
     WordClass,
     canonical_form,
@@ -238,3 +239,10 @@ def test_canonicalize_properties(case):
     assert w in orbit
     assert len(orbit) == 2 * k // wc.h
     assert all(canonicalize(u) == wc for u in orbit)
+
+
+def test_orbit_tiling_failure_raises(monkeypatch):
+    # a raised error, not an assert, so it survives python -O
+    monkeypatch.setattr(words, "count_reduced_words", lambda d, k: 1)
+    with pytest.raises(NumericError):
+        words._enumerate_classes_cached.__wrapped__(2, 3, 10**7)
