@@ -168,6 +168,12 @@ def validate(config: ExperimentConfig) -> list[str]:
               "n_values must be positive integers")
         check(isinstance(p["samples"], int) and p["samples"] >= 1,
               "samples must be a positive integer")
+    if kind == "poisson-test" and p["model"] == "permutation" and not violations:
+        n_max = max(_as_list(p["n_values"]))
+        need = walks.census_graph_bytes(p["d"], n_max)
+        check(need <= walks.CENSUS_BYTE_CAP,
+              f"the census of one graph with n={n_max} needs {need} bytes, "
+              f"over {walks.CENSUS_BYTE_CAP}; lower n_values")
     if "model" in _REQUIRED[kind] and p["model"] == "uniform" and not violations:
         ns = _as_list(p["n_values"]) if kind == "poisson-test" else [p["n"]]
         bad = [str(n) for n in ns if not simple_regular_exists(n, p["d"])]

@@ -481,16 +481,10 @@ def _cycles_through_edges(
             if u in neighbors[x] and x not in banned:
                 found.add(_canonical_cycle((u,) + path))
             if len(path) < r - 1:
-                skip = cut.get(x)
-                # most vertices touch no earlier changed edge: filter only at those that do
-                if skip is None:
-                    stack.extend(path + (y,) for y in neighbors[x] if y != u and y not in path)
-                else:
-                    stack.extend(
-                        path + (y,)
-                        for y in neighbors[x]
-                        if y != u and y not in path and y not in skip
-                    )
+                skip = cut.get(x, ())
+                stack.extend(
+                    path + (y,) for y in neighbors[x] if y != u and y not in path and y not in skip
+                )
         cut.setdefault(u, set()).add(v)
         cut.setdefault(v, set()).add(u)
     return found

@@ -216,9 +216,16 @@ def bad_walk_probe(g, r: int) -> np.ndarray:
 # a chunk cache-sized
 CENSUS_CHUNK_BYTES = 4 * 2**20
 
-# most bytes the census may take for one graph, which is censused alone when
-# it passes the chunk; under it every flat vertex index fits int32
+# most bytes the census may hold for the whole of one graph, which is censused
+# alone when it passes the chunk; under it every flat vertex index fits int32
 CENSUS_BYTE_CAP = 2**31
+
+
+def census_graph_bytes(d: int, n: int) -> int:
+    """Bytes the census holds for the whole of one graph with n vertices:
+    its int32 tables (2d rows), its graph index and the starts that build
+    the inverse rows.  Position arrays are made a chunk of starts at a time."""
+    return 4 * (2 * d + 2) * n
 
 
 @lru_cache(maxsize=None)
@@ -255,7 +262,9 @@ def batch_class_counts(
 
     ``perms`` is any iterable of (d, n_b) permutation arrays, sizes free; a
     (batch, d, n) array is one.  It is read lazily, in chunks of whole
-    graphs under ``CENSUS_CHUNK_BYTES``.  The result has shape (batch,
+    graphs under ``CENSUS_CHUNK_BYTES``; a larger graph is censused alone,
+    holding ``census_graph_bytes`` whole and its position arrays in slices
+    under that bound.  The result has shape (batch,
     number of classes of length <= r), columns in ``words.classes_upto``
     order.  An empty batch needs a (0, d, n) array, which fixes d.
 
@@ -287,9 +296,10 @@ def batch_class_counts(
         if g.ndim != 2 or g.shape[0] != d:
             raise InvalidInputError(f"need (d, n) permutation arrays with d = {d}, got {g.shape}")
         n = g.shape[1]
-        if per_vertex * n > CENSUS_BYTE_CAP:
+        if census_graph_bytes(d, n) > CENSUS_BYTE_CAP:
             raise ResourceLimitError(
-                f"census of one graph with {n} vertices exceeds {CENSUS_BYTE_CAP} bytes"
+                f"census of one graph with {n} vertices needs {census_graph_bytes(d, n)} "
+                f"bytes, over {CENSUS_BYTE_CAP}"
             )
         if chunk and per_vertex * (size + n) > CENSUS_CHUNK_BYTES:
             rows.append(_census_chunk(chunk, plan))
@@ -301,7 +311,11 @@ def batch_class_counts(
 
 
 def _census_chunk(graphs: list[np.ndarray], plan) -> np.ndarray:
-    """Per-class cycle counts of a chunk of graphs, one flat table set."""
+    """Per-class cycle counts of a chunk of graphs, one flat table set.
+
+    The position arrays are made for a slice of starts at a time, each slice
+    under ``CENSUS_CHUNK_BYTES``; a chunk of several graphs is one slice, and
+    a graph past the chunk keeps only its tables whole."""
     classes, steps, pairs = plan
     sizes = [g.shape[1] for g in graphs]
     total = sum(sizes)
@@ -314,24 +328,29 @@ def _census_chunk(graphs: list[np.ndarray], plan) -> np.ndarray:
     starts = np.arange(total, dtype=np.int32)
     for l in range(d):
         tables[2 * l + 1][tables[2 * l]] = starts
+    del starts
     graph_of = np.repeat(np.arange(len(graphs), dtype=np.int32), sizes)
-    pos = [starts]
-    for parent, letter in steps:
-        pos.append(tables[letter] if parent == 0 else tables[letter].take(pos[parent]))
-    counts = np.zeros((len(graphs), len(classes)), dtype=np.int64)
-    for ci, (wc, (iu, iv)) in enumerate(zip(classes, pairs)):
-        closed = (pos[iu] == pos[iv]).nonzero()[0]
-        if not closed.size:
-            continue
-        w = wc.letters
-        trail = np.empty((len(w), closed.size), dtype=np.int32)
-        trail[0] = closed
-        for i, c in enumerate(w[:-1]):
-            tables[c].take(trail[i], out=trail[i + 1])
-        trail.sort(axis=0)
-        distinct = (trail[1:] != trail[:-1]).all(axis=0)
-        reps = np.bincount(graph_of[closed[distinct]], minlength=len(graphs))
-        counts[:, ci] = reps // wc.h
-        if (counts[:, ci] * wc.h != reps).any():
-            raise InvalidInputError(f"closed walk count not divisible by h = {wc.h}")
-    return counts
+    reps = np.zeros((len(graphs), len(classes)), dtype=np.int64)
+    width = max(1, CENSUS_CHUNK_BYTES // (4 * (len(steps) + 1)))
+    for lo in range(0, total, width):
+        hi = min(lo + width, total)
+        pos = [np.arange(lo, hi, dtype=np.int32)]
+        for parent, letter in steps:
+            pos.append(tables[letter][lo:hi] if parent == 0 else tables[letter].take(pos[parent]))
+        for ci, (wc, (iu, iv)) in enumerate(zip(classes, pairs)):
+            closed = (pos[iu] == pos[iv]).nonzero()[0]
+            if not closed.size:
+                continue
+            closed += lo
+            w = wc.letters
+            trail = np.empty((len(w), closed.size), dtype=np.int32)
+            trail[0] = closed
+            for i, c in enumerate(w[:-1]):
+                tables[c].take(trail[i], out=trail[i + 1])
+            trail.sort(axis=0)
+            distinct = (trail[1:] != trail[:-1]).all(axis=0)
+            reps[:, ci] += np.bincount(graph_of[closed[distinct]], minlength=len(graphs))
+    h = np.array([wc.h for wc in classes], dtype=np.int64)
+    if (reps % h).any():
+        raise InvalidInputError("closed walk count not divisible by the class period h")
+    return reps // h

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regraph import cli, growth, limitproc
+from regraph import cli, growth, limitproc, walks
 from regraph.errors import InvalidInputError, ResourceLimitError
 
 
@@ -213,6 +213,18 @@ def test_limit_sim_replicas_over_byte_cap_exits_2(tmp_path, capsys, monkeypatch)
     cfg = _write(tmp_path, "l.cfg", text.format(10**7))
     assert _run("limit-sim", cfg, tmp_path / "new" / "out") == 2
     assert "replicas" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+def test_poisson_test_census_over_byte_cap_exits_2(tmp_path, capsys, monkeypatch):
+    text = "model = permutation\nd = 2\nr = 3\nn_values = 10, {}\nsamples = 4\n"
+    monkeypatch.setattr(walks, "CENSUS_BYTE_CAP", walks.census_graph_bytes(2, 1000))
+    assert cli.validate(cli.ExperimentConfig("poisson-test", cli.parse_config_file(
+        _write(tmp_path, "ok.cfg", text.format(1000))))) == []
+    monkeypatch.setitem(cli._BODIES, "poisson-test", lambda config: pytest.fail("it ran"))
+    cfg = _write(tmp_path, "p.cfg", text.format(1001))
+    assert _run("poisson-test", cfg, tmp_path / "new" / "out") == 2
+    assert "n_values" in capsys.readouterr().err
     assert not (tmp_path / "new").exists()
 
 

@@ -246,6 +246,24 @@ def test_batch_class_counts_memory_bounded_by_chunk():
         assert peak(drawn(b)) < 2 * walks.CENSUS_CHUNK_BYTES
 
 
+def test_batch_class_counts_large_graph_holds_only_its_tables(monkeypatch):
+    # one graph past the chunk: its position arrays are made a slice of
+    # starts at a time, so it holds its tables whole and one chunk beside
+    d, r, n = 2, 6, 100_000
+    g = _random_perms(np.random.default_rng(17), d, n)
+    batch_class_counts([g[:, :0]], r)  # fill the plan cache
+    tracemalloc.start()
+    try:
+        sliced, _ = batch_class_counts([g], r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < walks.census_graph_bytes(d, n) + 2 * walks.CENSUS_CHUNK_BYTES
+    monkeypatch.setattr(walks, "CENSUS_CHUNK_BYTES", 2**30)  # one slice
+    whole, _ = batch_class_counts([g], r)
+    assert np.array_equal(sliced, whole)
+
+
 def test_enumerate_cycles_budget():
     rng = np.random.default_rng(5)
     g = sample_permutation_model(30, 3, rng)
