@@ -183,6 +183,11 @@ def validate(config: ExperimentConfig) -> list[str]:
             check(p["samples"] <= poissonlab.UNIFORM_SAMPLE_CAP,
                   f"uniform model samples at most {poissonlab.UNIFORM_SAMPLE_CAP} "
                   f"graphs; got samples={p['samples']}")
+    if kind == "spectrum" and not violations:
+        scale = p.get("scale", "unit")
+        check(scale in ("raw", "half", "unit"), f"scale must be raw, half or unit; got {scale!r}")
+        check(scale not in ("half", "unit") or p["model"] == "permutation" or p["d"] >= 2,
+              "a uniform d = 1 graph has degree 1, so only scale = raw is defined for it")
     if kind in ("grow", "limit-sim") and not violations:
         grid = [float(t) for t in _as_list(p["grid"])]
         horizon = float(p["T"])

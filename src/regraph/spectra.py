@@ -179,31 +179,32 @@ class Spectrum:
         return len(self.values)
 
     def rescaled(self, scale: str) -> "Spectrum":
-        factors = {"raw": 1.0, "half": math.sqrt(self.degree - 1), "unit": 2 * math.sqrt(self.degree - 1)}
-        if scale not in factors or self.scale not in factors:
-            raise InvalidInputError(f"unknown scale {scale!r}")
-        ratio = factors[self.scale] / factors[scale]
+        ratio = self._factor(self.scale) / self._factor(scale)
         return Spectrum(tuple(v * ratio for v in self.values), self.degree, scale)
+
+    def _factor(self, scale: str) -> float:
+        """What a raw eigenvalue is divided by in ``scale``."""
+        if scale == "raw":
+            return 1.0
+        if scale not in ("half", "unit"):
+            raise InvalidInputError(f"unknown scale {scale!r}")
+        if self.degree < 2:
+            raise InvalidInputError(f"the {scale} scale needs degree >= 2, got {self.degree}")
+        return (2 if scale == "unit" else 1) * math.sqrt(self.degree - 1)
 
 
 def eigenvalues(g, scale: str = "unit") -> Spectrum:
     """Adjacency spectrum of a permutation-model or uniform-model graph."""
-    if isinstance(g, (PermGraph, SimpleGraph)):
-        if 2 * 8 * g.n * g.n > EIGEN_BYTE_CAP:
-            raise ResourceLimitError(
-                f"dense eigen-solve at n={g.n} exceeds {EIGEN_BYTE_CAP} bytes"
-            )
-        a = g.adjacency()
-        degree = g.degree
+    graph = isinstance(g, (PermGraph, SimpleGraph))
+    shape = (g.n, g.n) if graph else np.shape(g)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise InvalidInputError("adjacency must be square")
+    n = shape[0]
+    if 2 * 8 * n * n > EIGEN_BYTE_CAP:
+        raise ResourceLimitError(f"dense eigen-solve at n={n} exceeds {EIGEN_BYTE_CAP} bytes")
+    if graph:
+        a, degree = g.adjacency(), g.degree
     else:
-        shape = np.shape(g)
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise InvalidInputError("adjacency must be square")
-        n = shape[0]
-        if 2 * 8 * n * n > EIGEN_BYTE_CAP:
-            raise ResourceLimitError(
-                f"dense eigen-solve at n={n} exceeds {EIGEN_BYTE_CAP} bytes"
-            )
         a = np.asarray(g, dtype=float)
         # compare row blocks with the matching column blocks, so the check
         # makes no n x n temporary

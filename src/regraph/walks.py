@@ -4,10 +4,11 @@ A cycle is a closed walk that repeats no vertex and no edge; cycles are
 identified when they use the same edge set.  In the permutation model an edge
 is a (label, source) pair and every cycle carries a cyclically reduced word.
 
-Closed cyclically non-backtracking walk counts are obtained as traces of
-powers of the directed non-backtracking edge matrix; subtracting the walks
-that merely trace out cycles leaves the "bad" walks, which vanish on graphs
-whose short cycles are vertex-disjoint.
+Closed cyclically non-backtracking walk counts are traces of powers of the
+directed non-backtracking edge matrix B; a closed walk of length k is ceil(k/2)
+steps out and floor(k/2) back, so only sparse powers up to B^ceil(r/2) are
+made.  Subtracting the walks that merely trace out cycles leaves the "bad"
+walks, which vanish on graphs whose short cycles are vertex-disjoint.
 """
 
 from __future__ import annotations
@@ -116,75 +117,67 @@ def enumerate_cycles(g, r: int, budget: int = 10**8) -> CycleCensus:
 
 def nb_edge_matrix(g) -> sp.csr_matrix:
     """Directed-edge matrix B with B[e, f] = 1 when f follows e without
-    reversing it.  Rows/columns are indexed by directed edges."""
-    tails: list[int] = []
-    heads: list[int] = []
-    rev: list[int] = []
+    reversing it: the head incidence times the tail incidence, less the
+    reversal permutation.  A uniform-model edge u < v, i-th in sorted order,
+    gives directed edges 2i = (u, v) and 2i + 1 = (v, u); a permutation-model
+    edge (l, x) gives l n + x, from x to pi_l(x), and its reverse d n + l n + x."""
     if isinstance(g, SimpleGraph):
-        index = {}
-        directed = []
-        for u, v in sorted(g.edges):
-            for a, b in ((u, v), (v, u)):
-                index[(a, b)] = len(directed)
-                directed.append((a, b))
-        for a, b in directed:
-            tails.append(a)
-            heads.append(b)
-            rev.append(index[(b, a)])
+        pairs = np.array(sorted(g.edges), dtype=np.int64).reshape(-1, 2)
+        tails, heads = pairs.ravel(), pairs[:, ::-1].ravel()
+        rev = np.arange(tails.size) ^ 1
     elif isinstance(g, PermGraph):
-        # directed edge (l, x, sign): forward runs x -> pi_l(x)
-        m = g.d * g.n
-        for l in range(g.d):
-            for x in range(g.n):
-                tails.append(x)
-                heads.append(int(g.perms[l, x]))
-                rev.append(m + l * g.n + x)
-        for l in range(g.d):
-            for x in range(g.n):
-                tails.append(int(g.perms[l, x]))
-                heads.append(x)
-                rev.append(l * g.n + x)
+        sources = np.tile(np.arange(g.n), g.d)
+        tails = np.concatenate([sources, g.perms.ravel()])
+        heads = np.concatenate([g.perms.ravel(), sources])
+        rev = np.roll(np.arange(tails.size), tails.size // 2)
     else:
         raise InvalidInputError(f"unsupported graph type {type(g)!r}")
-    ne = len(tails)
-    by_tail: dict[int, list[int]] = {}
-    for f, t in enumerate(tails):
-        by_tail.setdefault(t, []).append(f)
-    rows, cols = [], []
-    for e in range(ne):
-        for f in by_tail.get(heads[e], ()):
-            if f != rev[e]:
-                rows.append(e)
-                cols.append(f)
-    data = np.ones(len(rows), dtype=np.int64)
-    return sp.csr_matrix((data, (rows, cols)), shape=(ne, ne))
+    ne = tails.size
+    ones, rows = np.ones(ne, dtype=np.int64), np.arange(ne + 1)
+    head_of = sp.csr_matrix((ones, heads, rows), shape=(ne, g.n))
+    leaving = sp.csc_matrix((ones, tails, rows), shape=(g.n, ne))
+    return head_of @ leaving - sp.csr_matrix((ones, rev, rows), shape=(ne, ne))
 
 
-# most bytes the dense trace may take: two int64 (ne x ne) arrays, the power
-# and its product with the edge matrix, are live together
+# most bytes the NB trace may hold, as ``nb_trace_bytes`` bounds them
 NB_TRACE_BYTE_CAP = 2**31
 
 
+def nb_trace_bytes(ne: int, degree: int, r: int) -> int:
+    """Bytes ``cnbw_via_nb_matrix`` may hold, from the shape alone: CSR powers
+    B^0 .. B^ceil(r/2), a row of B^j holding at most min(ne, q^j) entries of 12
+    bytes, q = degree - 1; the last trace's copy of B^floor(r/2), product buffer
+    and trimmed product; per edge, B's build (96 + 24 degree bytes), row
+    pointers and the sparse kernels' work arrays; 64 KiB of Python objects."""
+    q, h = degree - 1, (r + 1) // 2
+    # past j = 64 the row bound is min(ne, q^64), as q^64 >= 2^64 > ne if q >= 2
+    rows = [min(ne, q**j) for j in range(min(h, 64) + 1)]
+    entries = ne * (sum(rows) + (h + 1 - len(rows)) * rows[-1])
+    last, half = ne * rows[-1], ne * rows[min(r // 2, 64)]
+    return 12 * (entries + last + 3 * half) + (4 * h + 132 + 24 * degree) * (ne + 1) + 2**16
+
+
 def cnbw_via_nb_matrix(g, r: int) -> np.ndarray:
-    """Closed cyclically non-backtracking walk counts for lengths 1..r,
-    computed as traces of powers of the edge matrix."""
+    """Closed cyclically non-backtracking walk counts for lengths 1..r:
+    tr(B^k) is the sum of P_ceil(k/2)[e, f] P_floor(k/2)[f, e], P_j = B^j.
+    Rows of B^k sum to (degree - 1)^k, which bounds every count."""
     if r < 1:
         raise InvalidInputError(f"need r >= 1, got {r}")
     ne = g.degree * g.n  # directed edges, the rows of the edge matrix
-    if 2 * 8 * ne * ne > NB_TRACE_BYTE_CAP:
+    if ne * (g.degree - 1) ** min(r, 64) > np.iinfo(np.int64).max:
+        raise ResourceLimitError(f"walk counts of length {r} on {ne} edges could overflow int64")
+    need = nb_trace_bytes(ne, g.degree, r)
+    if need > NB_TRACE_BYTE_CAP:
         raise ResourceLimitError(
-            f"edge matrix with {ne} rows exceeds {NB_TRACE_BYTE_CAP} bytes dense"
+            f"NB trace with {ne} edges to length {r} needs {need} bytes, over {NB_TRACE_BYTE_CAP}"
         )
     b = nb_edge_matrix(g)
+    powers = [sp.identity(ne, dtype=np.int64, format="csr"), b]
+    while len(powers) <= (r + 1) // 2:
+        powers.append(powers[-1] @ b)
     out = np.zeros(r, dtype=np.int64)
-    power = b.toarray()
-    out[0] = np.trace(power)
-    limit = np.iinfo(np.int64).max // max(2 * g.degree, 2)
-    for k in range(2, r + 1):
-        if power.max() > limit:
-            raise ResourceLimitError("walk counts would overflow int64")
-        power = b.T.dot(power.T).T  # power @ b via sparse ops
-        out[k - 1] = np.trace(power)
+    for k in range(1, r + 1):
+        out[k - 1] = powers[(k + 1) // 2].multiply(powers[k // 2].T).sum()
     return out
 
 

@@ -179,6 +179,26 @@ def test_uniform_model_validation_matches_sampler(tmp_path, capsys, kind, text, 
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, code", [
+    ("model = uniform\nn = 4\nd = 1\n", 2),  # the default unit scale
+    ("model = uniform\nn = 4\nd = 1\nscale = half\n", 2),
+    ("model = permutation\nn = 4\nd = 1\nscale = bogus\n", 2),
+    ("model = uniform\nn = 4\nd = 1\nscale = raw\n", 0),
+    ("model = permutation\nn = 4\nd = 1\nscale = half\n", 0),  # degree 2
+], ids=["uniform-d1-unit", "uniform-d1-half", "unknown-scale", "uniform-d1-raw",
+        "permutation-d1-half"])
+def test_spectrum_scale_validation(tmp_path, capsys, text, code):
+    cfg = _write(tmp_path, "e.cfg", text)
+    assert _run("spectrum", cfg, tmp_path / "out") == code
+    if code == 2:
+        assert "scale" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    elif "uniform" in text:
+        lines = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()
+        assert lines[0] == "raw"
+        assert [float(v) for v in lines[1:]] == pytest.approx([1.0, 1.0, -1.0, -1.0])
+
+
 @pytest.mark.parametrize("kind, text", [
     ("grow", "d = 2\ns = 1.0\nT = 1.0\ngrid = 0, x\nr = 3\n"),
     ("grow", "d = 2\ns = 1.0\nT = abc\ngrid = 0.0, 0.5\nr = 3\n"),

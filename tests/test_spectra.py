@@ -11,6 +11,7 @@ from regraph.errors import InvalidInputError, ResourceLimitError
 from regraph.graphs import PermGraph, sample_permutation_model, sample_uniform_model
 from regraph.spectra import (
     PolySeries,
+    Spectrum,
     cheb_t_poly,
     cnbw_from_spectrum,
     eigenvalues,
@@ -73,6 +74,24 @@ def test_spectrum_rescaling():
     assert math.isclose(unit.values[0], 3.0 / (2 * math.sqrt(2)), abs_tol=1e-9)
     assert math.isclose(half.values[0], 3.0 / math.sqrt(2), abs_tol=1e-9)
     assert unit.rescaled("raw").values == pytest.approx(raw.values)
+
+
+def test_rescaling_below_degree_two():
+    # an empty graph (degree 0) and a perfect matching (degree 1) have raw
+    # spectra only: their unit and half scales divide by sqrt(degree - 1)
+    empty = eigenvalues(np.zeros((3, 3)), scale="raw")
+    assert empty == Spectrum((0.0, 0.0, 0.0), 0, "raw")
+    matching = eigenvalues(sample_uniform_model(4, 1, np.random.default_rng(2)), scale="raw")
+    assert matching.values == pytest.approx((1.0, 1.0, -1.0, -1.0))
+    for spec in (empty, matching):
+        assert spec.rescaled("raw") == spec
+        for scale in ("unit", "half"):
+            with pytest.raises(InvalidInputError, match="degree >= 2"):
+                spec.rescaled(scale)
+        with pytest.raises(InvalidInputError, match="unknown scale"):
+            spec.rescaled("bogus")
+    with pytest.raises(InvalidInputError, match="degree >= 2"):
+        eigenvalues(np.zeros((3, 3)))
 
 
 def test_eigenvalues_validates_matrix_input():

@@ -4,12 +4,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regraph import walks, words
 from regraph.errors import InvalidInputError, ResourceLimitError
-from regraph.graphs import CycleSpec, PermGraph, sample_permutation_model, sample_uniform_model
+from regraph.graphs import (
+    CycleSpec,
+    PermGraph,
+    SimpleGraph,
+    sample_permutation_model,
+    sample_uniform_model,
+)
 from regraph.walks import (
     bad_walk_probe,
     batch_class_counts,
@@ -55,12 +62,128 @@ def test_cnbw_matches_brute_force_uniform_model():
     assert np.array_equal(cnbw_via_nb_matrix(g, 4), _brute_force_cnbw(g, 4))
 
 
-def test_nb_trace_refuses_dense_powers_over_the_byte_cap(monkeypatch):
-    # two int64 copies of the 40,000 x 40,000 edge matrix would take 25.6 GB
-    g = sample_permutation_model(20_000, 1, np.random.default_rng(0))
+def _loop_nb_edge_matrix(g):
+    """The edge matrix built edge by edge: directed edges indexed as in
+    ``walks.nb_edge_matrix``, and f follows e when f leaves the head of e
+    and is not its reverse."""
+    tails, heads, rev = [], [], []
+    if isinstance(g, SimpleGraph):
+        index = {}
+        directed = []
+        for u, v in sorted(g.edges):
+            for a, b in ((u, v), (v, u)):
+                index[(a, b)] = len(directed)
+                directed.append((a, b))
+        for a, b in directed:
+            tails.append(a)
+            heads.append(b)
+            rev.append(index[(b, a)])
+    else:
+        # directed edge (l, x, sign): forward runs x -> pi_l(x)
+        m = g.d * g.n
+        for l in range(g.d):
+            for x in range(g.n):
+                tails.append(x)
+                heads.append(int(g.perms[l, x]))
+                rev.append(m + l * g.n + x)
+        for l in range(g.d):
+            for x in range(g.n):
+                tails.append(int(g.perms[l, x]))
+                heads.append(x)
+                rev.append(l * g.n + x)
+    ne = len(tails)
+    by_tail = {}
+    for f, t in enumerate(tails):
+        by_tail.setdefault(t, []).append(f)
+    rows, cols = [], []
+    for e in range(ne):
+        for f in by_tail.get(heads[e], ()):
+            if f != rev[e]:
+                rows.append(e)
+                cols.append(f)
+    data = np.ones(len(rows), dtype=np.int64)
+    return sp.csr_matrix((data, (rows, cols)), shape=(ne, ne))
+
+
+def _dense_power_traces(b, r):
+    """tr(B^k) for k = 1..r by exact dense powers of Python ints."""
+    b = b.toarray().astype(object)
+    power = np.identity(b.shape[0], dtype=np.int64).astype(object)
+    out = []
+    for _ in range(r):
+        power = power.dot(b)
+        out.append(int(np.trace(power)))
+    return out
+
+
+@st.composite
+def _nb_case(draw):
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        # small n gives loops and doubled edges
+        n = draw(st.integers(1, 8))
+        g = PermGraph(np.array([draw(st.permutations(range(n))) for _ in range(d)]))
+    else:
+        n = draw(st.integers(d + 1, 10).filter(lambda n: n * d % 2 == 0))
+        g = sample_uniform_model(n, d, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return g, draw(st.integers(1, 10))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_nb_case())
+@example((PermGraph(np.arange(4)[None, :]), 7))  # all loops
+@example((PermGraph(np.array([[1, 0, 3, 2], [2, 3, 0, 1]])), 10))  # doubled edges
+@example((PermGraph(np.array([[0]] * 3)), 10))  # three loops at one vertex
+@example((SimpleGraph(6, 1, [(0, 3), (1, 2), (4, 5)]), 5))  # a matching: no NB walk
+def test_nb_edge_matrix_and_trace_match_loop_oracle(case):
+    g, r = case
+    b = nb_edge_matrix(g)
+    expected = _loop_nb_edge_matrix(g)
+    assert b.dtype == np.int64 and b.shape == expected.shape
+    assert b.nnz == expected.nnz and (b != expected).nnz == 0
+    counts = cnbw_via_nb_matrix(g, r)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == _dense_power_traces(expected, r)
+
+
+def test_nb_trace_refuses_past_the_byte_estimate(monkeypatch):
+    # rows of B^7 hold up to 3^7 of the 80,000 edges: about 11.6 GB
+    g = sample_permutation_model(20_000, 2, np.random.default_rng(0))
+    assert walks.nb_trace_bytes(80_000, 4, 14) > walks.NB_TRACE_BYTE_CAP
     monkeypatch.setattr(walks, "nb_edge_matrix", lambda g: pytest.fail("edge matrix built"))
     with pytest.raises(ResourceLimitError):
-        cnbw_via_nb_matrix(g, 3)
+        cnbw_via_nb_matrix(g, 14)
+
+
+@pytest.mark.parametrize("model, n, d, r", [
+    ("permutation", 500, 2, 7),  # odd r: the tightest shape measured
+    ("uniform", 300, 3, 10),
+    ("permutation", 3, 3, 10),  # rows of the powers fill up
+])
+def test_nb_trace_peak_within_its_estimate(model, n, d, r):
+    rng = np.random.default_rng(21)
+    sample = sample_permutation_model if model == "permutation" else sample_uniform_model
+    g = sample(n, d, rng)
+    cnbw_via_nb_matrix(g, 2)  # first-call set-up
+    tracemalloc.start()
+    try:
+        cnbw_via_nb_matrix(g, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= walks.nb_trace_bytes(g.degree * g.n, g.degree, r)
+
+
+def test_nb_trace_refuses_overflow_before_building(monkeypatch):
+    # every row of B^k sums to 5^k on this 6-regular graph with 60 edges:
+    # 60 * 5^24 fits int64 and 60 * 5^25 does not
+    g = sample_permutation_model(10, 3, np.random.default_rng(22))
+    counts = cnbw_via_nb_matrix(g, 24)
+    assert counts.tolist() == _dense_power_traces(_loop_nb_edge_matrix(g), 24)
+    assert walks.nb_trace_bytes(60, 6, 25) < walks.NB_TRACE_BYTE_CAP
+    monkeypatch.setattr(walks, "nb_edge_matrix", lambda g: pytest.fail("edge matrix built"))
+    with pytest.raises(ResourceLimitError, match="overflow"):
+        cnbw_via_nb_matrix(g, 25)
 
 
 def test_loop_contributes_two_walks_per_length():
