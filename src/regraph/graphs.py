@@ -8,6 +8,10 @@ Two models are supported:
 * the uniform model: a simple d-regular graph drawn uniformly at random
   (sampled by rejection from the pairing model).
 
+The cycles of a simple graph, and of its complement, all come from one
+search, ``_cycles_through_edges``: through a set of changed edges for the
+switching chain's updates, through every edge for a full census.
+
 Vertices are 0-based internally; JSON serialization is 1-based.
 """
 
@@ -373,37 +377,6 @@ def size_bias_coupling(g: PermGraph, alpha: CycleSpec) -> PermGraph:
 # switchings on simple graphs
 
 
-def simple_cycle_census(g: SimpleGraph, r: int) -> dict[frozenset, tuple[int, ...]]:
-    """All cycles of length 3..r as {edge set: vertex tuple}.
-
-    Each cycle is found once, in the form of ``_canonical_cycle``, and with
-    neighbours taken in ascending order the tuples of each length come in
-    ascending order.
-    """
-    found: dict[frozenset, tuple[int, ...]] = {}
-    if r < 3:
-        return found
-
-    def dfs(start: int, path: list[int]) -> None:
-        last = path[-1]
-        for nxt in g.neighbors[last]:
-            if nxt == start and len(path) >= 3:
-                # fix direction: second vertex smaller than last
-                if path[1] < last:
-                    found[frozenset(map(_edge, path, path[1:] + path[:1]))] = tuple(path)
-                continue
-            if nxt <= start or nxt in path:
-                continue
-            if len(path) < r:
-                path.append(nxt)
-                dfs(start, path)
-                path.pop()
-
-    for v in range(g.n):
-        dfs(v, [v])
-    return found
-
-
 def _canonical_cycle(vs: Sequence[int]) -> tuple[int, ...]:
     """The rotation and direction of a vertex cycle that starts at its
     smallest vertex and has its second vertex below its last."""
@@ -462,43 +435,63 @@ def _cycles_through_edges(
     """Canonical vertex tuples of the cycles of length 3..r that use at least
     one changed edge, in the graph where x is adjacent to ``neighbors[x]``:
     a graph's own neighbour tuples, or the sets of ``_complement_neighbors``.
+    Run over every edge it is the full census (``_all_cycles``).
 
     Each cycle is found once, from the first changed edge it uses in the
     iteration order: the search from a changed edge neither steps nor closes
-    along an earlier one, in either direction."""
+    along an earlier one, in either direction.  The search is depth-first
+    with an explicit stack and an on-path set, so Python's recursion limit
+    does not bound r and a step costs the same at any depth."""
     found: set[tuple[int, ...]] = set()
     if r < 3:
         return found
     cut: dict[int, set[int]] = {}  # x -> the other ends of the earlier changed edges at x
     for u, v in changed:
-        # a path v, ..., x whose end x is adjacent to u closes the cycle u, v, ..., x
+        # a path u, v, ..., y with y adjacent to u closes a cycle
         banned = cut.get(u, ())
-        skip = cut.get(v, ())
-        stack = [(v, y) for y in neighbors[v] if y != u and y not in skip]
-        while stack:
-            path = stack.pop()
-            x = path[-1]
-            if u in neighbors[x] and x not in banned:
-                found.add(_canonical_cycle((u,) + path))
-            if len(path) < r - 1:
-                skip = cut.get(x, ())
-                stack.extend(
-                    path + (y,) for y in neighbors[x] if y != u and y not in path and y not in skip
-                )
+        path = [u, v]
+        on_path = {u, v}
+        branches = [iter(neighbors[v])]  # per path vertex after u, the neighbours left to try
+        while branches:
+            skip = cut.get(path[-1], ())
+            for y in branches[-1]:
+                if y in on_path or y in skip:
+                    continue
+                if u in neighbors[y] and y not in banned:
+                    found.add(_canonical_cycle(path + [y]))
+                if len(path) + 1 < r:
+                    path.append(y)
+                    on_path.add(y)
+                    branches.append(iter(neighbors[y]))
+                    break
+            else:
+                branches.pop()
+                on_path.discard(path.pop())
         cut.setdefault(u, set()).add(v)
         cut.setdefault(v, set()).add(u)
     return found
+
+
+def _all_cycles(neighbors: Sequence[Collection[int]], r: int) -> set[tuple[int, ...]]:
+    """Canonical vertex tuples of all cycles of length 3..r.  The edges go
+    by their smaller end u, ascending, so when the search from an edge at u
+    runs, every edge at a smaller vertex is cut and the search stays above
+    u: each cycle is found from its smallest vertex."""
+    edges = ((x, y) for x, nb in enumerate(neighbors) for y in nb if x < y)
+    return _cycles_through_edges(neighbors, edges, r)
+
+
+def simple_cycle_census(g: SimpleGraph, r: int) -> dict[frozenset, tuple[int, ...]]:
+    """All cycles of length 3..r as {edge set: vertex tuple}, ordered by
+    (length, tuple); each tuple is in the form of ``_canonical_cycle``."""
+    cycles = sorted(_all_cycles(g.neighbors, r), key=lambda vs: (len(vs), vs))
+    return {frozenset(map(_edge, vs, vs[1:] + vs[:1])): vs for vs in cycles}
 
 
 def _complement_neighbors(g: SimpleGraph) -> list[set[int]]:
     """Neighbour sets of the complement of g."""
     everyone = set(range(g.n))
     return [everyone.difference(nb, (x,)) for x, nb in enumerate(g.neighbors)]
-
-
-def _complement(g: SimpleGraph) -> SimpleGraph:
-    co = _complement_neighbors(g)
-    return SimpleGraph(g.n, g.n - 1 - g.d, [(u, v) for u in range(g.n) for v in co[u] if u < v])
 
 
 def _forward_option_counts(g: SimpleGraph, vs: Sequence[int]) -> list[list[tuple[int, int]]]:
@@ -508,19 +501,15 @@ def _forward_option_counts(g: SimpleGraph, vs: Sequence[int]) -> list[list[tuple
     equal) to v_i and u' not adjacent (or equal) to v_{i+1}.
     """
     k = len(vs)
-    non_adj = []
-    for v in vs:
-        banned = set(g.neighbors[v]) | {v}
-        non_adj.append([x for x in range(g.n) if x not in banned])
+    closed = [set(g.neighbors[v]) | {v} for v in vs]  # closed neighbourhoods
     options: list[list[tuple[int, int]]] = []
     for i in range(k):
-        a_set = set(non_adj[i])
-        b_set = set(non_adj[(i + 1) % k])
+        a_ban, b_ban = closed[i], closed[(i + 1) % k]
         opts = []
         for x, y in g.edges:
-            if x in a_set and y in b_set:
+            if x not in a_ban and y not in b_ban:
                 opts.append((x, y))
-            if y in a_set and x in b_set:
+            if y not in a_ban and x not in b_ban:
                 opts.append((y, x))
         options.append(opts)
     return options
@@ -562,10 +551,13 @@ class SwitchingChain:
     the k-cycles of the graph and of its complement as canonical vertex
     tuples (``_canonical_cycle``) in ascending order, which is the order of
     ``simple_cycle_census``, so every draw of ``rng`` picks the cycle a full
-    census would.  A switching changes at most 4k edges, and only a cycle
-    through a changed edge can appear or disappear, so the lists, the
-    validity gate and the cycle counts of the Metropolis ratio all come from
-    searches through the changed edges (``_cycles_through_edges``), in the
+    census would.  One search, ``_cycles_through_edges``, finds them all: the
+    lists start from it run over every edge of the graph's neighbour tuples
+    and of the complement's neighbour sets (``_complement_neighbors``), so no
+    complement graph is built.  A switching changes at most 4k edges, and
+    only a cycle through a changed edge can appear or disappear, so the
+    lists, the validity gate and the cycle counts of the Metropolis ratio
+    all come from the same search through the changed edges only, in the
     graph and in its complement.
     """
 
@@ -588,17 +580,19 @@ class SwitchingChain:
         self.rng = rng
         self.validity = validity
         self.graph = g
-        self.cycles_by_length = self._by_length(simple_cycle_census(g, r))
-        self.co_cycles_by_length = self._by_length(simple_cycle_census(_complement(g), r))
         self._co_neighbors = _complement_neighbors(g)
+        self.cycles_by_length = self._by_length(g.neighbors)
+        self.co_cycles_by_length = self._by_length(self._co_neighbors)
 
     @property
     def n(self) -> int:
         return self.graph.n
 
-    def _by_length(self, census: dict) -> dict[int, list[tuple[int, ...]]]:
+    def _by_length(self, neighbors: Sequence[Collection[int]]) -> dict[int, list[tuple[int, ...]]]:
+        """Every cycle of length 3..r of the graph where x is adjacent to
+        ``neighbors[x]``, by length, each length ascending."""
         out: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(3, self.r + 1)}
-        for vs in census.values():
+        for vs in sorted(_all_cycles(neighbors, self.r)):
             out[len(vs)].append(vs)
         return out
 

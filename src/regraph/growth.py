@@ -122,12 +122,12 @@ def poissonized_times(
         times = t + np.cumsum(holds)
         over = np.searchsorted(times, horizon, side="right")
         out.extend(times[:over].tolist())
+        if len(out) > max_events:
+            raise ResourceLimitError(f"more than {max_events} insertions before horizon")
         if over < block:
             return np.asarray(out)
         t = float(times[-1])
         m += block
-        if len(out) > max_events:
-            raise ResourceLimitError(f"more than {max_events} insertions before horizon")
 
 
 # ---------------------------------------------------------------------------

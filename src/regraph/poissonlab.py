@@ -26,6 +26,7 @@ from .graphs import (
     force_edges,
     sample_permutation_model,
     sample_uniform_model,
+    simple_cycle_census,
 )
 from .words import WordClass
 
@@ -153,9 +154,8 @@ def sample_cycle_counts(
         rng = np.random.default_rng([seed, n, 1])
         out = np.zeros((samples, r), dtype=np.int64)
         for i in range(samples):
-            g = sample_uniform_model(n, d, rng)
-            census = walks.enumerate_cycles(g, r)
-            out[i] = [census.count(k) for k in range(1, r + 1)]
+            for vs in simple_cycle_census(sample_uniform_model(n, d, rng), r).values():
+                out[i, len(vs) - 1] += 1
         return out
     if model != "permutation":
         raise InvalidInputError(f"unknown model {model!r}")

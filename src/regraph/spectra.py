@@ -197,8 +197,8 @@ def eigenvalues(g, scale: str = "unit") -> Spectrum:
     """Adjacency spectrum of a permutation-model or uniform-model graph."""
     graph = isinstance(g, (PermGraph, SimpleGraph))
     shape = (g.n, g.n) if graph else np.shape(g)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise InvalidInputError("adjacency must be square")
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
+        raise InvalidInputError("adjacency must be square, with at least one vertex")
     n = shape[0]
     if 2 * 8 * n * n > EIGEN_BYTE_CAP:
         raise ResourceLimitError(f"dense eigen-solve at n={n} exceeds {EIGEN_BYTE_CAP} bytes")

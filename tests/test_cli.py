@@ -101,6 +101,16 @@ def test_sample_cycles_spectrum_smoke(tmp_path):
     assert eigs[0] == pytest.approx(4 / (2 * 3 ** 0.5))  # Perron eigenvalue, unit scale
 
 
+def test_cycles_of_a_long_uniform_two_regular_graph(tmp_path):
+    # a 2-regular graph is disjoint cycles covering every vertex, so at r = n
+    # the census accounts for all n of them, however long its cycles are
+    cfg = _write(tmp_path, "c.cfg", "model = uniform\nn = 1500\nd = 2\nr = 1500\n")
+    assert _run("cycles", cfg, tmp_path / "c") == 0
+    by_length = json.loads((tmp_path / "c" / "report.json").read_text())["body"]["rows"][0][
+        "by_length"]
+    assert sum(int(k) * count for k, count in by_length.items()) == 1500
+
+
 def test_grow_and_limit_smoke(tmp_path):
     cfg = _write(tmp_path, "g.cfg",
                  "d = 2\ns = 0.5\nT = 1.0\ngrid = 0.0, 1.0\nr = 3\nreplicas = 3\n")

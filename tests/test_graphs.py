@@ -16,7 +16,6 @@ from regraph.graphs import (
     PermGraph,
     SimpleGraph,
     SwitchingChain,
-    _complement,
     _complement_neighbors,
     _cycles_through_edges,
     _edge,
@@ -349,10 +348,49 @@ def backward_switchings(g, alpha, r, rng=None, budget=10**7):
     return count, sample
 
 
+def _complement(g):
+    co = _complement_neighbors(g)
+    return SimpleGraph(g.n, g.n - 1 - g.d, [(u, v) for u in range(g.n) for v in co[u] if u < v])
+
+
+def _dfs_cycle_census(g, r):
+    """All cycles of length 3..r as {edge set: vertex tuple}, by a recursive
+    DFS from each vertex as the cycle's smallest: an oracle for the one
+    cycle search of ``graphs``, with which it shares no code.
+
+    Each cycle is kept once, in the form of ``_canonical_cycle``, and with
+    neighbours taken in ascending order the tuples of each length come in
+    ascending order.  The recursion is as deep as the longest path searched.
+    """
+    found = {}
+    if r < 3:
+        return found
+
+    def dfs(start, path):
+        last = path[-1]
+        for nxt in g.neighbors[last]:
+            if nxt == start and len(path) >= 3:
+                # fix direction: second vertex smaller than last
+                if path[1] < last:
+                    found[frozenset(map(_edge, path, path[1:] + path[:1]))] = tuple(path)
+                continue
+            if nxt <= start or nxt in path:
+                continue
+            if len(path) < r:
+                path.append(nxt)
+                dfs(start, path)
+                path.pop()
+
+    for v in range(g.n):
+        dfs(v, [v])
+    return found
+
+
 def _cycles_of(g, r):
-    """Full census of g by length, each length in census order."""
+    """Full census of g by length, each length in census order, from the
+    DFS oracle."""
     out = {k: [] for k in range(3, r + 1)}
-    for vs in simple_cycle_census(g, r).values():
+    for vs in _dfs_cycle_census(g, r).values():
         out[len(vs)].append(vs)
     return out
 
@@ -465,6 +503,37 @@ def test_simple_cycle_census_complete_graph():
     by_len = Counter(len(vs) for vs in census.values())
     # C(5,3) triangles, C(5,4)*3 four-cycles, 4!/2 five-cycles
     assert by_len == {3: 10, 4: 15, 5: 12}
+
+
+@st.composite
+def _census_case(draw):
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(d + 1, 13).filter(lambda m: m * d % 2 == 0))
+    g = sample_uniform_model(n, d, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    if draw(st.booleans()) and n - 1 - d >= 1:
+        g = _complement(g)
+    return g, draw(st.integers(0, 6))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_census_case())
+def test_simple_cycle_census_matches_dfs_oracle(case):
+    # the same items, ordered by length and, within a length, in the order
+    # the DFS finds them
+    g, r = case
+    census = list(simple_cycle_census(g, r).items())
+    oracle = _dfs_cycle_census(g, r)
+    assert dict(census) == oracle
+    assert census == sorted(oracle.items(), key=lambda item: len(item[1]))
+    assert all(edges == CycleSpec(vs).undirected_edges() for edges, vs in census)
+
+
+def test_simple_cycle_census_runs_past_the_recursion_limit():
+    # a recursive search would need a frame per vertex of the 1,500-cycle
+    n = 1500
+    g = SimpleGraph(n, 2, [(x, (x + 1) % n) for x in range(n)])
+    census = simple_cycle_census(g, n)
+    assert list(census.values()) == [(0,) + tuple(range(1, n))]
 
 
 def test_apply_switching_inverse_pair():
@@ -746,7 +815,7 @@ def test_cycles_through_edges_finds_each_cycle_once(case):
     neighbors, changed, r = case
     g = SimpleGraph(len(neighbors), len(neighbors[0]),
                     [(x, y) for x, nb in enumerate(neighbors) for y in nb if x < y])
-    expected = {vs for edges, vs in simple_cycle_census(g, r).items() if edges & set(changed)}
+    expected = {vs for edges, vs in _dfs_cycle_census(g, r).items() if edges & set(changed)}
     calls = []
     canonical = graphs._canonical_cycle
     with pytest.MonkeyPatch.context() as m:

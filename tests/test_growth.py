@@ -95,6 +95,15 @@ def test_poissonized_times_monotone_and_empty():
         poissonized_times(30.0, 0, rng, max_events=100)
 
 
+def test_poissonized_times_cap_holds_inside_the_first_block():
+    # this draw makes 325 jumps, all inside the first 1,024-jump block, so
+    # the cap has to hold on the block that returns too
+    assert poissonized_times(6.5, 0, np.random.default_rng(0)).size == 325
+    with pytest.raises(ResourceLimitError):
+        poissonized_times(6.5, 0, np.random.default_rng(0), max_events=100)
+    assert poissonized_times(6.5, 0, np.random.default_rng(0), max_events=325).size == 325
+
+
 def test_vertex_count_grows_exponentially():
     rng = np.random.default_rng(5)
     t = 3.0

@@ -103,6 +103,13 @@ def test_eigenvalues_validates_matrix_input():
         eigenvalues(np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]]))  # irregular
 
 
+def test_eigenvalues_rejects_empty_adjacency():
+    # a 0 x 0 array is square, but has no row sum to test regularity against
+    for scale in ("raw", "unit"):
+        with pytest.raises(InvalidInputError, match="at least one vertex"):
+            eigenvalues(np.zeros((0, 0)), scale=scale)
+
+
 def test_eigenvalues_refuses_dense_copies_over_the_byte_cap(monkeypatch):
     # three 8-byte n x n copies at n = 20,000 would take 9.6 GB
     g = sample_permutation_model(20_000, 1, np.random.default_rng(0))
