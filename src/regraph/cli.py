@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -24,11 +25,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import metadata
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import gffcheck, growth, limitproc, poissonlab, spectra, walks
+from . import gffcheck, growth, limitproc, poissonlab, spectra, walks, words
 from .errors import InvalidInputError, NumericError, ResourceLimitError
 from .graphs import (
     PermGraph,
@@ -50,9 +51,10 @@ KINDS = (
 
 _LIMIT_CHUNK = 1024  # replicas per RNG stream; fixed so workers never matter
 
-# one CSV output: its header and its rows, each row a sequence of cells;
+# one CSV output: its header and its rows, each row a sequence of cells or a
+# str of whole lines already rendered (trajectory.csv, a replica at a time);
 # rows may be a generator, so a file is written as its rows are made
-Csv = tuple[Sequence[str], Iterable[Sequence[Any]]]
+Csv = tuple[Sequence[str], Iterable[Sequence[Any] | str]]
 
 
 def _version() -> str:
@@ -200,10 +202,10 @@ def validate(config: ExperimentConfig) -> list[str]:
     if "replicas" in p:
         check(isinstance(p["replicas"], int) and p["replicas"] >= 1,
               "replicas must be a positive integer")
-    if kind == "limit-sim" and not violations:
-        need = _limit_sim_bytes(p)
+    if kind in ("grow", "limit-sim") and not violations:
+        need = (_grow_bytes if kind == "grow" else _limit_sim_bytes)(p)
         check(need <= limitproc.LIMIT_BYTE_CAP,
-              f"limit-sim needs about {need:.0f} bytes, over {limitproc.LIMIT_BYTE_CAP}; "
+              f"{kind} needs about {need:.0f} bytes, over {limitproc.LIMIT_BYTE_CAP}; "
               f"lower replicas")
     if "count" in p:
         check(isinstance(p["count"], int) and p["count"] >= 1,
@@ -215,17 +217,35 @@ def validate(config: ExperimentConfig) -> list[str]:
     return violations
 
 
-def _limit_sim_bytes(p: dict[str, Any]) -> float:
-    """Peak bytes of a valid limit-sim run.
-
-    It holds its int64 (R, G, C) counts twice while the chunks are
-    concatenated, then the counts, the (R, G, K) per-length counts and the
+def _trajectory_bytes(replicas: int, grid_size: int, classes: int, lengths: int) -> float:
+    """Bytes of the counts a grow or limit-sim run holds until trajectory.csv
+    is written: the int64 (R, G, C) counts twice while the runs' counts are
+    joined, then the counts, the (R, G, K) per-length counts and the
     (R, G·(C+K)) value table together; a replica's values become a list only
-    as its rows are written.  It simulates one chunk at a time.
-    """
+    as its rows are written."""
+    return 16.0 * replicas * grid_size * (classes + lengths)
+
+
+# bytes of a grow run's own Python objects beyond its counts: its job tuple,
+# its result, its count array's header and its events list (tracemalloc
+# measured at most 450 without events)
+_GROW_RUN_BYTES = 1024
+
+
+def _grow_bytes(p: dict[str, Any]) -> float:
+    """Peak bytes of a valid grow run, less its events."""
+    replicas = p.get("replicas", 1)
+    classes = len(words.classes_upto(p["d"], p["r"]))
+    return (_trajectory_bytes(replicas, len(_as_list(p["grid"])), classes, p["r"])
+            + _GROW_RUN_BYTES * replicas)
+
+
+def _limit_sim_bytes(p: dict[str, Any]) -> float:
+    """Peak bytes of a valid limit-sim run: its held counts, and one chunk
+    simulated at a time."""
     model = limitproc.limit_model(p["d"], p["K"])
     replicas, grid_size = p.get("replicas", 1), len(_as_list(p["grid"]))
-    held = 16.0 * replicas * grid_size * (len(model.classes) + p["K"])
+    held = _trajectory_bytes(replicas, grid_size, len(model.classes), p["K"])
     chunk = limitproc.limit_bytes(model, min(replicas, _LIMIT_CHUNK), grid_size,
                                   float(p["T"]), True)
     return held + chunk
@@ -267,19 +287,14 @@ def _census_one(model: str, n: int, d: int, r: int, seed: int, idx: int) -> dict
 
 
 def _grow_one(d: int, s: float, horizon: float, grid: tuple, r: int,
-              seed: int, idx: int) -> dict:
+              seed: int, idx: int) -> tuple[np.ndarray, list[tuple]]:
     rng = np.random.default_rng([seed, idx])
     traj = growth.simulate_growth(d, s, horizon, list(grid), r, rng, track_events=True)
-    return {
-        "classes": [str(wc) for wc in traj.classes],
-        "counts": traj.counts,
-        "by_length": traj.by_length(r),
-        "events": [
-            (float(ev.time), ev.kind, str(ev.word),
-             "" if ev.parent is None else str(ev.parent))
-            for ev in traj.events
-        ],
-    }
+    events = [
+        (float(ev.time), ev.kind, str(ev.word), "" if ev.parent is None else str(ev.parent))
+        for ev in traj.events
+    ]
+    return traj.counts, events
 
 
 def _limit_chunk(d: int, K: int, horizon: float, grid: tuple, replicas: int,
@@ -341,16 +356,30 @@ def _body_poisson_test(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
 def _trajectory_csv(source: str, grid: Sequence[float], classes: Sequence[str],
                     counts: np.ndarray, by_length: np.ndarray) -> Csv:
     """trajectory.csv of (replicas, grid, classes) counts and (replicas, grid, K)
-    per-length counts: per replica, per grid time, the classes then lengths 1..K."""
+    per-length counts: per replica, per grid time, the classes then lengths 1..K.
+
+    The fixed cells of every line go through the csv module once, into a
+    template with ``%s`` for the run id and the count; each replica's lines
+    are then one ``%`` of it on that replica's values, listed only then."""
     lengths = [str(k) for k in range(1, by_length.shape[2] + 1)]
     columns = [(repr(t), key_type, key) for t in grid
                for key_type, keys in (("word", classes), ("length", lengths))
                for key in keys]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerows(("%s", *(cell.replace("%", "%%") for cell in column), "%s",
+                      source.replace("%", "%%")) for column in columns)
+    template = buf.getvalue()
     table = np.concatenate([counts, by_length], axis=2).reshape(len(counts), -1)
-    rows = ((run_id, t, key_type, key, count, source)
-            for run_id, values in enumerate(table)
-            for (t, key_type, key), count in zip(columns, values.tolist()))
-    return ("run_id", "t", "key_type", "key", "count", "source"), rows
+
+    def blocks() -> Iterator[str]:
+        args = [0] * (2 * len(columns))  # run id, count, run id, count, ...
+        for run_id, values in enumerate(table):
+            args[0::2] = [run_id] * len(columns)
+            args[1::2] = values.tolist()
+            yield template % tuple(args)
+
+    return ("run_id", "t", "key_type", "key", "count", "source"), blocks()
 
 
 def _body_grow(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
@@ -359,12 +388,14 @@ def _body_grow(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
     grid = tuple(float(t) for t in _as_list(p["grid"]))
     jobs = [(p["d"], float(p["s"]), float(p["T"]), grid, p["r"], config.seed, i)
             for i in range(replicas)]
-    results = _run_indexed(_grow_one, jobs, config.workers)
+    run_counts, run_events = zip(*_run_indexed(_grow_one, jobs, config.workers))
+    counts = np.stack(run_counts)
+    del run_counts  # the stacked counts replace each run's own
 
-    classes = results[0]["classes"]
-    counts = np.stack([res["counts"] for res in results])
-    by_len = np.stack([res["by_length"] for res in results])
-    events = ((run_id, *ev) for run_id, res in enumerate(results) for ev in res["events"])
+    word_classes = words.classes_upto(p["d"], p["r"])
+    classes = [str(wc) for wc in word_classes]
+    by_len = words.counts_by_length(counts, word_classes, p["r"])
+    events = ((run_id, *ev) for run_id, evs in enumerate(run_events) for ev in evs)
     body = {
         "d": p["d"], "s": float(p["s"]), "T": float(p["T"]), "r": p["r"],
         "grid": list(grid), "replicas": replicas, "classes": classes,
@@ -427,12 +458,18 @@ _BODIES: dict[str, Callable[[ExperimentConfig], tuple[dict, dict[str, Csv]]]] = 
 # orchestration
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    """Write a header line, then stream the rows; floats are written by repr."""
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any] | str]) -> None:
+    """Write a header line, then stream the rows: a ``str`` row is lines
+    already rendered and is written as it is, any other row goes through
+    the csv module, with floats written by repr."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        for row in rows:
+            if isinstance(row, str):
+                fh.write(row)
+            else:
+                writer.writerow(row)
 
 
 def run(config: ExperimentConfig) -> Path:

@@ -61,28 +61,31 @@ def gff_cheb_covariance(
     if t0 > t1:
         raise InvalidInputError(f"need t0 <= t1, got t0={t0}, t1={t1}")
 
-    def integrand(u: float, v: float) -> float:
+    def integrand(u: float, w: complex, w_bar: complex, sin_kv: float) -> float:
+        # w = e^{t1+iv}, w_bar = e^{t1-iv} and sin_kv = sin(k v) are fixed
+        # for a whole inner integral, so they come in through quad's args
         z0 = cmath.exp(complex(t0, u))
-        num = abs(z0 - cmath.exp(complex(t1, v)))
-        den = abs(z0 - cmath.exp(complex(t1, -v)))
+        num = abs(z0 - w)
+        den = abs(z0 - w_bar)
         if num == 0.0 or den == 0.0:
             return 0.0
-        return math.sin(j * u) * math.sin(k * v) * math.log(num / den)
+        return math.sin(j * u) * sin_kv * math.log(num / den)
 
     singular = t0 == t1
     err_acc = 0.0
 
     def inner(v: float) -> float:
         nonlocal err_acc
+        args = (cmath.exp(complex(t1, v)), cmath.exp(complex(t1, -v)), math.sin(k * v))
         if singular and 0.0 < v < math.pi:
-            a, ea = integrate.quad(integrand, 0.0, v, args=(v,), epsabs=tol, limit=100)
+            a, ea = integrate.quad(integrand, 0.0, v, args=args, epsabs=tol, limit=100)
             b, eb = integrate.quad(
-                integrand, v, math.pi, args=(v,), epsabs=tol, limit=100
+                integrand, v, math.pi, args=args, epsabs=tol, limit=100
             )
             err_acc = max(err_acc, ea + eb)
             return a + b
         val, err = integrate.quad(
-            integrand, 0.0, math.pi, args=(v,), epsabs=tol, limit=100
+            integrand, 0.0, math.pi, args=args, epsabs=tol, limit=100
         )
         err_acc = max(err_acc, err)
         return val

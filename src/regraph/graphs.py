@@ -445,10 +445,16 @@ def _cycles_through_edges(
     found: set[tuple[int, ...]] = set()
     if r < 3:
         return found
-    cut: dict[int, set[int]] = {}  # x -> the other ends of the earlier changed edges at x
+    cut: dict[int, set[int]] = {}  # x -> the other ends of the changed edges so far at x
     for u, v in changed:
-        # a path u, v, ..., y with y adjacent to u closes a cycle
-        banned = cut.get(u, ())
+        cut.setdefault(u, set()).add(v)
+        cut.setdefault(v, set()).add(u)
+        # a path u, v, ..., y with y adjacent to u and not across a cut edge
+        # closes a cycle; with no such y no search is made, else a long
+        # cycle would be walked again from each of its edges
+        banned = cut[u]
+        if banned.issuperset(neighbors[u]):
+            continue
         path = [u, v]
         on_path = {u, v}
         branches = [iter(neighbors[v])]  # per path vertex after u, the neighbours left to try
@@ -467,8 +473,6 @@ def _cycles_through_edges(
             else:
                 branches.pop()
                 on_path.discard(path.pop())
-        cut.setdefault(u, set()).add(v)
-        cut.setdefault(v, set()).add(u)
     return found
 
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -382,3 +383,80 @@ def test_failed_stream_leaves_no_csv_or_output_directory(tmp_path, monkeypatch):
     (tmp_path / "mine").mkdir()
     assert _run("gff-check", cfg, tmp_path / "mine") == 3
     assert list((tmp_path / "mine").iterdir()) == []
+
+
+# The row-by-row trajectory.csv of before the line template: every row a
+# tuple of cells through the csv writer.  The template must match it byte
+# for byte.
+
+def _row_trajectory_csv(source, grid, classes, counts, by_length):
+    lengths = [str(k) for k in range(1, by_length.shape[2] + 1)]
+    columns = [(repr(t), key_type, key) for t in grid
+               for key_type, keys in (("word", classes), ("length", lengths))
+               for key in keys]
+    table = np.concatenate([counts, by_length], axis=2).reshape(len(counts), -1)
+    rows = ((run_id, t, key_type, key, count, source)
+            for run_id, values in enumerate(table)
+            for (t, key_type, key), count in zip(columns, values.tolist()))
+    return ("run_id", "t", "key_type", "key", "count", "source"), rows
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("limit-sim", "d = 2\nK = 3\nT = 1.0\ngrid = 0.0, 0.5, 1.0\nreplicas = 1100\n"),  # two chunks
+    ("grow", "d = 2\ns = 0.5\nT = 1.0\ngrid = 0.0, 0.5, 1.0\nr = 3\nreplicas = 3\n"),
+], ids=["limit-sim", "grow"])
+def test_trajectory_template_matches_row_oracle(tmp_path, monkeypatch, kind, text):
+    cfg = _write(tmp_path, "t.cfg", text)
+    assert _run(kind, cfg, tmp_path / "template", "--seed", "9") == 0
+    monkeypatch.setattr(cli, "_trajectory_csv", _row_trajectory_csv)
+    assert _run(kind, cfg, tmp_path / "rows", "--seed", "9") == 0
+    assert ((tmp_path / "template" / "trajectory.csv").read_bytes()
+            == (tmp_path / "rows" / "trajectory.csv").read_bytes())
+
+
+def test_trajectory_template_quotes_and_escapes(tmp_path):
+    # keys holding csv metacharacters and the template's own: the csv module
+    # still decides the quoting, and % and braces come out as they went in
+    classes = ["a,b", 'say "hi"', "{0}", "}{", "100%", "%s%d%%", "two\nlines"]
+    rng = np.random.default_rng(1)
+    counts = rng.integers(0, 10**6, size=(4, 2, len(classes)))
+    by_length = rng.integers(0, 10**6, size=(4, 2, 3))
+    args = ("lim%s{}", [0.0, 0.1], classes, counts, by_length)
+    cli._write_csv(tmp_path / "template.csv", *cli._trajectory_csv(*args))
+    cli._write_csv(tmp_path / "rows.csv", *_row_trajectory_csv(*args))
+    assert (tmp_path / "template.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    with (tmp_path / "template.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [row[3] for row in rows[:len(classes)]] == classes
+    assert {row[5] for row in rows} == {"lim%s{}"}
+    assert len(rows) == 4 * 2 * (len(classes) + 3)
+
+
+def test_grow_replicas_over_byte_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # 10^7 replicas at the perfbench grow shape would need about 24 GB
+    text = "d = 2\ns = 1.0\nT = 1.0\ngrid = 0.0, 0.5, 1.0\nr = 4\nreplicas = {}\n"
+    assert cli.validate(cli.ExperimentConfig("grow", cli.parse_config_file(
+        _write(tmp_path, "ok.cfg", text.format(30))))) == []
+    monkeypatch.setitem(cli._BODIES, "grow", lambda config: pytest.fail("grow ran"))
+    cfg = _write(tmp_path, "g.cfg", text.format(10**7))
+    assert _run("grow", cfg, tmp_path / "new" / "out") == 2
+    err = capsys.readouterr().err
+    assert "grow needs about" in err and "replicas" in err
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("grid", ["0.0", "0.0, 0.0, 0.0"])
+def test_grow_byte_estimate_bounds_tracemalloc_peak(tmp_path, grid):
+    # event-free runs (T = 0), so the estimate covers all that a run holds
+    params = cli.parse_config_file(_write(
+        tmp_path, "g.cfg", f"d = 2\ns = 0\nT = 0\ngrid = {grid}\nr = 4\nreplicas = 1500\n"))
+    config = cli.ExperimentConfig("grow", params, seed=3, out=tmp_path / "out")
+    need = cli._grow_bytes(params)
+    tracemalloc.start()
+    try:
+        cli.run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "out" / "events.csv").read_text() == "run_id,time,kind,word,parent\n"
+    assert need / 2 < peak <= need

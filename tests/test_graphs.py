@@ -536,6 +536,23 @@ def test_simple_cycle_census_runs_past_the_recursion_limit():
     assert list(census.values()) == [(0,) + tuple(range(1, n))]
 
 
+def test_long_cycle_is_walked_once():
+    # the search from (0, 1) walks the 1,500-cycle; from every later edge
+    # (u, v) no cycle can close at u, whose other neighbour is across a cut
+    # edge, so no search is made: O(n) neighbour reads, not about n^2 / 2
+    n = 1500
+    g = SimpleGraph(n, 2, [(x, (x + 1) % n) for x in range(n)])
+    reads = []
+
+    class CountedReads(list):
+        def __getitem__(self, x):
+            reads.append(x)
+            return super().__getitem__(x)
+
+    assert graphs._all_cycles(CountedReads(g.neighbors), n) == {(0,) + tuple(range(1, n))}
+    assert len(reads) < 5 * n
+
+
 def test_apply_switching_inverse_pair():
     rng = np.random.default_rng(8)
     n, d, r = 12, 3, 3
