@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import metadata
 from pathlib import Path
@@ -124,6 +123,11 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value: Any) -> bool:
+    """An int that is not a bool: ``n = true`` parses to True, which is an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 _REQUIRED: dict[str, tuple[str, ...]] = {
     "sample": ("model", "n", "d"),
     "cycles": ("model", "n", "d", "r"),
@@ -144,7 +148,9 @@ def validate(config: ExperimentConfig) -> list[str]:
     for name in _REQUIRED[kind]:
         if name not in p:
             violations.append(f"missing required field {name!r} for kind {kind}")
-        elif name in ("s", "T", "grid", "lags") and not all(map(_is_number, _as_list(p[name]))):
+        elif name in ("s", "T") and not _is_number(p[name]):
+            violations.append(f"{name} must be a number")
+        elif name in ("grid", "lags") and not all(map(_is_number, _as_list(p[name]))):
             violations.append(f"{name} must be a number or a list of numbers")
     if violations:
         return violations
@@ -157,18 +163,18 @@ def validate(config: ExperimentConfig) -> list[str]:
         check(p["model"] in ("permutation", "uniform"),
               "model must be 'permutation' or 'uniform'")
     if "d" in p:
-        check(isinstance(p["d"], int) and p["d"] >= 1, "d must be an integer >= 1")
+        check(_is_int(p["d"]) and p["d"] >= 1, "d must be an integer >= 1")
     if "n" in p:
-        check(isinstance(p["n"], int) and p["n"] >= 1, "n must be an integer >= 1")
+        check(_is_int(p["n"]) and p["n"] >= 1, "n must be an integer >= 1")
     if "r" in p:
-        check(isinstance(p["r"], int) and p["r"] >= 1, "r must be an integer >= 1")
+        check(_is_int(p["r"]) and p["r"] >= 1, "r must be an integer >= 1")
     if "K" in p:
-        check(isinstance(p["K"], int) and p["K"] >= 1, "K must be an integer >= 1")
+        check(_is_int(p["K"]) and p["K"] >= 1, "K must be an integer >= 1")
     if kind == "poisson-test" and not violations:
         ns = _as_list(p["n_values"])
-        check(all(isinstance(n, int) and n >= 1 for n in ns),
-              "n_values must be positive integers")
-        check(isinstance(p["samples"], int) and p["samples"] >= 1,
+        check(bool(ns) and all(_is_int(n) and n >= 1 for n in ns),
+              "n_values must be one or more positive integers")
+        check(_is_int(p["samples"]) and p["samples"] >= 1,
               "samples must be a positive integer")
     if kind == "poisson-test" and p["model"] == "permutation" and not violations:
         n_max = max(_as_list(p["n_values"]))
@@ -200,7 +206,7 @@ def validate(config: ExperimentConfig) -> list[str]:
         if kind == "grow":
             check(float(p["s"]) >= 0, "s (warm-up time) must be >= 0")
     if "replicas" in p:
-        check(isinstance(p["replicas"], int) and p["replicas"] >= 1,
+        check(_is_int(p["replicas"]) and p["replicas"] >= 1,
               "replicas must be a positive integer")
     if kind in ("grow", "limit-sim") and not violations:
         need = (_grow_bytes if kind == "grow" else _limit_sim_bytes)(p)
@@ -208,11 +214,11 @@ def validate(config: ExperimentConfig) -> list[str]:
               f"{kind} needs about {need:.0f} bytes, over {limitproc.LIMIT_BYTE_CAP}; "
               f"lower replicas")
     if "count" in p:
-        check(isinstance(p["count"], int) and p["count"] >= 1,
+        check(_is_int(p["count"]) and p["count"] >= 1,
               "count must be a positive integer")
     if kind == "gff-check" and not violations:
-        check(isinstance(p["jmax"], int) and p["jmax"] >= 1, "jmax must be >= 1")
-        check(isinstance(p["kmax"], int) and p["kmax"] >= 1, "kmax must be >= 1")
+        check(_is_int(p["jmax"]) and p["jmax"] >= 1, "jmax must be >= 1")
+        check(_is_int(p["kmax"]) and p["kmax"] >= 1, "kmax must be >= 1")
         check(all(float(l) >= 0 for l in _as_list(p["lags"])), "lags must be >= 0")
     return violations
 
@@ -259,6 +265,8 @@ def _run_indexed(fn: Callable, jobs: Sequence[tuple], workers: int) -> list:
     """Map fn over argument tuples, merging results in job order."""
     if workers <= 1 or len(jobs) <= 1:
         return [fn(*job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays its import
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*jobs)))
 
@@ -538,9 +546,9 @@ def _build_config(argv: Sequence[str] | None) -> ExperimentConfig:
         workers = args.workers
     if args.out is not None:
         out = args.out
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise InvalidInputError(f"seed must be an integer, got {seed!r}")
-    if not isinstance(workers, int) or workers < 1:
+    if not _is_int(workers) or workers < 1:
         raise InvalidInputError(f"workers must be a positive integer, got {workers!r}")
     return ExperimentConfig(kind=args.kind, params=params, seed=seed,
                             workers=workers, out=out)

@@ -19,8 +19,6 @@ import cmath
 import math
 import warnings
 
-from scipy import integrate
-
 from .errors import InvalidInputError, NumericError
 from .spectra import Spectrum, cheb_t_poly, linear_statistic
 
@@ -56,6 +54,10 @@ def gff_cheb_covariance(
     inner integral is split there.  Raises on a quadrature error estimate
     above 1e-5.
     """
+    # imported here, not at module top, so that only a run that integrates
+    # pays scipy.integrate's import (about 0.65 s)
+    from scipy import integrate
+
     if j < 1 or k < 1:
         raise InvalidInputError("need j >= 1 and k >= 1")
     if t0 > t1:

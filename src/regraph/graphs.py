@@ -114,26 +114,23 @@ class SimpleGraph:
     """Simple d-regular graph stored as a set of undirected edges."""
 
     def __init__(self, n: int, d: int, edges: Iterable[Edge]):
-        edge_set = set()
+        edge_set: set[Edge] = set()
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise InvalidInputError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidInputError(f"edge ({u}, {v}) out of range")
-            edge_set.add(_edge(u, v))
-        deg = [0] * n
-        for u, v in edge_set:
-            deg[u] += 1
-            deg[v] += 1
-        if any(x != d for x in deg):
+            e = _edge(u, v)
+            if e not in edge_set:  # a repeated edge counts once
+                edge_set.add(e)
+                adj[u].append(v)
+                adj[v].append(u)
+        if any(len(a) != d for a in adj):
             raise InvalidInputError("graph is not d-regular")
         self.n = n
         self.d = d
         self.edges = frozenset(edge_set)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edge_set:
-            adj[u].append(v)
-            adj[v].append(u)
         self.neighbors = [tuple(sorted(a)) for a in adj]
 
     @property
@@ -206,21 +203,26 @@ def simple_regular_exists(n: int, d: int) -> bool:
 def sample_uniform_model(
     n: int, d: int, rng: np.random.Generator, max_retries: int = 10**5
 ) -> SimpleGraph:
-    """Uniform simple d-regular graph via rejection from the pairing model."""
+    """Uniform simple d-regular graph via rejection from the pairing model.
+
+    An attempt pairs stub 2i with stub 2i + 1 of one permutation of the n d
+    stubs, and is accepted when it makes no loop and no repeated edge.  Each
+    attempt is one Python pass over the listed vertex ends, which stops at
+    the first loop: most attempts are rejected, and small numpy calls would
+    cost more than the pass."""
     if not simple_regular_exists(n, d):
         raise InvalidInputError(f"no simple d-regular graph with n={n}, d={d}")
+    half = n * d // 2
     for _ in range(max_retries):
-        stubs = rng.permutation(n * d)
-        tails = stubs[0::2] // d
-        heads = stubs[1::2] // d
-        if np.any(tails == heads):
-            continue
-        lo = np.minimum(tails, heads)
-        hi = np.maximum(tails, heads)
-        pairs = set(zip(lo.tolist(), hi.tolist()))
-        if len(pairs) < len(lo):
-            continue
-        return SimpleGraph(n, d, pairs)
+        ends = (rng.permutation(n * d) // d).tolist()
+        pairs: set[Edge] = set()
+        for u, v in zip(ends[0::2], ends[1::2]):
+            if u == v:
+                break
+            pairs.add((u, v) if u < v else (v, u))
+        else:
+            if len(pairs) == half:
+                return SimpleGraph(n, d, pairs)
     raise ResourceLimitError(
         f"pairing-model rejection failed {max_retries} times for n={n}, d={d}"
     )

@@ -22,7 +22,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy import integrate
 
 from .errors import InvalidInputError, NumericError, ResourceLimitError
 from .graphs import PermGraph, SimpleGraph
@@ -290,6 +289,8 @@ class KestenMcKay:
 
     def a0_of(self, f: PolySeries, tol: float = 1e-10) -> float:
         """Mean of f (as a function of the unit-scaled spectrum) under this law."""
+        from scipy import integrate  # only here, as in gffcheck.gff_cheb_covariance
+
         val, err = integrate.quad(
             lambda u: float(f(u)) * float(self.unit_density(u)), -1.0, 1.0,
             epsabs=tol, epsrel=tol, limit=200,

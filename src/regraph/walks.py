@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import words
 from .errors import InvalidInputError, ResourceLimitError
@@ -121,6 +120,10 @@ def nb_edge_matrix(g) -> sp.csr_matrix:
     reversal permutation.  A uniform-model edge u < v, i-th in sorted order,
     gives directed edges 2i = (u, v) and 2i + 1 = (v, u); a permutation-model
     edge (l, x) gives l n + x, from x to pi_l(x), and its reverse d n + l n + x."""
+    # imported here, not at module top, so that only an NB trace pays
+    # scipy.sparse's import (about 0.25 s)
+    import scipy.sparse as sp
+
     if isinstance(g, SimpleGraph):
         pairs = np.array(sorted(g.edges), dtype=np.int64).reshape(-1, 2)
         tails, heads = pairs.ravel(), pairs[:, ::-1].ravel()
@@ -171,6 +174,8 @@ def cnbw_via_nb_matrix(g, r: int) -> np.ndarray:
         raise ResourceLimitError(
             f"NB trace with {ne} edges to length {r} needs {need} bytes, over {NB_TRACE_BYTE_CAP}"
         )
+    import scipy.sparse as sp  # only here, as in nb_edge_matrix
+
     b = nb_edge_matrix(g)
     powers = [sp.identity(ne, dtype=np.int64, format="csr"), b]
     while len(powers) <= (r + 1) // 2:

@@ -223,6 +223,63 @@ def test_non_numeric_value_exits_2(tmp_path, capsys, kind, text):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("model", ["permutation", "uniform"])
+def test_poisson_test_empty_n_values_exits_2(tmp_path, capsys, model):
+    cfg = _write(tmp_path, "p.cfg", f"model = {model}\nd = 2\nr = 3\nn_values = ,\nsamples = 4\n")
+    assert cli.parse_config_file(cfg)["n_values"] == []
+    assert _run("poisson-test", cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "n_values" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, text, name", [
+    ("grow", "d = 2\ns = 0.5, 1.0\nT = 1.0\ngrid = 0.0\nr = 3\n", "s"),
+    ("grow", "d = 2\ns = 1.0\nT = 1, 2\ngrid = 0.0\nr = 3\n", "T"),
+    ("limit-sim", "d = 2\nK = 3\nT = 1, 2\ngrid = 0.0\n", "T"),
+], ids=["grow-s", "grow-T", "limit-sim-T"])
+def test_list_valued_s_or_T_exits_2(tmp_path, capsys, kind, text, name):
+    cfg = _write(tmp_path, "l.cfg", text)
+    assert _run(kind, cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {name} must be a number") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+# one valid config a kind; a line appended to it overrides the field it names
+_VALID = {
+    "sample": "model = permutation\nn = 10\nd = 2\n",
+    "cycles": "model = permutation\nn = 10\nd = 2\nr = 3\n",
+    "poisson-test": "model = permutation\nd = 2\nr = 3\nn_values = 10, 20\nsamples = 4\n",
+    "limit-sim": "d = 2\nK = 3\nT = 1.0\ngrid = 0.0, 1.0\n",
+    "gff-check": "jmax = 1\nkmax = 1\nlags = 0.5\n",
+}
+
+
+@pytest.mark.parametrize("kind, line", [
+    ("sample", "n = true"),
+    ("sample", "d = true"),
+    ("cycles", "r = true"),
+    ("sample", "count = true"),
+    ("poisson-test", "samples = true"),
+    ("poisson-test", "n_values = 10, true"),
+    ("limit-sim", "K = true"),
+    ("limit-sim", "replicas = true"),
+    ("gff-check", "jmax = true"),
+    ("gff-check", "kmax = true"),
+    ("sample", "seed = true"),
+    ("sample", "workers = true"),
+])
+def test_boolean_in_integer_field_exits_2(tmp_path, capsys, kind, line):
+    assert cli.validate(cli.ExperimentConfig(kind, cli.parse_config_file(
+        _write(tmp_path, "ok.cfg", _VALID[kind])))) == []
+    cfg = _write(tmp_path, "b.cfg", _VALID[kind] + line + "\n")
+    assert _run(kind, cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and line.split(" =")[0] in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_failed_run_leaves_no_output_directory(tmp_path):
     # valid config whose warm-up to s = 20 passes the 10^6-vertex cap of
     # growth.poissonized_times at run time

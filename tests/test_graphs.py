@@ -99,6 +99,47 @@ def test_sample_uniform_model_rejects_impossible():
         sample_uniform_model(3, 3, rng)  # d >= n
 
 
+def _numpy_uniform_sample(n, d, rng):
+    """The pairing-model sampler as it was with numpy calls per attempt, and
+    the two-pass ``SimpleGraph`` build it fed: the oracle for the draws, the
+    edge set's iteration order and the neighbour tuples."""
+    while True:
+        stubs = rng.permutation(n * d)
+        tails = stubs[0::2] // d
+        heads = stubs[1::2] // d
+        if np.any(tails == heads):
+            continue
+        lo = np.minimum(tails, heads)
+        hi = np.maximum(tails, heads)
+        pairs = set(zip(lo.tolist(), hi.tolist()))
+        if len(pairs) < len(lo):
+            continue
+        edge_set = set()
+        for u, v in pairs:
+            edge_set.add(_edge(u, v))
+        adj = [[] for _ in range(n)]
+        for u, v in edge_set:
+            adj[u].append(v)
+            adj[v].append(u)
+        return list(frozenset(edge_set)), [tuple(sorted(a)) for a in adj]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_sample_uniform_model_matches_numpy_oracle(d):
+    for n in range(d + 1, 31):
+        if not graphs.simple_regular_exists(n, d):
+            continue
+        for seed in range(2):
+            rng, oracle_rng = np.random.default_rng([seed, n, d]), np.random.default_rng([seed, n, d])
+            g = sample_uniform_model(n, d, rng)
+            edges, neighbors = _numpy_uniform_sample(n, d, oracle_rng)
+            assert list(g.edges) == edges and g.neighbors == neighbors, (n, seed)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            # a repeated edge, in either orientation, counts once
+            again = SimpleGraph(n, d, list(g.edges) + [(v, u) for u, v in g.edges])
+            assert again == g and again.neighbors == g.neighbors
+
+
 def test_enumerate_labeled_regular_graphs_counts():
     assert len(enumerate_labeled_regular_graphs(4, 3)) == 1  # K4
     assert len(enumerate_labeled_regular_graphs(4, 1)) == 3  # perfect matchings

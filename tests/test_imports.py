@@ -8,9 +8,15 @@ re-exports.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from regraph import gffcheck, graphs, walks
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "regraph").glob("*.py"))
@@ -119,3 +125,37 @@ def test_private_name_detector_flags_unused_and_respects_exemptions():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_has_no_unused_private_names(path):
     assert unused_private_names(path.read_text()) == []
+
+
+# A fresh interpreter runs a small permutation poisson-test through the CLI,
+# lists which of the two heavy scipy subpackages it loaded, then calls the
+# two functions that import them and prints their values.
+_FRESH_CLI = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from regraph import cli
+with tempfile.TemporaryDirectory() as tmp:
+    cfg = Path(tmp) / "p.cfg"
+    cfg.write_text("model = permutation\\nd = 2\\nr = 3\\nn_values = 10, 20\\nsamples = 8\\n")
+    code = cli.main(["poisson-test", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+loaded = [m for m in ("scipy.integrate", "scipy.sparse") if m in sys.modules]
+from regraph import gffcheck, graphs, walks
+g = graphs.sample_permutation_model(12, 2, np.random.default_rng(7))
+print(json.dumps({"code": code, "loaded": loaded,
+                  "gff": gffcheck.gff_cheb_covariance(1, 1, 0.0, 0.3),
+                  "cnbw": walks.cnbw_via_nb_matrix(g, 6).tolist()}))
+"""
+
+
+def test_cli_run_loads_neither_scipy_integrate_nor_sparse():
+    done = subprocess.run([sys.executable, "-c", _FRESH_CLI, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=300, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert result["loaded"] == []
+    # the functions that import them inside still give the in-process values
+    g = graphs.sample_permutation_model(12, 2, np.random.default_rng(7))
+    assert result["gff"] == gffcheck.gff_cheb_covariance(1, 1, 0.0, 0.3)
+    assert result["cnbw"] == walks.cnbw_via_nb_matrix(g, 6).tolist()
