@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import gffcheck, growth, limitproc, poissonlab, spectra, walks, words
-from .errors import InvalidInputError, NumericError, ResourceLimitError
+from .errors import InvalidInputError, NumericError, ResourceLimitError, check_bytes
 from .graphs import (
     PermGraph,
     SimpleGraph,
@@ -176,12 +176,6 @@ def validate(config: ExperimentConfig) -> list[str]:
               "n_values must be one or more positive integers")
         check(_is_int(p["samples"]) and p["samples"] >= 1,
               "samples must be a positive integer")
-    if kind == "poisson-test" and p["model"] == "permutation" and not violations:
-        n_max = max(_as_list(p["n_values"]))
-        need = walks.census_graph_bytes(p["d"], n_max)
-        check(need <= walks.CENSUS_BYTE_CAP,
-              f"the census of one graph with n={n_max} needs {need} bytes, "
-              f"over {walks.CENSUS_BYTE_CAP}; lower n_values")
     if "model" in _REQUIRED[kind] and p["model"] == "uniform" and not violations:
         ns = _as_list(p["n_values"]) if kind == "poisson-test" else [p["n"]]
         bad = [str(n) for n in ns if not simple_regular_exists(n, p["d"])]
@@ -208,11 +202,6 @@ def validate(config: ExperimentConfig) -> list[str]:
     if "replicas" in p:
         check(_is_int(p["replicas"]) and p["replicas"] >= 1,
               "replicas must be a positive integer")
-    if kind in ("grow", "limit-sim") and not violations:
-        need = (_grow_bytes if kind == "grow" else _limit_sim_bytes)(p)
-        check(need <= limitproc.LIMIT_BYTE_CAP,
-              f"{kind} needs about {need:.0f} bytes, over {limitproc.LIMIT_BYTE_CAP}; "
-              f"lower replicas")
     if "count" in p:
         check(_is_int(p["count"]) and p["count"] >= 1,
               "count must be a positive integer")
@@ -220,6 +209,11 @@ def validate(config: ExperimentConfig) -> list[str]:
         check(_is_int(p["jmax"]) and p["jmax"] >= 1, "jmax must be >= 1")
         check(_is_int(p["kmax"]) and p["kmax"] >= 1, "kmax must be >= 1")
         check(all(float(l) >= 0 for l in _as_list(p["lags"])), "lags must be >= 0")
+    if not violations and (estimate := _byte_estimate(kind, p)):
+        try:
+            check_bytes(*estimate[:2])
+        except ResourceLimitError as exc:
+            violations.append(f"{exc}; lower {estimate[2]}")
     return violations
 
 
@@ -234,16 +228,21 @@ def _trajectory_bytes(replicas: int, grid_size: int, classes: int, lengths: int)
 
 # bytes of a grow run's own Python objects beyond its counts: its job tuple,
 # its result, its count array's header and its events list (tracemalloc
-# measured at most 450 without events)
+# measured at most 450 without events); and per expected event, a tuple held
+# until events.csv is written (170-190 at d = 2, r = 4, run objects included)
 _GROW_RUN_BYTES = 1024
+EVENT_BYTES = 256
 
 
 def _grow_bytes(p: dict[str, Any]) -> float:
-    """Peak bytes of a valid grow run, less its events."""
-    replicas = p.get("replicas", 1)
-    classes = len(words.classes_upto(p["d"], p["r"]))
-    return (_trajectory_bytes(replicas, len(_as_list(p["grid"])), classes, p["r"])
-            + _GROW_RUN_BYTES * replicas)
+    """Peak bytes of a valid grow run: its held counts, its runs' own objects and
+    its events.  A k-cycle count is stationary with mean a(d, k)/2k and turns over
+    at rate k, so k-cycles are born at rate a(d, k)/2 (a: cyclically reduced words)."""
+    replicas, d, r = p.get("replicas", 1), p["d"], p["r"]
+    births = sum(words.count_reduced_words(d, k) for k in range(1, r + 1)) / 2
+    run = _GROW_RUN_BYTES + EVENT_BYTES * float(p["T"]) * births
+    return (_trajectory_bytes(replicas, len(_as_list(p["grid"])), len(words.classes_upto(d, r)), r)
+            + run * replicas)
 
 
 def _limit_sim_bytes(p: dict[str, Any]) -> float:
@@ -251,10 +250,21 @@ def _limit_sim_bytes(p: dict[str, Any]) -> float:
     simulated at a time."""
     model = limitproc.limit_model(p["d"], p["K"])
     replicas, grid_size = p.get("replicas", 1), len(_as_list(p["grid"]))
-    held = _trajectory_bytes(replicas, grid_size, len(model.classes), p["K"])
-    chunk = limitproc.limit_bytes(model, min(replicas, _LIMIT_CHUNK), grid_size,
-                                  float(p["T"]), True)
-    return held + chunk
+    return (_trajectory_bytes(replicas, grid_size, len(model.classes), p["K"])
+            + limitproc.limit_bytes(model, min(replicas, _LIMIT_CHUNK), grid_size,
+                                    float(p["T"]), True))
+
+
+def _byte_estimate(kind: str, p: dict[str, Any]) -> tuple[float, str, str] | None:
+    """The peak bytes of a valid run, what holds them and the field to lower,
+    or None; the library checks each of its calls again."""
+    if kind == "poisson-test" and p["model"] == "permutation":
+        n = max(_as_list(p["n_values"]))
+        return walks.census_graph_bytes(p["d"], n), f"the census of a graph with n={n}", "n_values"
+    if kind in ("grow", "limit-sim"):
+        return (_grow_bytes if kind == "grow" else _limit_sim_bytes)(p), kind, "replicas"
+    if kind == "spectrum":
+        return spectra.eigen_bytes(p["n"]), f"the dense eigen-solve at n={p['n']}", "n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one byte cap.
 
 The CLI maps these onto process exit codes, so library code should raise
 these (rather than bare ValueError) for user-facing failure modes.
 """
+
+# most bytes a census, NB trace, eigen-solve, simulate_limit call or CLI run may take
+BYTE_CAP = 2**31
 
 
 class RegraphError(Exception):
@@ -19,3 +22,9 @@ class ResourceLimitError(RegraphError):
 
 class NumericError(RegraphError):
     """A numeric computation failed to reach the required accuracy (exit code 4)."""
+
+
+def check_bytes(need: float, what: str) -> None:
+    """Refuse ``what``, before it allocates, when ``need`` bytes pass BYTE_CAP as it is now."""
+    if need > BYTE_CAP:
+        raise ResourceLimitError(f"{what} needs about {need:.0f} bytes, over {BYTE_CAP}")

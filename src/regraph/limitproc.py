@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import words
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, check_bytes
 from .words import WordClass
 
 
@@ -128,8 +128,6 @@ def trace_covariance(d: int, k: int, lag: float) -> float:
 # ---------------------------------------------------------------------------
 # simulation
 
-# most bytes one simulate_limit call may hold, by limit_bytes
-LIMIT_BYTE_CAP = 2**31
 # bytes per expected atom at a call's peak; tracemalloc measured at most 38
 # beyond the cell and table terms of limit_bytes
 ATOM_BYTES = 48
@@ -210,7 +208,6 @@ def simulate_limit(
     stationary_init: bool,
     rng: np.random.Generator,
     replicas: int = 1,
-    budget: int = LIMIT_BYTE_CAP,
 ) -> tuple[np.ndarray, LimitModel]:
     """Exact simulation of the atom process on a time grid.
 
@@ -218,8 +215,8 @@ def simulate_limit(
     (replicas, len(grid), number of classes): counts[b, g, ci] is the number
     of class-ci atoms alive at grid time g in replica b.  Atoms never
     interact, so every atom is advanced independently with exact exponential
-    holding times; no discretization is involved.  ``budget`` bounds the
-    bytes of limit_bytes, checked before anything is drawn.
+    holding times; no discretization is involved.  The bytes of limit_bytes
+    are checked against ``errors.BYTE_CAP`` before anything is drawn.
     """
     grid = np.asarray(grid, dtype=float)
     if T < 0 or replicas < 1:
@@ -230,9 +227,7 @@ def simulate_limit(
         raise InvalidInputError("grid must be nondecreasing")
     model = limit_model(d, K)
     ncls = len(model.classes)
-    need = limit_bytes(model, replicas, grid.size, T, stationary_init)
-    if need > budget:
-        raise ResourceLimitError(f"about {need:.0f} bytes exceed the budget {budget}")
+    check_bytes(limit_bytes(model, replicas, grid.size, T, stationary_init), "simulate_limit")
 
     def atoms(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # atom (replica, class) pairs in row-major order of the draws

@@ -23,14 +23,11 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .errors import InvalidInputError, NumericError, ResourceLimitError
+from .errors import InvalidInputError, check_bytes
 from .graphs import PermGraph, SimpleGraph
 
 _BASES = ("monomial", "cheb_t", "cheb_u", "nb_unit", "nb_half")
 
-# most bytes the dense n x n copies of one eigen-solve may take: the float
-# adjacency and the solver's own float copy, 8 bytes each
-EIGEN_BYTE_CAP = 2**31
 # entries of one row block in the symmetry check of an adjacency array
 _CHECK_BLOCK_ENTRIES = 2**16
 
@@ -192,6 +189,11 @@ class Spectrum:
         return (2 if scale == "unit" else 1) * math.sqrt(self.degree - 1)
 
 
+def eigen_bytes(n: int) -> int:
+    """Bytes of an eigen-solve's two n x n float copies, the adjacency and the solver's."""
+    return 16 * n * n
+
+
 def eigenvalues(g, scale: str = "unit") -> Spectrum:
     """Adjacency spectrum of a permutation-model or uniform-model graph."""
     graph = isinstance(g, (PermGraph, SimpleGraph))
@@ -199,8 +201,7 @@ def eigenvalues(g, scale: str = "unit") -> Spectrum:
     if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
         raise InvalidInputError("adjacency must be square, with at least one vertex")
     n = shape[0]
-    if 2 * 8 * n * n > EIGEN_BYTE_CAP:
-        raise ResourceLimitError(f"dense eigen-solve at n={n} exceeds {EIGEN_BYTE_CAP} bytes")
+    check_bytes(eigen_bytes(n), f"dense eigen-solve at n={n}")
     if graph:
         a, degree = g.adjacency(), g.degree
     else:
@@ -242,66 +243,6 @@ def cnbw_from_spectrum(spectrum: Spectrum, r: int) -> np.ndarray:
         pk = nb_basis_poly(d, k, "unit")
         out[k - 1] = (d - 1) ** (k / 2) * float(np.sum(pk(vals)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Kesten-McKay law
-
-
-@dataclass(frozen=True)
-class KestenMcKay:
-    """The spectral law of the infinite d-regular tree's adjacency operator."""
-
-    d: int
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise InvalidInputError(f"need degree >= 2, got {self.d}")
-
-    @property
-    def radius(self) -> float:
-        return 2 * math.sqrt(self.d - 1)
-
-    def density(self, x) -> np.ndarray:
-        """Density on the raw adjacency scale, supported on |x| <= 2 sqrt(d-1)."""
-        x = np.asarray(x, dtype=float)
-        d = self.d
-        inside = np.abs(x) <= self.radius
-        xs = np.where(inside, x, 0.0)
-        return np.where(
-            inside,
-            d * np.sqrt(np.maximum(4 * (d - 1) - xs**2, 0.0)) / (2 * math.pi * (d**2 - xs**2)),
-            0.0,
-        )
-
-    def unit_density(self, u) -> np.ndarray:
-        """Density of the spectrum rescaled to [-1, 1]."""
-        u = np.asarray(u, dtype=float)
-        d = self.d
-        inside = np.abs(u) <= 1
-        us = np.where(inside, u, 0.0)
-        return np.where(
-            inside,
-            2 * d * (d - 1) * np.sqrt(np.maximum(1 - us**2, 0.0))
-            / (math.pi * (d**2 - 4 * (d - 1) * us**2)),
-            0.0,
-        )
-
-    def a0_of(self, f: PolySeries, tol: float = 1e-10) -> float:
-        """Mean of f (as a function of the unit-scaled spectrum) under this law."""
-        from scipy import integrate  # only here, as in gffcheck.gff_cheb_covariance
-
-        val, err = integrate.quad(
-            lambda u: float(f(u)) * float(self.unit_density(u)), -1.0, 1.0,
-            epsabs=tol, epsrel=tol, limit=200,
-        )
-        if err > max(tol * 100, 1e-8):
-            raise NumericError(f"Kesten-McKay quadrature error {err} too large")
-        return val
-
-
-def kesten_mckay(d: int) -> KestenMcKay:
-    return KestenMcKay(d)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import words
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError, check_bytes
 from .graphs import CycleSpec, PermGraph, SimpleGraph, simple_cycle_census
 from .words import WordClass
 
@@ -142,10 +142,6 @@ def nb_edge_matrix(g) -> sp.csr_matrix:
     return head_of @ leaving - sp.csr_matrix((ones, rev, rows), shape=(ne, ne))
 
 
-# most bytes the NB trace may hold, as ``nb_trace_bytes`` bounds them
-NB_TRACE_BYTE_CAP = 2**31
-
-
 def nb_trace_bytes(ne: int, degree: int, r: int) -> int:
     """Bytes ``cnbw_via_nb_matrix`` may hold, from the shape alone: CSR powers
     B^0 .. B^ceil(r/2), a row of B^j holding at most min(ne, q^j) entries of 12
@@ -169,11 +165,7 @@ def cnbw_via_nb_matrix(g, r: int) -> np.ndarray:
     ne = g.degree * g.n  # directed edges, the rows of the edge matrix
     if ne * (g.degree - 1) ** min(r, 64) > np.iinfo(np.int64).max:
         raise ResourceLimitError(f"walk counts of length {r} on {ne} edges could overflow int64")
-    need = nb_trace_bytes(ne, g.degree, r)
-    if need > NB_TRACE_BYTE_CAP:
-        raise ResourceLimitError(
-            f"NB trace with {ne} edges to length {r} needs {need} bytes, over {NB_TRACE_BYTE_CAP}"
-        )
+    check_bytes(nb_trace_bytes(ne, g.degree, r), f"NB trace with {ne} edges to length {r}")
     import scipy.sparse as sp  # only here, as in nb_edge_matrix
 
     b = nb_edge_matrix(g)
@@ -214,15 +206,11 @@ def bad_walk_probe(g, r: int) -> np.ndarray:
 # a chunk cache-sized
 CENSUS_CHUNK_BYTES = 4 * 2**20
 
-# most bytes the census may hold for the whole of one graph, which is censused
-# alone when it passes the chunk; under it every flat vertex index fits int32
-CENSUS_BYTE_CAP = 2**31
-
 
 def census_graph_bytes(d: int, n: int) -> int:
-    """Bytes the census holds for the whole of one graph with n vertices:
-    its int32 tables (2d rows), its graph index and the starts that build
-    the inverse rows.  Position arrays are made a chunk of starts at a time."""
+    """Bytes the census holds whole for one graph with n vertices: its int32
+    tables (2d rows), graph index and starts that build the inverse rows (position
+    arrays come a chunk of starts at a time).  Under ``errors.BYTE_CAP`` indices fit int32."""
     return 4 * (2 * d + 2) * n
 
 
@@ -294,11 +282,7 @@ def batch_class_counts(
         if g.ndim != 2 or g.shape[0] != d:
             raise InvalidInputError(f"need (d, n) permutation arrays with d = {d}, got {g.shape}")
         n = g.shape[1]
-        if census_graph_bytes(d, n) > CENSUS_BYTE_CAP:
-            raise ResourceLimitError(
-                f"census of one graph with {n} vertices needs {census_graph_bytes(d, n)} "
-                f"bytes, over {CENSUS_BYTE_CAP}"
-            )
+        check_bytes(census_graph_bytes(d, n), f"census of one graph with {n} vertices")
         if chunk and per_vertex * (size + n) > CENSUS_CHUNK_BYTES:
             rows.append(_census_chunk(chunk, plan))
             chunk, size = [], 0

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regraph import cli, growth, limitproc, walks
+from regraph import cli, errors, growth, limitproc, walks
 from regraph.errors import InvalidInputError, ResourceLimitError
 
 
@@ -306,7 +306,7 @@ def test_limit_sim_replicas_over_byte_cap_exits_2(tmp_path, capsys, monkeypatch)
 
 def test_poisson_test_census_over_byte_cap_exits_2(tmp_path, capsys, monkeypatch):
     text = "model = permutation\nd = 2\nr = 3\nn_values = 10, {}\nsamples = 4\n"
-    monkeypatch.setattr(walks, "CENSUS_BYTE_CAP", walks.census_graph_bytes(2, 1000))
+    monkeypatch.setattr(errors, "BYTE_CAP", walks.census_graph_bytes(2, 1000))
     assert cli.validate(cli.ExperimentConfig("poisson-test", cli.parse_config_file(
         _write(tmp_path, "ok.cfg", text.format(1000))))) == []
     monkeypatch.setitem(cli._BODIES, "poisson-test", lambda config: pytest.fail("it ran"))
@@ -517,3 +517,41 @@ def test_grow_byte_estimate_bounds_tracemalloc_peak(tmp_path, grid):
         tracemalloc.stop()
     assert (tmp_path / "out" / "events.csv").read_text() == "run_id,time,kind,word,parent\n"
     assert need / 2 < peak <= need
+
+
+def test_grow_byte_estimate_with_events_bounds_tracemalloc_peak(tmp_path):
+    # at s = 3 a replica has about 54 events a unit of time, against the
+    # stationary birth rate of 64 at d = 2, r = 4 that the estimate charges;
+    # 50 replicas' held events outweigh the tower of the run in progress
+    text = "d = 2\ns = 3.0\nT = 1.0\ngrid = 0.0\nr = 4\nreplicas = {}\n"
+    cli.run(cli.ExperimentConfig("grow", cli.parse_config_file(_write(  # first-call set-up
+        tmp_path, "warm.cfg", text.format(1))), seed=3, out=tmp_path / "warm"))
+    params = cli.parse_config_file(_write(tmp_path, "g.cfg", text.format(50)))
+    config = cli.ExperimentConfig("grow", params, seed=3, out=tmp_path / "out")
+    need = cli._grow_bytes(params)
+    tracemalloc.start()
+    try:
+        cli.run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    events = (tmp_path / "out" / "events.csv").read_text().count("\n") - 1
+    assert events > 50 * 40
+    # the events are most of the peak: the estimate without them falls short
+    assert cli._grow_bytes({**params, "T": 0.0}) < need / 2 < peak <= need
+
+
+def test_spectrum_over_byte_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # the adjacency and the solver's copy, 8 bytes an entry each, pass 2 GiB
+    # from n = 11,586 on
+    text = "model = permutation\nn = {}\nd = 2\n"
+    configs = {n: cli.ExperimentConfig("spectrum", cli.parse_config_file(
+        _write(tmp_path, f"{n}.cfg", text.format(n)))) for n in (11_585, 11_586)}
+    assert cli.validate(configs[11_585]) == []
+    assert cli.validate(configs[11_586]) != []
+    monkeypatch.setitem(cli._BODIES, "spectrum", lambda config: pytest.fail("spectrum ran"))
+    cfg = _write(tmp_path, "e.cfg", text.format(20_000))
+    assert _run("spectrum", cfg, tmp_path / "new" / "out") == 2
+    err = capsys.readouterr().err
+    assert "eigen-solve at n=20000" in err and "lower n" in err
+    assert not (tmp_path / "new").exists()

@@ -82,6 +82,16 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def bound_names(node: ast.stmt) -> list[str]:
+    """The names a module-level function, class or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def unused_private_names(source: str) -> list[str]:
     """Module-level ``_name`` functions, classes and constants that no other
     top-level statement of the module uses; a recursive call is no use."""
@@ -89,17 +99,10 @@ def unused_private_names(source: str) -> list[str]:
     refs = [referenced_names(node) for node in body]
     unused = []
     for i, node in enumerate(body):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
         elsewhere = set().union(*refs[:i], *refs[i + 1 :])
         unused += [
             f"line {node.lineno}: {name}"
-            for name in names
+            for name in bound_names(node)
             if name.startswith("_") and not name.startswith("__") and name not in elsewhere
         ]
     return sorted(unused)
@@ -125,6 +128,19 @@ def test_private_name_detector_flags_unused_and_respects_exemptions():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_has_no_unused_private_names(path):
     assert unused_private_names(path.read_text()) == []
+
+
+def byte_caps(source: str) -> list[str]:
+    """Module-level names ending in ``BYTE_CAP`` that the module binds."""
+    return [name for node in ast.parse(source).body for name in bound_names(node)
+            if name.endswith("BYTE_CAP")]
+
+
+def test_errors_holds_the_only_byte_cap():
+    # a memory budget goes through errors.check_bytes against errors.BYTE_CAP
+    found = {path.name: byte_caps(path.read_text()) for path in SOURCES}
+    assert {name: caps for name, caps in found.items() if caps} == {"errors.py": ["BYTE_CAP"]}
+    assert byte_caps("_CENSUS_BYTE_CAP: int = 2**31\nCHUNK_BYTES = 4\n") == ["_CENSUS_BYTE_CAP"]
 
 
 # A fresh interpreter runs a small permutation poisson-test through the CLI,

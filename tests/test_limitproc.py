@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from regraph import errors
 from regraph.errors import InvalidInputError, ResourceLimitError
 from regraph.limitproc import (
     chebyshev_fluctuation_series,
@@ -151,14 +152,15 @@ def test_chebyshev_fluctuation_series_centering():
     assert abs(series.mean()) < 4 * series.std() / math.sqrt(series.size)
 
 
-def test_simulate_limit_validates_and_budgets():
+def test_simulate_limit_validates_and_budgets(monkeypatch):
     rng = np.random.default_rng(4)
     with pytest.raises(InvalidInputError):
         simulate_limit(2, 0, 1.0, [0.0], True, rng, replicas=10)
     with pytest.raises(InvalidInputError):
         simulate_limit(2, 2, 1.0, [2.0], True, rng, replicas=10)
+    monkeypatch.setattr(errors, "BYTE_CAP", 10)
     with pytest.raises(ResourceLimitError):
-        simulate_limit(2, 3, 1.0, [0.0, 1.0], True, rng, replicas=10**6, budget=10)
+        simulate_limit(2, 3, 1.0, [0.0, 1.0], True, rng, replicas=10**6)
 
 
 def _reference_simulate_limit(d, K, T, grid, stationary_init, rng, replicas=1):
@@ -239,19 +241,20 @@ def test_simulate_limit_matches_reference_loop(case, seed):
     (2, 3, 1.0, [0.0, 0.5, 1.0], 20000),  # the atoms dominate
     (2, 4, 1.0, list(np.linspace(0.0, 1.0, 300)), 400),  # the cells dominate
 ])
-def test_simulate_limit_peak_under_byte_estimate(d, K, T, grid, replicas):
+def test_simulate_limit_peak_under_byte_estimate(monkeypatch, d, K, T, grid, replicas):
     model = limit_model(d, K)
     need = limit_bytes(model, replicas, len(grid), T, True)
     # refused before any draw: the generator is left as it was
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
+    monkeypatch.setattr(errors, "BYTE_CAP", int(need) - 1)
     with pytest.raises(ResourceLimitError):
-        simulate_limit(d, K, T, grid, True, rng, replicas=replicas, budget=int(need) - 1)
+        simulate_limit(d, K, T, grid, True, rng, replicas=replicas)
     assert rng.bit_generator.state == state
     tracemalloc.start()
     try:
-        counts, _ = simulate_limit(d, K, T, grid, True, rng, replicas=replicas,
-                                   budget=int(need) + 1)
+        monkeypatch.setattr(errors, "BYTE_CAP", int(need) + 1)
+        counts, _ = simulate_limit(d, K, T, grid, True, rng, replicas=replicas)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

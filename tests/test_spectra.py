@@ -2,12 +2,13 @@
 
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from regraph.errors import InvalidInputError, ResourceLimitError
+from regraph.errors import InvalidInputError, NumericError, ResourceLimitError
 from regraph.graphs import PermGraph, sample_permutation_model, sample_uniform_model
 from regraph.spectra import (
     PolySeries,
@@ -15,7 +16,6 @@ from regraph.spectra import (
     cheb_t_poly,
     cnbw_from_spectrum,
     eigenvalues,
-    kesten_mckay,
     linear_statistic,
     mobius_cycle_poly,
     nb_basis_poly,
@@ -24,6 +24,61 @@ from regraph.walks import cnbw_via_nb_matrix, enumerate_cycles
 
 
 U = np.linspace(-1, 1, 201)
+
+
+@dataclass(frozen=True)
+class KestenMcKay:
+    """The spectral law of the infinite d-regular tree's adjacency operator,
+    the oracle for the Kesten-McKay means that ``spectra`` centers with."""
+
+    d: int
+
+    def __post_init__(self):
+        if self.d < 2:
+            raise InvalidInputError(f"need degree >= 2, got {self.d}")
+
+    @property
+    def radius(self) -> float:
+        return 2 * math.sqrt(self.d - 1)
+
+    def density(self, x) -> np.ndarray:
+        """Density on the raw adjacency scale, supported on |x| <= 2 sqrt(d-1)."""
+        x = np.asarray(x, dtype=float)
+        d = self.d
+        inside = np.abs(x) <= self.radius
+        xs = np.where(inside, x, 0.0)
+        return np.where(
+            inside,
+            d * np.sqrt(np.maximum(4 * (d - 1) - xs**2, 0.0)) / (2 * math.pi * (d**2 - xs**2)),
+            0.0,
+        )
+
+    def unit_density(self, u) -> np.ndarray:
+        """Density of the spectrum rescaled to [-1, 1]."""
+        u = np.asarray(u, dtype=float)
+        d = self.d
+        inside = np.abs(u) <= 1
+        us = np.where(inside, u, 0.0)
+        return np.where(
+            inside,
+            2 * d * (d - 1) * np.sqrt(np.maximum(1 - us**2, 0.0))
+            / (math.pi * (d**2 - 4 * (d - 1) * us**2)),
+            0.0,
+        )
+
+    def a0_of(self, f: PolySeries, tol: float = 1e-10) -> float:
+        """Mean of f (as a function of the unit-scaled spectrum) under this law."""
+        val, err = integrate.quad(
+            lambda u: float(f(u)) * float(self.unit_density(u)), -1.0, 1.0,
+            epsabs=tol, epsrel=tol, limit=200,
+        )
+        if err > max(tol * 100, 1e-8):
+            raise NumericError(f"Kesten-McKay quadrature error {err} too large")
+        return val
+
+
+def kesten_mckay(d: int) -> KestenMcKay:
+    return KestenMcKay(d)
 
 
 def test_nb_basis_is_shifted_chebyshev():

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from regraph import walks, words
+from regraph import errors, walks, words
 from regraph.errors import InvalidInputError, ResourceLimitError
 from regraph.graphs import (
     CycleSpec,
@@ -149,7 +149,7 @@ def test_nb_edge_matrix_and_trace_match_loop_oracle(case):
 def test_nb_trace_refuses_past_the_byte_estimate(monkeypatch):
     # rows of B^7 hold up to 3^7 of the 80,000 edges: about 11.6 GB
     g = sample_permutation_model(20_000, 2, np.random.default_rng(0))
-    assert walks.nb_trace_bytes(80_000, 4, 14) > walks.NB_TRACE_BYTE_CAP
+    assert walks.nb_trace_bytes(80_000, 4, 14) > errors.BYTE_CAP
     monkeypatch.setattr(walks, "nb_edge_matrix", lambda g: pytest.fail("edge matrix built"))
     with pytest.raises(ResourceLimitError):
         cnbw_via_nb_matrix(g, 14)
@@ -180,7 +180,7 @@ def test_nb_trace_refuses_overflow_before_building(monkeypatch):
     g = sample_permutation_model(10, 3, np.random.default_rng(22))
     counts = cnbw_via_nb_matrix(g, 24)
     assert counts.tolist() == _dense_power_traces(_loop_nb_edge_matrix(g), 24)
-    assert walks.nb_trace_bytes(60, 6, 25) < walks.NB_TRACE_BYTE_CAP
+    assert walks.nb_trace_bytes(60, 6, 25) < errors.BYTE_CAP
     monkeypatch.setattr(walks, "nb_edge_matrix", lambda g: pytest.fail("edge matrix built"))
     with pytest.raises(ResourceLimitError, match="overflow"):
         cnbw_via_nb_matrix(g, 25)
@@ -335,7 +335,7 @@ def test_batch_class_counts_refuses_before_allocating(monkeypatch):
     n = 5000
     g = _random_perms(np.random.default_rng(15), 2, n)
     batch_class_counts([g[:, :0]], 4)  # fill the plan cache
-    monkeypatch.setattr(walks, "CENSUS_BYTE_CAP", 4 * n)
+    monkeypatch.setattr(errors, "BYTE_CAP", 4 * n)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError):
