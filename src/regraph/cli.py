@@ -229,20 +229,37 @@ def _trajectory_bytes(replicas: int, grid_size: int, classes: int, lengths: int)
 # bytes of a grow run's own Python objects beyond its counts: its job tuple,
 # its result, its count array's header and its events list (tracemalloc
 # measured at most 450 without events); and per expected event, a tuple held
-# until events.csv is written (170-190 at d = 2, r = 4, run objects included)
+# until events.csv is written (120-140 at d = 2, r = 4, its word and parent
+# strings shared by the run's events of one class)
 _GROW_RUN_BYTES = 1024
-EVENT_BYTES = 256
+EVENT_BYTES = 160
+# what the run in progress holds until simulate_growth returns, by tracemalloc:
+# its clock's first blocks and generator (35 KB); per vertex and label, its
+# tower entries, seat and clock (90-150 bytes at d = 1..3, r = 4 and 6); per
+# event, a GrowthEvent with its CycleSpec while the run lasts (510-630 bytes)
+_GROW_CLOCK_BYTES = 48 * 1024
+_LABEL_VERTEX_BYTES = 160
+GROWTH_EVENT_BYTES = 640
+# a csv writer's record buffer, 32,768 4-byte characters from its first row on
+_CSV_WRITER_BYTES = 2**17
 
 
 def _grow_bytes(p: dict[str, Any]) -> float:
-    """Peak bytes of a valid grow run: its held counts, its runs' own objects and
-    its events.  A k-cycle count is stationary with mean a(d, k)/2k and turns over
-    at rate k, so k-cycles are born at rate a(d, k)/2 (a: cyclically reduced words)."""
+    """Peak bytes of a valid grow run: its held counts, its runs' own objects
+    and events, the run in progress and a csv writer's buffer.  A k-cycle count
+    is stationary with mean a(d, k)/2k and turns over at rate k, so k-cycles are
+    born at rate a(d, k)/2 (a: cyclically reduced words).  A run starts from the
+    empty graph and has e^t - 1 vertices at time t on average; the run in
+    progress is charged its tower, clock and census snapshot for that many at
+    s + T, capped at ``growth.MAX_VERTICES``."""
     replicas, d, r = p.get("replicas", 1), p["d"], p["r"]
-    births = sum(words.count_reduced_words(d, k) for k in range(1, r + 1)) / 2
-    run = _GROW_RUN_BYTES + EVENT_BYTES * float(p["T"]) * births
+    events = float(p["T"]) * sum(words.count_reduced_words(d, k) for k in range(1, r + 1)) / 2
+    vertices = min(math.expm1(min(float(p["s"]) + float(p["T"]), 64.0)), growth.MAX_VERTICES)
+    in_progress = (_GROW_CLOCK_BYTES + GROWTH_EVENT_BYTES * events
+                   + vertices * (_LABEL_VERTEX_BYTES * d + walks.census_vertex_bytes(d, r)))
     return (_trajectory_bytes(replicas, len(_as_list(p["grid"])), len(words.classes_upto(d, r)), r)
-            + run * replicas)
+            + (_GROW_RUN_BYTES + EVENT_BYTES * events) * replicas + in_progress
+            + _CSV_WRITER_BYTES)
 
 
 def _limit_sim_bytes(p: dict[str, Any]) -> float:
@@ -258,8 +275,12 @@ def _limit_sim_bytes(p: dict[str, Any]) -> float:
 def _byte_estimate(kind: str, p: dict[str, Any]) -> tuple[float, str, str] | None:
     """The peak bytes of a valid run, what holds them and the field to lower,
     or None; the library checks each of its calls again."""
-    if kind == "poisson-test" and p["model"] == "permutation":
+    if kind == "poisson-test":
         n = max(_as_list(p["n_values"]))
+        if p["model"] == "uniform":
+            return (poissonlab.uniform_sample_bytes(n, p["d"], p["r"], p["samples"]),
+                    f"the cycle counts of {p['samples']} uniform graphs with n={n}",
+                    "n_values, r or samples")
         return walks.census_graph_bytes(p["d"], n), f"the census of a graph with n={n}", "n_values"
     if kind in ("grow", "limit-sim"):
         return (_grow_bytes if kind == "grow" else _limit_sim_bytes)(p), kind, "replicas"
@@ -308,10 +329,12 @@ def _grow_one(d: int, s: float, horizon: float, grid: tuple, r: int,
               seed: int, idx: int) -> tuple[np.ndarray, list[tuple]]:
     rng = np.random.default_rng([seed, idx])
     traj = growth.simulate_growth(d, s, horizon, list(grid), r, rng, track_events=True)
-    events = [
-        (float(ev.time), ev.kind, str(ev.word), "" if ev.parent is None else str(ev.parent))
-        for ev in traj.events
-    ]
+    names = {None: ""}  # one string per class the run meets; no parent is ""
+    for ev in traj.events:
+        for wc in (ev.word, ev.parent):
+            if wc not in names:
+                names[wc] = str(wc)
+    events = [(float(ev.time), ev.kind, names[ev.word], names[ev.parent]) for ev in traj.events]
     return traj.counts, events
 
 

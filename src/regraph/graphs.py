@@ -6,27 +6,28 @@ Two models are supported:
   joined to ``pi_l(x)`` for every label ``l``, giving a 2d-regular multigraph
   whose edges carry labels and orientations;
 * the uniform model: a simple d-regular graph drawn uniformly at random
-  (sampled by rejection from the pairing model).
+  (sampled by rejection from the pairing model), one at a time or, on a
+  stream of its own, a block of attempts at a time.
 
 The cycles of a simple graph, and of its complement, all come from one
 search, ``_cycles_through_edges``: through a set of changed edges for the
-switching chain's updates, through every edge for a full census.
+switching chain's updates, through every edge for a full census.  Where
+only the counts by length are wanted, ``simple_cycle_counts`` takes them for
+a batch of graphs at once.
 
 Vertices are 0-based internally; JSON serialization is 1-based.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import words
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError, check_bytes
 from .words import Word, letter_index, letter_is_inverted
 
 Edge = tuple[int, int]
@@ -228,28 +229,60 @@ def sample_uniform_model(
     )
 
 
-def enumerate_labeled_regular_graphs(n: int, d: int, budget: int = 10**7) -> list[SimpleGraph]:
-    """All labeled simple d-regular graphs on n vertices (exhaustive search)."""
-    all_edges = list(itertools.combinations(range(n), 2))
-    m = n * d // 2
-    if (n * d) % 2:
-        raise InvalidInputError(f"n*d must be even, got n={n}, d={d}")
-    size = math.comb(len(all_edges), m)
-    if size > budget:
-        raise ResourceLimitError(f"search space {size} exceeds budget {budget}")
-    out = []
-    for combo in itertools.combinations(all_edges, m):
-        deg = [0] * n
-        ok = True
-        for u, v in combo:
-            deg[u] += 1
-            deg[v] += 1
-            if deg[u] > d or deg[v] > d:
-                ok = False
-                break
-        if ok and all(x == d for x in deg):
-            out.append(SimpleGraph(n, d, combo))
-    return out
+# most bytes one block of pairing-model attempts may take: 4 MiB blocks were
+# no faster and raised the peak resident set of the couplings workload's ops
+# by 1.1 MiB (one process, 2-vCPU VM)
+PAIRING_BLOCK_BYTES = 2**19
+
+
+def sample_uniform_pairings(
+    n: int, d: int, count: int, rng: np.random.Generator, max_retries: int = 10**5
+) -> np.ndarray:
+    """The edges of ``count`` uniform simple d-regular graphs, as an int64
+    array of shape (count, n d / 2, 2): row i holds, in stub order, the
+    pairs of the i-th accepted pairing-model attempt.
+
+    These are the graphs of ``count`` calls of ``sample_uniform_model`` on
+    the same stream: one ``permuted`` call over a block of attempts draws
+    the permutations that one ``permutation`` call per attempt would.  A
+    block is rejected at once: an attempt with a loop goes, and the others
+    are kept when their sorted ``min n + max`` edge codes repeat no edge.
+    The last block may be drawn past the last accepted attempt, so ``rng``
+    must not be shared with anything that reads it after this call.  The
+    block size is set by bytes, under ``PAIRING_BLOCK_BYTES``."""
+    if not simple_regular_exists(n, d):
+        raise InvalidInputError(f"no simple d-regular graph with n={n}, d={d}")
+    if count < 0:
+        raise InvalidInputError(f"need count >= 0, got {count}")
+    nd = n * d
+    out = np.empty((count, nd // 2, 2), dtype=np.int64)
+    # an attempt's ends, its loop test and its edge codes take under 40 bytes a stub
+    stubs = np.broadcast_to(np.arange(nd), (max(1, PAIRING_BLOCK_BYTES // (40 * nd)), nd))
+    got = failed = 0  # graphs accepted, and attempts since the last one
+    while got < count:
+        ends = rng.permuted(stubs, axis=1)
+        ends //= d
+        u, v = ends[:, 0::2], ends[:, 1::2]
+        ok = (u != v).all(axis=1)
+        rows = ok.nonzero()[0]
+        codes = np.minimum(u[rows], v[rows]) * n + np.maximum(u[rows], v[rows])
+        codes.sort(axis=1)
+        ok[rows] = (codes[:, 1:] != codes[:, :-1]).all(axis=1)
+        accepted = ok.nonzero()[0][: count - got]
+        # the attempts each accepted graph took, counted as sample_uniform_model counts them
+        if accepted.size and np.diff(accepted, prepend=-1 - failed).max() > max_retries:
+            break
+        failed = len(ends) - 1 - accepted[-1] if accepted.size else failed + len(ends)
+        if failed >= max_retries and got + accepted.size < count:
+            break
+        out[got : got + accepted.size, :, 0] = u[accepted]
+        out[got : got + accepted.size, :, 1] = v[accepted]
+        got += accepted.size
+    else:
+        return out
+    raise ResourceLimitError(
+        f"pairing-model rejection failed {max_retries} times for n={n}, d={d}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +358,6 @@ class CycleSpec:
                 reps.append((rv, rw))
         best = min(reps, key=lambda t: (t[0], t[1] if t[1] is not None else ()))
         return CycleSpec(best[0], best[1])
-
-    def contained_in(self, g) -> bool:
-        if isinstance(g, PermGraph):
-            if self.word is None:
-                raise InvalidInputError("permutation-model containment needs a word")
-            return all(g.perms[l, a] == b for l, a, b in self.directed_labeled_edges())
-        if isinstance(g, SimpleGraph):
-            if self.length < 3:
-                return False
-            return all(e in g.edges for e in self.undirected_edges())
-        raise InvalidInputError(f"unsupported graph type {type(g)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +514,91 @@ def simple_cycle_census(g: SimpleGraph, r: int) -> dict[frozenset, tuple[int, ..
     (length, tuple); each tuple is in the form of ``_canonical_cycle``."""
     cycles = sorted(_all_cycles(g.neighbors, r), key=lambda vs: (len(vs), vs))
     return {frozenset(map(_edge, vs, vs[1:] + vs[:1])): vs for vs in cycles}
+
+
+def pairing_neighbors(pairs: np.ndarray, n: int) -> np.ndarray:
+    """The (B, n, d) neighbour table of a batch of d-regular edge lists
+    (B, n d / 2, 2) on n vertices: row x of graph b lists the neighbours
+    of x ascending, as ``SimpleGraph.neighbors`` does."""
+    pairs = np.asarray(pairs)
+    b, m, _ = pairs.shape
+    if n < 1 or (2 * m) % n:
+        raise InvalidInputError(f"{m} edges on {n} vertices are not regular")
+    codes = np.empty((b, 2 * m), dtype=np.int64)  # x n + y for each end x of edge xy
+    codes[:, :m] = pairs[..., 0] * n + pairs[..., 1]
+    codes[:, m:] = pairs[..., 1] * n + pairs[..., 0]
+    codes.sort(axis=1)
+    codes %= n
+    return codes.reshape(b, n, 2 * m // n)
+
+
+def _start_bytes(n: int, d: int, r: int) -> int:
+    """Bytes the paths from one start may take in ``simple_cycle_counts``:
+    paths of k vertices number at most d (d - 1)^(k - 2) (capped near 2^62,
+    past any byte cap), and an extension to k + 1 vertices holds those of
+    both lengths, with their neighbour rows, masks and indices, under
+    (d + 8)(k + 4) bytes a path."""
+    top = min(r, n) - 1  # the paths grow to min(r, n) vertices
+
+    def paths(k: int) -> int:
+        return 1 if k < 2 else min(d * (d - 1) ** min(k - 2, 64), 2**62)
+
+    return (paths(top) + paths(top + 1)) * (d + 8) * (top + 4)
+
+
+def simple_count_bytes(b: int, n: int, d: int, r: int) -> int:
+    """Bytes ``simple_cycle_counts`` holds whole for b graphs on n vertices of
+    degree d: the int32 flat neighbour table and its offsets, the int64
+    counts, and the paths of one start (the others go a chunk at a time)."""
+    return 4 * b * n * (d + 1) + 8 * b * r + _start_bytes(n, d, r)
+
+
+def simple_cycle_counts(nbrs: np.ndarray, r: int) -> np.ndarray:
+    """Cycle counts by length of a batch of simple graphs.  ``nbrs`` is a
+    (B, n, d) table whose row x of graph b lists the neighbours of x; entry
+    (b, k - 1) of the (B, r) result counts the k-cycles of graph b, 0 for
+    k < 3, as ``simple_cycle_census`` would.
+
+    Simple paths are extended for all graphs at once, one numpy step per
+    length.  A path starts at its smallest vertex, and it closes a cycle
+    when its last vertex is adjacent to the start and its second vertex is
+    below its last: that is the form of ``_canonical_cycle``, so each cycle
+    is counted once.  The starts go in chunks of (graph, start) pairs whose
+    paths stay under ``walks.CENSUS_CHUNK_BYTES``; what is held whole,
+    ``simple_count_bytes``, is checked before anything is allocated."""
+    from . import walks  # at the call: walks imports this module
+
+    nbrs = np.asarray(nbrs)
+    if nbrs.ndim != 3:
+        raise InvalidInputError(f"need a (B, n, d) neighbour table, got shape {nbrs.shape}")
+    b, n, d = nbrs.shape
+    check_bytes(simple_count_bytes(b, n, d, r), f"cycle counts of {b} graphs with {n} vertices")
+    out = np.zeros((b, r), dtype=np.int64)
+    if r < 3 or not nbrs.size:
+        return out
+    # vertex x of graph g is g n + x in one flat table, so all graphs' paths step together
+    table = nbrs.reshape(b * n, d).astype(np.int32)
+    table += np.repeat(np.arange(0, b * n, n, dtype=np.int32), n)[:, None]
+    width = max(1, walks.CENSUS_CHUNK_BYTES // _start_bytes(n, d, r))
+    top = min(r, n)  # the most vertices a path can have
+    for lo in range(0, b * n, width):
+        first = lo // n  # the graph of the chunk's first start
+        paths = np.arange(lo, min(lo + width, b * n), dtype=np.int32)[:, None]
+        for k in range(2, top + 1):
+            step = table[paths[:, -1]]
+            fresh = (step > paths[:, :1]) & (step[:, :, None] != paths[:, None, 1:]).all(axis=2)
+            rows, cols = fresh.nonzero()
+            if not rows.size:
+                break
+            last = step[rows, cols]
+            if k >= 3:
+                start = paths[rows, 0]
+                closed = (table[last] == start[:, None]).any(axis=1) & (paths[rows, 1] < last)
+                found = np.bincount(start[closed] // n - first)
+                out[first : first + found.size, k - 1] += found
+            if k < top:  # the paths of top vertices are counted, not extended
+                paths = np.concatenate([paths[rows], last[:, None]], axis=1)
+    return out
 
 
 def _complement_neighbors(g: SimpleGraph) -> list[set[int]]:

@@ -210,6 +210,9 @@ def insertion_events(tower: PermTower, r: int, time: float = 0.0) -> list[Growth
 # ---------------------------------------------------------------------------
 # trajectories
 
+# most vertices a run may insert by default
+MAX_VERTICES = 10**6
+
 
 @dataclass
 class Trajectory:
@@ -233,7 +236,7 @@ def simulate_growth(
     r: int,
     rng: np.random.Generator,
     track_events: bool = False,
-    max_vertices: int = 10**6,
+    max_vertices: int = MAX_VERTICES,
 ) -> Trajectory:
     """Grow the graph to time s, then census it at s + grid up to s + T.
 

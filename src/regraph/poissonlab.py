@@ -19,14 +19,16 @@ from typing import Sequence
 import numpy as np
 
 from . import walks, words
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError, check_bytes
 from .graphs import (
     CycleSpec,
     PermGraph,
     force_edges,
+    pairing_neighbors,
     sample_permutation_model,
-    sample_uniform_model,
-    simple_cycle_census,
+    sample_uniform_pairings,
+    simple_count_bytes,
+    simple_cycle_counts,
 )
 from .words import WordClass
 
@@ -121,11 +123,21 @@ def tv_distance(p: dict[tuple[int, ...], float], means: Sequence) -> float:
 
 
 # ---------------------------------------------------------------------------
-# vectorized cycle-count sampling (permutation model)
+# vectorized cycle-count sampling
 
-# most graphs a uniform-model run samples: each one is a pairing-model draw
-# and a Python cycle search
+# most graphs a uniform-model run samples: their pairing-model attempts are
+# drawn and rejected a block at a time, and their cycles counted by one
+# batched path extension, but every accepted pairing is held until it is counted
 UNIFORM_SAMPLE_CAP = 10**4
+
+
+def uniform_sample_bytes(n: int, d: int, r: int, samples: int) -> int:
+    """Bytes a uniform-model ``sample_cycle_counts`` call holds whole: the
+    int64 pairings and the neighbour table made from them (8 bytes a stub
+    each), then what ``simple_cycle_counts`` holds; the attempt blocks stay
+    under ``graphs.PAIRING_BLOCK_BYTES`` and the path chunks under
+    ``walks.CENSUS_CHUNK_BYTES``."""
+    return 16 * samples * n * d + simple_count_bytes(samples, n, d, r)
 
 
 def sample_cycle_counts(
@@ -142,7 +154,9 @@ def sample_cycle_counts(
     Chunk i of the permutation model is seeded by (seed, n, i), independent
     of how work is scheduled, so results depend only on (seed, n, d, r) and
     ``chunk``: chunk 0 reads a prefix of the same stream whatever its size,
-    later chunks do not.
+    later chunks do not.  The uniform model draws all its graphs from one
+    stream seeded (seed, n, 1), the graphs ``sample_uniform_model`` would
+    draw from it one by one, and counts them in one batch.
     """
     if samples < 1:
         raise InvalidInputError("need at least one sample")
@@ -151,12 +165,12 @@ def sample_cycle_counts(
             raise ResourceLimitError(
                 f"uniform-model sampling capped at {UNIFORM_SAMPLE_CAP} graphs"
             )
+        check_bytes(uniform_sample_bytes(n, d, r, samples),
+                    f"cycle counts of {samples} uniform graphs with n={n}")
+        # the stream is this call's own, so the sampler may draw past its last graph
         rng = np.random.default_rng([seed, n, 1])
-        out = np.zeros((samples, r), dtype=np.int64)
-        for i in range(samples):
-            for vs in simple_cycle_census(sample_uniform_model(n, d, rng), r).values():
-                out[i, len(vs) - 1] += 1
-        return out
+        pairs = sample_uniform_pairings(n, d, samples, rng)
+        return simple_cycle_counts(pairing_neighbors(pairs, n), r)
     if model != "permutation":
         raise InvalidInputError(f"unknown model {model!r}")
     out = np.zeros((samples, r), dtype=np.int64)

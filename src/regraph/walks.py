@@ -178,25 +178,6 @@ def cnbw_via_nb_matrix(g, r: int) -> np.ndarray:
     return out
 
 
-def cnbw_from_cycles(census: CycleCensus, r: int) -> np.ndarray:
-    """Walk counts implied by the cycle census alone: each cycle of length j
-    dividing k supports 2j closed walks of length k."""
-    out = np.zeros(r, dtype=np.int64)
-    for k in range(1, r + 1):
-        out[k - 1] = sum(2 * j * census.count(j) for j in range(1, k + 1) if k % j == 0)
-    return out
-
-
-def bad_walk_probe(g, r: int) -> np.ndarray:
-    """CNBW counts minus the cycle-supported walks; entrywise nonnegative,
-    and zero exactly when short cycles are vertex-disjoint."""
-    census = enumerate_cycles(g, r)
-    diff = cnbw_via_nb_matrix(g, r) - cnbw_from_cycles(census, r)
-    if diff.min() < 0:
-        raise InvalidInputError("cycle census exceeds walk count; inconsistent input")
-    return diff
-
-
 # ---------------------------------------------------------------------------
 # vectorized word-walk censuses for the permutation model
 
@@ -205,6 +186,12 @@ def bad_walk_probe(g, r: int) -> np.ndarray:
 # are censused in chunks of whole graphs under it, which keeps the arrays of
 # a chunk cache-sized
 CENSUS_CHUNK_BYTES = 4 * 2**20
+
+
+def census_vertex_bytes(d: int, r: int) -> int:
+    """Bytes a census chunk takes a vertex: its int32 tables (2d rows), a
+    position array per half-word of the plan, and its start and graph indices."""
+    return 4 * (2 * d + len(_census_plan(d, r)[1]) + 1 + 2)
 
 
 def census_graph_bytes(d: int, n: int) -> int:
@@ -271,9 +258,8 @@ def batch_class_counts(
         return np.zeros((0, len(classes)), dtype=np.int64), classes
     d = len(first)
     plan = _census_plan(d, r)
-    classes, steps, _ = plan
-    # int32 tables, position arrays (one per half-word), start and graph indices
-    per_vertex = 4 * (2 * d + len(steps) + 1 + 2)
+    classes = plan[0]
+    per_vertex = census_vertex_bytes(d, r)
     rows: list[np.ndarray] = []
     chunk: list[np.ndarray] = []
     size = 0

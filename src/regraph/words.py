@@ -189,13 +189,6 @@ def canonicalize(word: Word) -> WordClass:
     return WordClass(canonical_form(word))
 
 
-def word_stats(word: Word) -> tuple[int, int, int]:
-    """Return (length, h, c) for a cyclically reduced word."""
-    if not is_cyclically_reduced(word):
-        raise InvalidInputError(f"word {format_word(word)!r} is not cyclically reduced")
-    return (len(word), word_period_quotient(word), doubled_letter_count(word))
-
-
 # ---------------------------------------------------------------------------
 # counting and enumeration
 

@@ -23,13 +23,14 @@ from regraph.graphs import (
     SwitchingChain,
     _forward_option_counts,
     apply_switching,
-    enumerate_labeled_regular_graphs,
     sample_permutation_model,
     sample_uniform_model,
     simple_cycle_census,
     size_bias_coupling,
 )
 from regraph.words import count_reduced_words
+
+from oracles import enumerate_labeled_regular_graphs
 
 
 def _cov_and_se(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

@@ -316,6 +316,19 @@ def test_poisson_test_census_over_byte_cap_exits_2(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "new").exists()
 
 
+def test_uniform_poisson_test_over_byte_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # 10^4 graphs at n = 10^5 would hold about 64 GB of pairings and tables
+    text = "model = uniform\nd = 3\nr = 4\nn_values = 10, {}\nsamples = 10000\n"
+    assert cli.validate(cli.ExperimentConfig("poisson-test", cli.parse_config_file(
+        _write(tmp_path, "ok.cfg", text.format(1000))))) == []
+    monkeypatch.setitem(cli._BODIES, "poisson-test", lambda config: pytest.fail("it ran"))
+    cfg = _write(tmp_path, "u.cfg", text.format(100_000))
+    assert _run("poisson-test", cfg, tmp_path / "new" / "out") == 2
+    err = capsys.readouterr().err
+    assert "10000 uniform graphs with n=100000" in err and "lower n_values, r or samples" in err
+    assert not (tmp_path / "new").exists()
+
+
 def test_poisson_test_with_large_means_runs(tmp_path):
     # seven target means up to 156, whose product has no small truncation box
     cfg = _write(tmp_path, "p.cfg",
@@ -517,6 +530,33 @@ def test_grow_byte_estimate_bounds_tracemalloc_peak(tmp_path, grid):
         tracemalloc.stop()
     assert (tmp_path / "out" / "events.csv").read_text() == "run_id,time,kind,word,parent\n"
     assert need / 2 < peak <= need
+
+
+def test_grow_byte_estimate_bounds_one_replica_peak(tmp_path):
+    # one replica: the run in progress (tower, clock, census snapshot and its
+    # events) and the csv writer's buffer are most of the peak
+    text = "d = 2\ns = 3.0\nT = 1.0\ngrid = 0.0\nr = 4\nreplicas = 1\n"
+    params = cli.parse_config_file(_write(tmp_path, "g.cfg", text))
+    cli.run(cli.ExperimentConfig("grow", params, seed=3, out=tmp_path / "warm"))
+    need = cli._grow_bytes(params)
+    tracemalloc.start()
+    try:
+        cli.run(cli.ExperimentConfig("grow", params, seed=3, out=tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "out" / "events.csv").read_text().count("\n") > 20
+    assert need / 2 < peak <= need
+
+
+def test_grow_events_share_one_string_per_class():
+    _counts, events = cli._grow_one(2, 3.0, 1.0, (0.0,), 4, 3, 0)
+    names: dict[str, set[int]] = {}
+    for _time, _kind, word, parent in events:
+        for name in (word, parent):
+            names.setdefault(name, set()).add(id(name))
+    assert len(events) > len(names) > 2
+    assert all(len(ids) == 1 for ids in names.values())
 
 
 def test_grow_byte_estimate_with_events_bounds_tracemalloc_peak(tmp_path):

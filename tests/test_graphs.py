@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regraph import graphs, words
+from regraph import errors, graphs, words
 from regraph.errors import InvalidInputError, ResourceLimitError
 from regraph.graphs import (
     CycleSpec,
@@ -21,13 +21,14 @@ from regraph.graphs import (
     _edge,
     _forward_option_counts,
     apply_switching,
-    enumerate_labeled_regular_graphs,
     graph_from_json,
     sample_permutation_model,
     sample_uniform_model,
     simple_cycle_census,
     size_bias_coupling,
 )
+
+from oracles import contained_in, enumerate_labeled_regular_graphs
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +141,86 @@ def test_sample_uniform_model_matches_numpy_oracle(d):
             assert again == g and again.neighbors == g.neighbors
 
 
+def test_permuted_rows_are_successive_permutations():
+    # the block sampler rests on this numpy behaviour: one permuted call over
+    # B rows of arange(m) draws what B permutation(m) calls would, and leaves
+    # the generator where they would
+    for m in (2, 3, 24, 48, 1000):
+        rng, oracle = np.random.default_rng([m, 1]), np.random.default_rng([m, 1])
+        block = rng.permuted(np.broadcast_to(np.arange(m), (7, m)), axis=1)
+        assert np.array_equal(block, [oracle.permutation(m) for _ in range(7)]), m
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+@pytest.mark.parametrize("block", [None, 1, 4096])
+def test_sample_uniform_pairings_are_successive_uniform_graphs(monkeypatch, block):
+    # blocks of one attempt, of a few, and of the default size
+    if block is not None:
+        monkeypatch.setattr(graphs, "PAIRING_BLOCK_BYTES", block)
+    for n, d in ((2, 1), (8, 2), (6, 3), (10, 3), (7, 4), (16, 3), (8, 5)):
+        rng, oracle = np.random.default_rng([n, d]), np.random.default_rng([n, d])
+        pairs = graphs.sample_uniform_pairings(n, d, 6, rng)
+        assert pairs.shape == (6, n * d // 2, 2) and pairs.dtype == np.int64
+        nbrs = graphs.pairing_neighbors(pairs, n)
+        for edges, table in zip(pairs, nbrs):
+            g = sample_uniform_model(n, d, oracle)
+            assert SimpleGraph(n, d, map(tuple, edges.tolist())) == g, (n, d)
+            assert [tuple(row) for row in table.tolist()] == g.neighbors
+    assert graphs.sample_uniform_pairings(8, 3, 0, rng).shape == (0, 12, 2)
+    with pytest.raises(InvalidInputError):
+        graphs.sample_uniform_pairings(5, 3, 1, rng)  # odd n*d
+
+
+@pytest.mark.parametrize("block", [None, 1, 2000])
+def test_sample_uniform_pairings_keep_the_retry_budget(monkeypatch, block):
+    # the budget is per graph, as in sample_uniform_model: the block sampler
+    # fails exactly when one of the graphs would need more attempts, also
+    # when those attempts span blocks
+    if block is not None:
+        monkeypatch.setattr(graphs, "PAIRING_BLOCK_BYTES", block)
+    outcomes = Counter()
+    for n, d, max_retries in ((10, 2, 1), (12, 2, 2), (12, 2, 3), (10, 3, 5), (10, 3, 8)):
+        for seed in range(8):
+            rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            try:
+                expected = [sample_uniform_model(n, d, oracle, max_retries) for _ in range(4)]
+            except ResourceLimitError:
+                outcomes["refused"] += 1
+                with pytest.raises(ResourceLimitError, match=f"failed {max_retries} times"):
+                    graphs.sample_uniform_pairings(n, d, 4, rng, max_retries)
+                continue
+            outcomes["sampled"] += 1
+            pairs = graphs.sample_uniform_pairings(n, d, 4, rng, max_retries)
+            assert [SimpleGraph(n, d, map(tuple, p.tolist())) for p in pairs] == expected
+    assert min(outcomes.values()) >= 10
+
+
+def test_simple_cycle_counts_small_graphs():
+    k4 = SimpleGraph(4, 3, itertools.combinations(range(4), 2))
+    k33 = SimpleGraph(6, 3, [(u, v) for u in range(3) for v in range(3, 6)])
+    ring = SimpleGraph(9, 2, [(x, (x + 4) % 9) for x in range(9)])
+    nbrs = [k4.neighbors, k33.neighbors, ring.neighbors]
+    assert graphs.simple_cycle_counts(np.array(nbrs[:1]), 5).tolist() == [[0, 0, 4, 3, 0]]
+    assert graphs.simple_cycle_counts(np.array(nbrs[1:2]), 7).tolist() == [[0, 0, 0, 9, 0, 6, 0]]
+    assert graphs.simple_cycle_counts(np.array(nbrs[2:]), 12)[0].tolist() == [0] * 8 + [1, 0, 0, 0]
+    assert graphs.simple_cycle_counts(np.array(nbrs[:1]), 2).tolist() == [[0, 0]]
+    assert graphs.simple_cycle_counts(np.zeros((0, 5, 2), dtype=np.int64), 4).shape == (0, 4)
+    with pytest.raises(InvalidInputError):
+        graphs.simple_cycle_counts(np.array(k4.neighbors), 4)
+
+
+def test_simple_cycle_counts_check_bytes_first(monkeypatch):
+    nbrs = np.array([SimpleGraph(4, 3, itertools.combinations(range(4), 2)).neighbors])
+    need = graphs.simple_count_bytes(1, 4, 3, 4)
+    monkeypatch.setattr(errors, "BYTE_CAP", need - 1)
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated before the check"))
+    with pytest.raises(ResourceLimitError, match="cycle counts of 1 graphs"):
+        graphs.simple_cycle_counts(nbrs, 4)
+    monkeypatch.undo()
+    monkeypatch.setattr(errors, "BYTE_CAP", need)
+    assert graphs.simple_cycle_counts(nbrs, 4).tolist() == [[0, 0, 4, 3]]
+
+
 def test_enumerate_labeled_regular_graphs_counts():
     assert len(enumerate_labeled_regular_graphs(4, 3)) == 1  # K4
     assert len(enumerate_labeled_regular_graphs(4, 1)) == 3  # perfect matchings
@@ -166,16 +247,16 @@ def test_cycle_spec_containment_perm_model():
     perms = np.array([[1, 2, 0, 3], [0, 1, 3, 2]])
     g = PermGraph(perms)
     # word "a a a" around 0 -> 1 -> 2 -> 0
-    assert CycleSpec((0, 1, 2), (0, 0, 0)).contained_in(g)
+    assert contained_in(CycleSpec((0, 1, 2), (0, 0, 0)), g)
     # inverse direction: word "A A A" around 0 -> 2 -> 1 -> 0
-    assert CycleSpec((0, 2, 1), (1, 1, 1)).contained_in(g)
-    assert not CycleSpec((0, 1, 3), (0, 0, 0)).contained_in(g)
+    assert contained_in(CycleSpec((0, 2, 1), (1, 1, 1)), g)
+    assert not contained_in(CycleSpec((0, 1, 3), (0, 0, 0)), g)
 
 
 def test_cycle_spec_containment_simple():
     g = SimpleGraph(4, 3, itertools.combinations(range(4), 2))
-    assert CycleSpec((0, 1, 2)).contained_in(g)
-    assert CycleSpec((0, 1, 2, 3)).contained_in(g)
+    assert contained_in(CycleSpec((0, 1, 2)), g)
+    assert contained_in(CycleSpec((0, 1, 2, 3)), g)
 
 
 def test_cycle_spec_rejects_unreduced_word():
@@ -193,7 +274,7 @@ def test_coupling_forces_cycle_in():
     for _ in range(25):
         g = sample_permutation_model(8, 2, rng)
         g2 = size_bias_coupling(g, alpha)
-        assert alpha.contained_in(g2)
+        assert contained_in(alpha, g2)
         # each row of g2 is still a permutation
         for l in range(g2.d):
             assert sorted(g2.perms[l]) == list(range(g2.n))
@@ -214,7 +295,7 @@ def test_coupling_output_is_conditionally_uniform():
     for p in itertools.permutations(range(4)):
         g = PermGraph(np.array([p]))
         g2 = size_bias_coupling(g, alpha)
-        assert alpha.contained_in(g2)
+        assert contained_in(alpha, g2)
         hits[g2.key()] += 1
     conditioned = [
         p
@@ -277,10 +358,10 @@ def test_monotone_partition_is_monotone():
         minus, plus = candidates_partition = monotone_partition(alpha, candidates)
         for cand in minus:
             # can only be destroyed: present after means present before
-            assert not cand.contained_in(g2) or cand.contained_in(g)
+            assert not contained_in(cand, g2) or contained_in(cand, g)
         for cand in plus:
             # can only be created: present before means present after
-            assert not cand.contained_in(g) or cand.contained_in(g2)
+            assert not contained_in(cand, g) or contained_in(cand, g2)
         assert len(minus) + len(plus) == len(candidates) - 1
 
 
@@ -332,7 +413,7 @@ def forward_switchings(g, alpha, r, rng=None, budget=10**7):
     counted once.  Returns (count, (vs, us, ws)) with the sample None when the
     count is zero.
     """
-    if not alpha.contained_in(g):
+    if not contained_in(alpha, g):
         raise InvalidInputError("alpha must be a cycle of g")
     k = alpha.length
     if k > r:

@@ -8,9 +8,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from regraph import poissonlab, words
+from regraph import errors, graphs, poissonlab, walks, words
 from regraph.errors import ResourceLimitError
-from regraph.graphs import PermGraph, force_edges, sample_permutation_model
+from regraph.graphs import (
+    PermGraph,
+    force_edges,
+    sample_permutation_model,
+    sample_uniform_model,
+    simple_cycle_census,
+)
 from regraph.poissonlab import (
     UNIFORM_SAMPLE_CAP,
     class_poisson_means,
@@ -177,6 +183,51 @@ def test_sample_cycle_counts_uniform_model():
     assert np.all(counts[:, :2] == 0)  # simple graphs: no loops or 2-cycles
     with pytest.raises(ResourceLimitError):
         sample_cycle_counts("uniform", 10, 3, 4, samples=UNIFORM_SAMPLE_CAP + 1, seed=3)
+
+
+def _uniform_counts_oracle(n, d, r, samples, seed):
+    """One pairing-model draw and one full cycle census per graph."""
+    rng = np.random.default_rng([seed, n, 1])
+    out = np.zeros((samples, r), dtype=np.int64)
+    for i in range(samples):
+        for vs in simple_cycle_census(sample_uniform_model(n, d, rng), r).values():
+            out[i, len(vs) - 1] += 1
+    return out
+
+
+@pytest.mark.parametrize("n, d, r", [
+    (8, 2, 8),  # unions of cycles, up to a Hamiltonian one
+    (11, 2, 14),  # r > n
+    (6, 3, 8),  # dense: d = n - 3, r > n
+    (8, 5, 6),  # dense: d = n - 3
+    (10, 3, 2),  # r < 3: all zeros
+    (10, 3, 1),
+    (12, 4, 6),
+    (16, 3, 5),
+    (30, 3, 4),
+])
+def test_uniform_cycle_counts_match_census_oracle(n, d, r):
+    for seed in (0, 1):
+        counts = sample_cycle_counts("uniform", n, d, r, samples=25, seed=seed)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, _uniform_counts_oracle(n, d, r, 25, seed)), seed
+
+
+def test_uniform_cycle_counts_in_many_byte_chunks(monkeypatch):
+    # a few attempts a sampling block and a few starts a counting chunk
+    expected = _uniform_counts_oracle(12, 3, 6, 30, 5)
+    monkeypatch.setattr(graphs, "PAIRING_BLOCK_BYTES", 20_000)
+    monkeypatch.setattr(walks, "CENSUS_CHUNK_BYTES", 30_000)
+    assert np.array_equal(sample_cycle_counts("uniform", 12, 3, 6, samples=30, seed=5), expected)
+
+
+def test_uniform_cycle_counts_check_bytes_before_sampling(monkeypatch):
+    need = poissonlab.uniform_sample_bytes(16, 3, 4, 300)
+    monkeypatch.setattr(errors, "BYTE_CAP", need - 1)
+    monkeypatch.setattr(poissonlab, "sample_uniform_pairings",
+                        lambda *args: pytest.fail("sampled before the check"))
+    with pytest.raises(ResourceLimitError, match="300 uniform graphs with n=16"):
+        sample_cycle_counts("uniform", 16, 3, 4, samples=300, seed=0)
 
 
 def test_tv_convergence_rows():

@@ -280,7 +280,7 @@ def test_mobius_statistic_counts_cycles():
             assert math.isclose(stat, inverted, abs_tol=1e-6)
             assert (cnbw >= 0).all()
             # when short cycles are vertex-disjoint this is the cycle count
-            from regraph.walks import bad_walk_probe
+            from oracles import bad_walk_probe
 
             if np.all(bad_walk_probe(g, k) == 0):
                 assert round(stat) == census.count(k)

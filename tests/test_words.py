@@ -21,8 +21,9 @@ from regraph.words import (
     inverted_reversal,
     is_cyclically_reduced,
     parse_word,
-    word_stats,
 )
+
+from oracles import word_stats
 
 
 def brute_force_reduced_count(d, k):
