@@ -320,12 +320,6 @@ class CycleSpec:
     def length(self) -> int:
         return len(self.vertices)
 
-    def undirected_edges(self) -> frozenset[Edge]:
-        k = self.length
-        return frozenset(
-            _edge(self.vertices[i], self.vertices[(i + 1) % k]) for i in range(k)
-        )
-
     def labeled_steps(self) -> list[tuple[int, int, int]]:
         """Permutation-model edges as (label0, tail, head) with pi_l(tail) = head,
         in the order the cycle traverses them."""
@@ -343,21 +337,6 @@ class CycleSpec:
     def directed_labeled_edges(self) -> frozenset[tuple[int, int, int]]:
         """Permutation-model edges as (label0, tail, head) with pi_l(tail) = head."""
         return frozenset(self.labeled_steps())
-
-    def canonical(self) -> "CycleSpec":
-        """Representative that is minimal over rotations and reversal."""
-        k = self.length
-        reps = []
-        vs, w = self.vertices, self.word
-        rev_vs = (vs[0],) + tuple(reversed(vs[1:]))
-        rev_w = words.inverted_reversal(w) if w is not None else None
-        for vv, ww in ((vs, w), (rev_vs, rev_w)):
-            for r in range(k):
-                rv = vv[r:] + vv[:r]
-                rw = ww[r:] + ww[:r] if ww is not None else None
-                reps.append((rv, rw))
-        best = min(reps, key=lambda t: (t[0], t[1] if t[1] is not None else ()))
-        return CycleSpec(best[0], best[1])
 
 
 # ---------------------------------------------------------------------------

@@ -63,29 +63,33 @@ def perm_graph_cycles(
     rows = [row for pair in zip(succ, pred) for row in pair]
     found: list[CycleSpec] = []
     steps = 0
-
-    def dfs(v0: int, path: list[int], word: list[int]) -> None:
-        nonlocal steps
-        x = path[-1]
-        for letter, row in enumerate(rows):
-            steps += 1
-            if steps > budget:
-                raise ResourceLimitError(f"cycle search exceeded {budget} steps")
-            y = row[x]
-            if y == v0:
-                if (word[0] if word else letter) < letter ^ 1:
-                    found.append(CycleSpec(tuple(path), tuple(word + [letter])))
-                continue
-            if y > v0 or y in path or len(path) >= r:
-                continue
-            path.append(y)
-            word.append(letter)
-            dfs(v0, path, word)
-            path.pop()
-            word.pop()
-
     for v0 in range(len(succ[0])) if tops is None else tops:
-        dfs(v0, [v0], [])
+        # depth-first with an explicit stack: per path vertex, the letters
+        # left to try, so Python's recursion limit does not bound r
+        path, word, on_path = [v0], [], {v0}
+        branches = [enumerate(rows)]
+        while branches:
+            x = path[-1]
+            for letter, row in branches[-1]:
+                steps += 1
+                if steps > budget:
+                    raise ResourceLimitError(f"cycle search exceeded {budget} steps")
+                y = row[x]
+                if y == v0:
+                    if (word[0] if word else letter) < letter ^ 1:
+                        found.append(CycleSpec(tuple(path), tuple(word + [letter])))
+                    continue
+                if y > v0 or y in on_path or len(path) >= r:
+                    continue
+                path.append(y)
+                word.append(letter)
+                on_path.add(y)
+                branches.append(enumerate(rows))
+                break
+            else:
+                branches.pop()
+                on_path.discard(path.pop())
+                del word[-1:]  # the letter into the popped vertex; none at v0
     return found
 
 

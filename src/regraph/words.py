@@ -213,28 +213,26 @@ def _enumerate_classes_cached(d: int, k: int, budget: int) -> tuple[WordClass, .
         raise ResourceLimitError(
             f"enumerating words with d={d}, k={k} needs ~{total} sequences (budget {budget})"
         )
-    alphabet = list(range(2 * d))
-    canon: set[Word] = set()
-    word = [0] * k
+    # one Fredricksen-Kessler-Maiorana necklace pass that never puts a letter
+    # after its inverse: necklaces come in ascending order, and a class's
+    # representative is the one that is cyclically reduced and canonical
+    found: list[Word] = []
+    word = [0] * (k + 1)  # letters in word[1..k]; word[0] = 0 starts the first at 0
 
-    def extend(pos: int) -> None:
-        if pos == k:
-            if k == 1 or word[0] != letter_inverse(word[k - 1]):
-                canon.add(canonical_form(tuple(word)))
+    def extend(t: int, p: int) -> None:  # word[1..t-1] is a prenecklace, Lyndon prefix p
+        if t > k:
+            w = tuple(word[1:])
+            reduced = k == 1 or w[0] != letter_inverse(w[-1])
+            if k % p == 0 and reduced and w == canonical_form(w):
+                found.append(w)
             return
-        if pos == 0:
-            for c in alphabet:
-                word[0] = c
-                extend(1)
-        else:
-            banned = letter_inverse(word[pos - 1])
-            for c in alphabet:
-                if c != banned:
-                    word[pos] = c
-                    extend(pos + 1)
+        for c in range(word[t - p], 2 * d):
+            if t == 1 or c != letter_inverse(word[t - 1]):
+                word[t] = c
+                extend(t + 1, p if c == word[t - p] else t)
 
-    extend(0)
-    classes = tuple(WordClass(w) for w in sorted(canon))
+    extend(1, 1)
+    classes = tuple(WordClass(w) for w in found)
     # orbit sizes must tile the full set of reduced words
     tiled = sum(wc.orbit_size for wc in classes)
     if tiled != count_reduced_words(d, k):

@@ -7,15 +7,41 @@ import math
 import numpy as np
 
 from regraph.errors import InvalidInputError, ResourceLimitError
-from regraph.graphs import CycleSpec, PermGraph, SimpleGraph
+from regraph.graphs import CycleSpec, Edge, PermGraph, SimpleGraph, _edge
 from regraph.walks import CycleCensus, cnbw_via_nb_matrix, enumerate_cycles
 from regraph.words import (
     Word,
+    WordClass,
+    canonical_form,
     doubled_letter_count,
     format_word,
+    inverted_reversal,
     is_cyclically_reduced,
+    letter_inverse,
     word_period_quotient,
 )
+
+
+def undirected_edges(cycle: CycleSpec) -> frozenset[Edge]:
+    """The cycle's edges as undirected (smaller end, larger end) pairs."""
+    vs = cycle.vertices
+    return frozenset(_edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
+
+
+def canonical(cycle: CycleSpec) -> CycleSpec:
+    """Representative that is minimal over rotations and reversal."""
+    k = cycle.length
+    reps = []
+    vs, w = cycle.vertices, cycle.word
+    rev_vs = (vs[0],) + tuple(reversed(vs[1:]))
+    rev_w = inverted_reversal(w) if w is not None else None
+    for vv, ww in ((vs, w), (rev_vs, rev_w)):
+        for r in range(k):
+            rv = vv[r:] + vv[:r]
+            rw = ww[r:] + ww[:r] if ww is not None else None
+            reps.append((rv, rw))
+    best = min(reps, key=lambda t: (t[0], t[1] if t[1] is not None else ()))
+    return CycleSpec(best[0], best[1])
 
 
 def contained_in(cycle: CycleSpec, g) -> bool:
@@ -28,7 +54,7 @@ def contained_in(cycle: CycleSpec, g) -> bool:
     if isinstance(g, SimpleGraph):
         if cycle.length < 3:
             return False
-        return all(e in g.edges for e in cycle.undirected_edges())
+        return all(e in g.edges for e in undirected_edges(cycle))
     raise InvalidInputError(f"unsupported graph type {type(g)!r}")
 
 
@@ -80,3 +106,23 @@ def word_stats(word: Word) -> tuple[int, int, int]:
     if not is_cyclically_reduced(word):
         raise InvalidInputError(f"word {format_word(word)!r} is not cyclically reduced")
     return (len(word), word_period_quotient(word), doubled_letter_count(word))
+
+
+def brute_force_classes(d: int, k: int) -> tuple[WordClass, ...]:
+    """Word classes of length k by canonicalizing every cyclically reduced
+    word, in ascending order of canonical word."""
+    canon: set[Word] = set()
+    word = [0] * k
+
+    def extend(pos: int) -> None:
+        if pos == k:
+            if k == 1 or word[0] != letter_inverse(word[k - 1]):
+                canon.add(canonical_form(tuple(word)))
+            return
+        for c in range(2 * d):
+            if pos == 0 or c != letter_inverse(word[pos - 1]):
+                word[pos] = c
+                extend(pos + 1)
+
+    extend(0)
+    return tuple(WordClass(w) for w in sorted(canon))

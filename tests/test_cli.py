@@ -112,6 +112,16 @@ def test_cycles_of_a_long_uniform_two_regular_graph(tmp_path):
     assert sum(int(k) * count for k, count in by_length.items()) == 1500
 
 
+def test_cycles_of_a_permutation_with_long_cycles(tmp_path):
+    # at d = 1 the graph is the cycles of one permutation, covering every
+    # vertex, so at r = n the labelled census accounts for all n of them
+    cfg = _write(tmp_path, "c.cfg", "model = permutation\nn = 3000\nd = 1\nr = 3000\n")
+    assert _run("cycles", cfg, tmp_path / "c") == 0
+    by_length = json.loads((tmp_path / "c" / "report.json").read_text())["body"]["rows"][0][
+        "by_length"]
+    assert sum(int(k) * count for k, count in by_length.items()) == 3000
+
+
 def test_grow_and_limit_smoke(tmp_path):
     cfg = _write(tmp_path, "g.cfg",
                  "d = 2\ns = 0.5\nT = 1.0\ngrid = 0.0, 1.0\nr = 3\nreplicas = 3\n")

@@ -26,7 +26,7 @@ from regraph.walks import (
 )
 from regraph.words import counts_by_length
 
-from oracles import bad_walk_probe, cnbw_from_cycles, contained_in
+from oracles import bad_walk_probe, canonical, cnbw_from_cycles, contained_in
 
 
 def _brute_force_cnbw(g, r):
@@ -212,7 +212,7 @@ def test_census_words_are_cyclically_reduced_and_counted_once():
     for c in census.cycles:
         assert words.is_cyclically_reduced(c.word)
         assert contained_in(c, g)
-        key = c.canonical()
+        key = canonical(c)
         assert key not in seen
         seen.add(key)
     assert sum(census.by_word.values()) == len(census.cycles)
@@ -458,3 +458,16 @@ def test_perm_graph_cycles_matches_edge_set_oracle(case):
     if steps:
         with pytest.raises(ResourceLimitError):
             perm_graph_cycles(succ, pred, r, tops=tops, budget=steps - 1)
+
+
+def test_perm_graph_cycles_finds_a_cycle_longer_than_the_recursion_limit():
+    # one permutation that is a single 3,000-cycle through the vertices in a
+    # shuffled order: the search walks a path of 3,000 vertices to close it
+    n = 3000
+    order = np.random.default_rng(5).permutation(n)
+    perm = np.empty(n, dtype=np.int64)
+    perm[order] = np.roll(order, -1)
+    g = PermGraph(perm[None, :])
+    (cycle,) = perm_graph_cycles(g.perms.tolist(), g.inv.tolist(), n)
+    assert cycle.length == n and cycle.vertices[0] == n - 1
+    assert contained_in(cycle, g)

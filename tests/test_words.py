@@ -23,7 +23,7 @@ from regraph.words import (
     parse_word,
 )
 
-from oracles import word_stats
+from oracles import brute_force_classes, word_stats
 
 
 def brute_force_reduced_count(d, k):
@@ -169,6 +169,26 @@ class TestEnumeration:
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
             enumerate_word_classes(3, 12, budget=10**4)
+
+    def test_budget_bound_is_inclusive_and_checked_first(self, monkeypatch):
+        enumerate_classes = words._enumerate_classes_cached.__wrapped__
+        assert len(enumerate_classes(3, 4, 6**4)) == 84
+        monkeypatch.setattr(words, "canonical_form", None)  # any work would fail
+        with pytest.raises(ResourceLimitError):
+            enumerate_classes(3, 4, 6**4 - 1)
+
+    def test_matches_brute_force(self):
+        # same classes in the same order wherever (2d)^k <= 10^6; uncached,
+        # so the large shapes are not kept for the rest of the session
+        enumerate_classes = words._enumerate_classes_cached.__wrapped__
+        for d in range(1, 6):
+            k = 1
+            while (2 * d) ** k <= 10**6:
+                assert enumerate_classes(d, k, 10**7) == brute_force_classes(d, k)
+                k += 1
+        for d, r in ((1, 8), (2, 6), (3, 5)):
+            expect = tuple(wc for k in range(1, r + 1) for wc in brute_force_classes(d, k))
+            assert words.classes_upto(d, r) == expect
 
 
 class TestDoublingHalving:
