@@ -433,7 +433,8 @@ def apply_switching(
 
 
 def _cycles_through_edges(
-    neighbors: Sequence[Collection[int]], changed: Iterable[Edge], r: int
+    neighbors: Sequence[Collection[int]], changed: Iterable[Edge], r: int,
+    budget: int = 10**8,
 ) -> set[tuple[int, ...]]:
     """Canonical vertex tuples of the cycles of length 3..r that use at least
     one changed edge, in the graph where x is adjacent to ``neighbors[x]``:
@@ -444,8 +445,11 @@ def _cycles_through_edges(
     iteration order: the search from a changed edge neither steps nor closes
     along an earlier one, in either direction.  The search is depth-first
     with an explicit stack and an on-path set, so Python's recursion limit
-    does not bound r and a step costs the same at any depth."""
+    does not bound r and a step costs the same at any depth.  A step is one
+    path extension, at most d neighbours tried; past ``budget`` steps the
+    search raises ResourceLimitError."""
     found: set[tuple[int, ...]] = set()
+    steps = 0
     if r < 3:
         return found
     cut: dict[int, set[int]] = {}  # x -> the other ends of the changed edges so far at x
@@ -469,6 +473,9 @@ def _cycles_through_edges(
                 if u in neighbors[y] and y not in banned:
                     found.add(_canonical_cycle(path + [y]))
                 if len(path) + 1 < r:
+                    steps += 1
+                    if steps > budget:
+                        raise ResourceLimitError(f"cycle search exceeded {budget} steps")
                     path.append(y)
                     on_path.add(y)
                     branches.append(iter(neighbors[y]))
@@ -479,19 +486,22 @@ def _cycles_through_edges(
     return found
 
 
-def _all_cycles(neighbors: Sequence[Collection[int]], r: int) -> set[tuple[int, ...]]:
+def _all_cycles(neighbors: Sequence[Collection[int]], r: int,
+                budget: int = 10**8) -> set[tuple[int, ...]]:
     """Canonical vertex tuples of all cycles of length 3..r.  The edges go
     by their smaller end u, ascending, so when the search from an edge at u
     runs, every edge at a smaller vertex is cut and the search stays above
     u: each cycle is found from its smallest vertex."""
     edges = ((x, y) for x, nb in enumerate(neighbors) for y in nb if x < y)
-    return _cycles_through_edges(neighbors, edges, r)
+    return _cycles_through_edges(neighbors, edges, r, budget)
 
 
-def simple_cycle_census(g: SimpleGraph, r: int) -> dict[frozenset, tuple[int, ...]]:
+def simple_cycle_census(g: SimpleGraph, r: int,
+                        budget: int = 10**8) -> dict[frozenset, tuple[int, ...]]:
     """All cycles of length 3..r as {edge set: vertex tuple}, ordered by
-    (length, tuple); each tuple is in the form of ``_canonical_cycle``."""
-    cycles = sorted(_all_cycles(g.neighbors, r), key=lambda vs: (len(vs), vs))
+    (length, tuple); each tuple is in the form of ``_canonical_cycle``.  The
+    search raises ResourceLimitError past ``budget`` path extensions."""
+    cycles = sorted(_all_cycles(g.neighbors, r, budget), key=lambda vs: (len(vs), vs))
     return {frozenset(map(_edge, vs, vs[1:] + vs[:1])): vs for vs in cycles}
 
 

@@ -128,9 +128,14 @@ def trace_covariance(d: int, k: int, lag: float) -> float:
 # ---------------------------------------------------------------------------
 # simulation
 
-# bytes per expected atom at a call's peak; tracemalloc measured at most 38
-# beyond the cell and table terms of limit_bytes
-ATOM_BYTES = 48
+# atoms (or cells of a Poisson table) per pass of simulate_limit's loops; a
+# pass's temporaries take at most CHUNK_ATOM_BYTES for each (tracemalloc
+# measured 32), 3 MiB in all
+CHUNK_ATOM_BYTES = 48
+ATOM_CHUNK = 3 * 2**20 // CHUNK_ATOM_BYTES
+# numpy's own buffers in a call of any size (tracemalloc: an array-bounded
+# Generator.integers takes 15 KB, a Poisson table 7 KB)
+CALL_BYTES = 2**15
 
 
 @dataclass(frozen=True)
@@ -181,23 +186,66 @@ def _index_dtype(size: int) -> type:
     return np.int32 if size <= 2**31 else np.int64
 
 
+def _atom_dtypes(replicas: int, ncls: int, grid_size: int) -> tuple[np.dtype, ...]:
+    """The types of an atom's replica, class (or -1) and next grid point, and
+    of a flat (replica, grid point, class) cell index."""
+    return (np.dtype(_index_dtype(replicas)), np.min_scalar_type(-ncls),
+            np.min_scalar_type(grid_size), np.dtype(_index_dtype(replicas * grid_size * ncls)))
+
+
 def limit_bytes(model: LimitModel, replicas: int, grid_size: int, T: float,
                 stationary_init: bool) -> float:
     """Bytes simulate_limit holds at its peak, estimated before any draw.
 
-    The int64 counts and the flat cell indices gathered for them take at most
-    8 bytes each per (replica, grid point, class) cell in expectation (no more
-    atoms are alive at a time than the stationary mean sum of 1/h over the
-    classes), a Poisson draw table's int64 draws and their int32 cell index
-    12 bytes per (replica, class), and every expected atom at most ATOM_BYTES.
+    A call holds in turn its int64 Poisson tables (8 bytes per (replica,
+    class) each) beside the atoms' replicas and classes placed from them;
+    the whole atom state (those, a float64 time and a grid index, in the
+    types of _atom_dtypes, per expected atom) beside the cells gathered; and
+    the cells beside the int64 counts.  A cell takes its index type per
+    (replica, grid point, class) slot in expectation (no more atoms are
+    alive at a time than the stationary mean 1/h <= 1 of each class), a
+    count 8 bytes per slot.  A pass over at most ATOM_CHUNK atoms, or cells
+    of a table, adds CHUNK_ATOM_BYTES of temporaries for each, and numpy
+    CALL_BYTES of its own.
     """
     ncls = len(model.classes)
-    expected_atoms = replicas * (
+    rep_t, cls_t, grid_t, cell_t = _atom_dtypes(replicas, ncls, grid_size)
+    atoms = replicas * (
         (model.stationary_means.sum() if stationary_init else 0.0)
         + model.immigration_rates.sum() * T
     )
-    return (16.0 * replicas * grid_size * ncls + 12.0 * replicas * ncls
-            + ATOM_BYTES * expected_atoms)
+    tables = 8.0 * replicas * ncls * (int(stationary_init) + int(T > 0))
+    placed = atoms * (rep_t.itemsize + cls_t.itemsize)
+    state = placed + atoms * (8 + grid_t.itemsize)
+    slots = replicas * grid_size * ncls
+    cells = cell_t.itemsize * slots
+    return (max(tables + placed, state + cells, cells + 8.0 * slots)
+            + CHUNK_ATOM_BYTES * min(ATOM_CHUNK, max(atoms, replicas * ncls)) + CALL_BYTES)
+
+
+def _chunks(n: int):
+    """The (start, stop) bounds of n atoms taken ATOM_CHUNK at a time."""
+    for a in range(0, n, ATOM_CHUNK):
+        yield a, min(a + ATOM_CHUNK, n)
+
+
+def _place_atoms(table: np.ndarray, start: int, rep: np.ndarray, cls: np.ndarray) -> None:
+    """Write one atom per unit of the (replicas, classes) Poisson table, in
+    row-major order, as replica and class from rep[start] and cls[start] on.
+    The table is summed in place; a pass spans at most ATOM_CHUNK atoms and
+    ATOM_CHUNK table cells."""
+    ncls = table.shape[1]
+    cum = table.ravel()
+    np.cumsum(cum, out=cum)
+    total = int(cum[-1]) if cum.size else 0
+    a0 = 0
+    while a0 < total:
+        c0 = int(np.searchsorted(cum, a0, side="right"))  # the cell of atom a0
+        c1 = min(c0 + ATOM_CHUNK, cum.size)
+        a1 = min(a0 + ATOM_CHUNK, int(cum[c1 - 1]))
+        cell = np.repeat(np.arange(c0, c1), np.diff(np.clip(cum[c0:c1], a0, a1), prepend=a0))
+        rep[start + a0:start + a1], cls[start + a0:start + a1] = np.divmod(cell, ncls)
+        a0 = a1
 
 
 def simulate_limit(
@@ -228,65 +276,72 @@ def simulate_limit(
     model = limit_model(d, K)
     ncls = len(model.classes)
     check_bytes(limit_bytes(model, replicas, grid.size, T, stationary_init), "simulate_limit")
+    rep_t, cls_t, grid_t, cell_t = _atom_dtypes(replicas, ncls, grid.size)
 
-    def atoms(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # atom (replica, class) pairs in row-major order of the draws
-        cell = np.repeat(np.arange(draws.size, dtype=_index_dtype(draws.size)), draws.ravel())
-        return np.divmod(cell, ncls)
-
-    reps: list[np.ndarray] = []
-    clss: list[np.ndarray] = []
-    times: list[np.ndarray] = []
+    # the stationary atoms, then the immigrants, each table in row-major order
+    stationary = immigrants = np.zeros((0, ncls), dtype=np.int64)
     if stationary_init:
-        rep0, cls0 = atoms(rng.poisson(model.stationary_means, size=(replicas, ncls)))
-        reps.append(rep0)
-        clss.append(cls0)
-        times.append(np.zeros(rep0.size))
+        stationary = rng.poisson(model.stationary_means, size=(replicas, ncls))
     if T > 0:
-        rep0, cls0 = atoms(rng.poisson(model.immigration_rates * T, size=(replicas, ncls)))
-        reps.append(rep0)
-        clss.append(cls0)
-        times.append(rng.uniform(0.0, T, rep0.size))
-    rep = np.concatenate(reps) if reps else np.zeros(0, dtype=np.int32)
-    cls = np.concatenate(clss) if clss else np.zeros(0, dtype=np.int32)
-    t = np.concatenate(times) if times else np.zeros(0)
-    del reps, clss, times
-    # each atom carries the index of the first grid point at or after its time
-    g0 = np.searchsorted(grid, t).astype(np.min_scalar_type(grid.size))
+        immigrants = rng.poisson(model.immigration_rates * T, size=(replicas, ncls))
+    n0 = int(stationary.sum())
+    n = n0 + int(immigrants.sum())
+    rep, cls = np.empty(n, dtype=rep_t), np.empty(n, dtype=cls_t)
+    _place_atoms(stationary, 0, rep, cls)
+    _place_atoms(immigrants, n0, rep, cls)
+    del stationary, immigrants
+    # each atom carries its time and the index of the first grid point at or
+    # after it: 0 for a stationary atom, born at 0
+    t, g = np.zeros(n), np.zeros(n, dtype=grid_t)
+    for a, b in _chunks(n - n0):
+        t[n0 + a:n0 + b] = rng.uniform(0.0, T, b - a)
+        g[n0 + a:n0 + b] = np.searchsorted(grid, t[n0 + a:n0 + b])
 
-    transitions = model.transitions.astype(cls.dtype)
-    cell_t = _index_dtype(replicas * grid.size * ncls)
+    transitions = model.transitions.astype(cls_t)
     cells: list[np.ndarray] = []
-    while rep.size:
-        lens = model.lengths[cls]
-        step = rng.standard_exponential(rep.size)
-        step /= lens
-        t += step
-        del step
-        g1 = np.searchsorted(grid, t).astype(g0.dtype)
-        # the atom is alive, in its class, at the grid points g0 <= g < g1
-        hit = np.flatnonzero(g1 > g0)
-        cell = rep[hit].astype(cell_t)
-        cell *= grid.size
-        cell += g0[hit]
-        cell *= ncls
-        cell += cls[hit]
-        left = g1[hit]
-        left -= g0[hit]
-        while cell.size:
-            cells.append(cell)
-            more = np.flatnonzero(left > 1)
-            cell = cell[more] + ncls
-            left = left[more] - 1
-        del hit
-        cls = transitions[cls, rng.integers(0, lens)]
-        del lens
-        keep = np.flatnonzero((t < T) & (cls >= 0))
-        rep, cls, t, g0 = rep[keep], cls[keep], t[keep], g1[keep]
-    # bincount counts in intp; casting while concatenating saves it a copy
-    flat = np.concatenate(cells, dtype=np.intp) if cells else np.zeros(0, dtype=np.intp)
-    del cells
-    counts = np.bincount(flat, minlength=replicas * grid.size * ncls)
+    while n:
+        # every holding time of the round is drawn before any doubled position
+        for a, b in _chunks(n):
+            step = rng.standard_exponential(b - a)
+            step /= model.lengths[cls[a:b]]
+            t[a:b] += step
+            del step
+            g0 = g[a:b]
+            g1 = np.searchsorted(grid, t[a:b]).astype(grid_t)
+            # the atom is alive, in its class, at the grid points g0 <= g < g1
+            hit = np.flatnonzero(g1 > g0)
+            cell = rep[a:b][hit].astype(cell_t)
+            cell *= grid.size
+            cell += g0[hit]
+            cell *= ncls
+            cell += cls[a:b][hit]
+            left = g1[hit]
+            left -= g0[hit]
+            # one array of the chunk's cells, a grid offset at a time
+            out = np.empty(int(left.sum(dtype=np.int64)), dtype=cell_t)
+            pos = 0
+            while cell.size:
+                out[pos:pos + cell.size] = cell
+                pos += cell.size
+                more = np.flatnonzero(left > 1)
+                cell = cell[more] + ncls
+                left = left[more] - 1
+            cells.append(out)
+            g0[:] = g1
+        # the survivors move to the front, in order, a chunk at a time
+        kept = 0
+        for a, b in _chunks(n):
+            nxt = transitions[cls[a:b], rng.integers(0, model.lengths[cls[a:b]])]
+            keep = np.flatnonzero((t[a:b] < T) & (nxt >= 0))
+            end = kept + keep.size
+            rep[kept:end], cls[kept:end] = rep[a:b][keep], nxt[keep]
+            t[kept:end], g[kept:end] = t[a:b][keep], g[a:b][keep]
+            kept = end
+        n = kept
+    del rep, cls, t, g
+    counts = np.zeros(replicas * grid.size * ncls, dtype=np.int64)
+    while cells:
+        np.add.at(counts, cells.pop(), 1)
     return counts.reshape(replicas, grid.size, ncls), model
 
 

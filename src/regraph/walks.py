@@ -94,7 +94,9 @@ def perm_graph_cycles(
 
 
 def enumerate_cycles(g, r: int, budget: int = 10**8) -> CycleCensus:
-    """Census of all cycles of length at most r."""
+    """Census of all cycles of length at most r.  The search raises
+    ResourceLimitError past ``budget`` steps: letters tried on a
+    permutation graph, path extensions on a simple graph."""
     if r < 1:
         raise InvalidInputError(f"need r >= 1, got {r}")
     if isinstance(g, PermGraph):
@@ -104,7 +106,7 @@ def enumerate_cycles(g, r: int, budget: int = 10**8) -> CycleCensus:
             wc = words.canonicalize(c.word)
             by_word[wc] = by_word.get(wc, 0) + 1
     elif isinstance(g, SimpleGraph):
-        cycles = [CycleSpec(vs) for vs in simple_cycle_census(g, r).values()]
+        cycles = [CycleSpec(vs) for vs in simple_cycle_census(g, r, budget).values()]
         by_word = None
     else:
         raise InvalidInputError(f"unsupported graph type {type(g)!r}")

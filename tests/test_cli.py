@@ -112,6 +112,14 @@ def test_cycles_of_a_long_uniform_two_regular_graph(tmp_path):
     assert sum(int(k) * count for k, count in by_length.items()) == 1500
 
 
+def test_uniform_cycles_past_the_step_budget_exits_3(tmp_path, monkeypatch):
+    census = walks.enumerate_cycles
+    monkeypatch.setattr(walks, "enumerate_cycles", lambda g, r: census(g, r, budget=10))
+    cfg = _write(tmp_path, "c.cfg", "model = uniform\nn = 20\nd = 3\nr = 6\n")
+    assert _run("cycles", cfg, tmp_path / "c") == 3
+    assert not (tmp_path / "c").exists()
+
+
 def test_cycles_of_a_permutation_with_long_cycles(tmp_path):
     # at d = 1 the graph is the cycles of one permutation, covering every
     # vertex, so at r = n the labelled census accounts for all n of them

@@ -1,5 +1,6 @@
 """Tests for the growing-graph process and event classification."""
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -440,3 +441,95 @@ def test_local_split_search_matches_full_scan(d, n, r, data):
     new = {c.directed_labeled_edges() for c in enumerate_cycles(after, r).cycles}
     births = [e.cycle.directed_labeled_edges() for e in events if e.kind != "split"]
     assert len(births) == len(set(births)) and set(births) == new - old
+
+
+def _closed_form_succ(seats):
+    """The successor rows of the tower seated by the rows ``seats`` (row x
+    seats element x in each permutation), from the seats alone.  Seating y
+    at c makes y the new predecessor of c, so succ(x) starts at seat(x) and
+    moves to y each time a later y is seated at it: to x's next sibling, the
+    smallest y > x with seat(y) = seat(x), then down the first-child chain,
+    the first child of c being the smallest z > c with seat(z) = c."""
+    seats = np.asarray(seats, dtype=np.int64).reshape(-1, np.shape(seats)[-1])
+    rows = []
+    for col in seats.T.tolist():
+        later = {}  # c -> the elements y != c seated at c, ascending
+        for y, c in enumerate(col):
+            if c != y:
+                later.setdefault(c, []).append(y)
+        row = []
+        for x, c in enumerate(col):
+            s, since = c, x
+            while True:
+                kids = later.get(s, [])
+                i = bisect.bisect_right(kids, since)
+                if i == len(kids):
+                    break
+                s = since = kids[i]
+            row.append(s)
+        rows.append(row)
+    return rows
+
+
+def _random_seats(rng, d, size):
+    """Seat rows of a tower of ``size`` elements: row m uniform on 0..m."""
+    return np.array([rng.integers(0, m + 1, size=d) for m in range(size)],
+                    dtype=np.int64).reshape(size, d)
+
+
+def _inverse_rows(rows):
+    out = [[0] * len(row) for row in rows]
+    for row, inv in zip(rows, out):
+        for x, y in enumerate(row):
+            inv[y] = x
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(10))
+def test_extend_and_delete_last_match_closed_form(d, seed):
+    rng = np.random.default_rng([seed, d])
+    size = int(rng.integers(1, 200))
+    seats = _random_seats(rng, d, size)
+    tower = PermTower(d, 0)
+    while tower.n < size:
+        # blocks of 1..8 rows, so single and block extends both meet the oracle
+        tower.extend(choices=seats[tower.n:tower.n + int(rng.integers(1, 9))])
+        want = _closed_form_succ(seats[:tower.n])
+        assert tower.succ == want
+        assert tower.pred == _inverse_rows(want)
+    while tower.n:
+        tower.delete_last()
+        want = _closed_form_succ(seats[:tower.n]) if tower.n else [[] for _ in range(d)]
+        assert tower.succ == want
+        assert tower.pred == _inverse_rows(want)
+
+
+def test_insertion_events_match_closed_form_censuses():
+    # births and splits of the last insertion against full censuses of the
+    # closed-form graphs before and after it; the split search undoes and
+    # redoes the insertion on the tower itself
+    splits = 0
+    for seed in range(150):
+        rng = np.random.default_rng([seed, 17])
+        d, n, r = int(rng.integers(1, 4)), int(rng.integers(8, 30)), int(rng.integers(2, 6))
+        seats = _random_seats(rng, d, n + 1)
+        tower = PermTower(d, 0)
+        tower.extend(choices=seats)
+        events = insertion_events(tower, r)
+        assert tower.succ == _closed_form_succ(seats)
+        before = PermGraph(np.array(_closed_form_succ(seats[:n])))
+        after = PermGraph(np.array(_closed_form_succ(seats)))
+        hit = {(l, int(after.inv[l, n]), int(after.perms[l, n]))
+               for l in range(d) if after.perms[l, n] != n}
+        old = enumerate_cycles(before, r).cycles
+        want = Counter(c.directed_labeled_edges() for c in old
+                       if len(hit & c.directed_labeled_edges()) >= 2)
+        got = Counter(e.cycle.directed_labeled_edges() for e in events if e.kind == "split")
+        assert got == want
+        splits += sum(got.values())
+        new = {c.directed_labeled_edges() for c in enumerate_cycles(after, r).cycles}
+        births = [e.cycle.directed_labeled_edges() for e in events if e.kind != "split"]
+        assert len(births) == len(set(births))
+        assert set(births) == new - {c.directed_labeled_edges() for c in old}
+    assert splits > 0

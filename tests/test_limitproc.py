@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from regraph import errors
+from regraph import errors, limitproc
 from regraph.errors import InvalidInputError, ResourceLimitError
 from regraph.limitproc import (
     chebyshev_fluctuation_series,
@@ -223,10 +223,16 @@ _ORACLE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("case", _ORACLE_CASES, ids=lambda c: "d{}-K{}-T{}-G{}-{}-R{}".format(
-    c[0], c[1], c[2], len(c[3]), "stat" if c[4] else "empty", c[5]))
-@pytest.mark.parametrize("seed", [0, 1])
-def test_simulate_limit_matches_reference_loop(case, seed):
+# more atoms (about 474,000) than a default chunk of simulate_limit holds
+_MANY_ATOMS = (2, 3, 1.0, [0.0, 0.5, 1.0], True, 20000)
+
+
+def _case_id(c):
+    return "d{}-K{}-T{}-G{}-{}-R{}".format(
+        c[0], c[1], c[2], len(c[3]), "stat" if c[4] else "empty", c[5])
+
+
+def _assert_matches_reference(case, seed):
     d, K, T, grid, stationary_init, replicas = case
     counts, model = simulate_limit(d, K, T, grid, stationary_init,
                                    np.random.default_rng(seed), replicas=replicas)
@@ -237,24 +243,52 @@ def test_simulate_limit_matches_reference_loop(case, seed):
     assert np.array_equal(counts, want)
 
 
-@pytest.mark.parametrize("d, K, T, grid, replicas", [
-    (2, 3, 1.0, [0.0, 0.5, 1.0], 20000),  # the atoms dominate
-    (2, 4, 1.0, list(np.linspace(0.0, 1.0, 300)), 400),  # the cells dominate
-])
-def test_simulate_limit_peak_under_byte_estimate(monkeypatch, d, K, T, grid, replicas):
+@pytest.mark.parametrize("case", [*_ORACLE_CASES, _MANY_ATOMS], ids=_case_id)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_simulate_limit_matches_reference_loop(case, seed):
+    _assert_matches_reference(case, seed)
+
+
+def test_many_atoms_case_spans_several_chunks():
+    d, K, T, _, _, replicas = _MANY_ATOMS
     model = limit_model(d, K)
-    need = limit_bytes(model, replicas, len(grid), T, True)
+    atoms = replicas * (model.stationary_means.sum() + model.immigration_rates.sum() * T)
+    assert atoms > 4 * limitproc.ATOM_CHUNK
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES, ids=_case_id)
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_simulate_limit_matches_reference_loop_at_chunk_boundaries(monkeypatch, case, chunk):
+    # every draw is split across chunks of 1 or 7 atoms, and table cells
+    monkeypatch.setattr(limitproc, "ATOM_CHUNK", chunk)
+    _assert_matches_reference(case, 0)
+
+
+@pytest.mark.parametrize("d, K, T, grid, replicas, stationary_init", [
+    # the atoms dominate
+    pytest.param(2, 3, 1.0, [0.0, 0.5, 1.0], 20000, True, id="2-3-1.0-grid0-20000"),
+    # the cells dominate
+    pytest.param(2, 4, 1.0, list(np.linspace(0.0, 1.0, 300)), 400, True, id="2-4-1.0-grid1-400"),
+    # immigrants only: one Poisson table
+    pytest.param(2, 3, 1.0, [0.0, 0.5, 1.0], 20000, False, id="2-3-1.0-grid0-20000-empty"),
+    # the benchmark shape: 2.37 million atoms, 37 chunks in the first round
+    pytest.param(2, 3, 1.0, [0.0, 0.5, 1.0], 100000, True, id="2-3-1.0-grid0-100000"),
+])
+def test_simulate_limit_peak_under_byte_estimate(monkeypatch, d, K, T, grid, replicas,
+                                                 stationary_init):
+    model = limit_model(d, K)
+    need = limit_bytes(model, replicas, len(grid), T, stationary_init)
     # refused before any draw: the generator is left as it was
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
     monkeypatch.setattr(errors, "BYTE_CAP", int(need) - 1)
     with pytest.raises(ResourceLimitError):
-        simulate_limit(d, K, T, grid, True, rng, replicas=replicas)
+        simulate_limit(d, K, T, grid, stationary_init, rng, replicas=replicas)
     assert rng.bit_generator.state == state
     tracemalloc.start()
     try:
         monkeypatch.setattr(errors, "BYTE_CAP", int(need) + 1)
-        counts, _ = simulate_limit(d, K, T, grid, True, rng, replicas=replicas)
+        counts, _ = simulate_limit(d, K, T, grid, stationary_init, rng, replicas=replicas)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

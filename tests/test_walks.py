@@ -394,6 +394,16 @@ def test_enumerate_cycles_budget():
         enumerate_cycles(g, 6, budget=100)
 
 
+def test_enumerate_cycles_budget_on_a_simple_graph():
+    g = sample_uniform_model(30, 3, np.random.default_rng(5))
+    with pytest.raises(ResourceLimitError, match="exceeded 100 steps"):
+        enumerate_cycles(g, 6, budget=100)
+    # the budget only refuses: a run under it finds the same cycles
+    full = enumerate_cycles(g, 6)
+    assert enumerate_cycles(g, 6, budget=10**5).cycles == full.cycles
+    assert full.by_length[6] > 0
+
+
 def _edge_set_cycles(g, r, tops=None):
     """Cycles of length <= r by a search that walks each cycle both ways and
     keeps the first walk of each edge set; also returns the moves it tried."""
