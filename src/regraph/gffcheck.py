@@ -22,6 +22,9 @@ import warnings
 from .errors import InvalidInputError, NumericError
 from .spectra import Spectrum, cheb_t_poly, linear_statistic
 
+# absolute error asked of every quadrature in gff_cheb_covariance
+QUAD_TOL = 1e-6
+
 
 def green_halfplane(z: complex, w: complex) -> float:
     """Green function of the upper half plane with Dirichlet boundary."""
@@ -41,9 +44,7 @@ def gff_closed_form(j: int, k: int, t0: float, t1: float) -> float:
     return math.pi / (4 * k) * math.exp(j * (t0 - t1))
 
 
-def gff_cheb_covariance(
-    j: int, k: int, t0: float, t1: float, tol: float = 1e-6
-) -> float:
+def gff_cheb_covariance(j: int, k: int, t0: float, t1: float) -> float:
     """Numerical pairing covariance of the j-th and k-th Chebyshev-U heights.
 
     Evaluates -(1/2pi) times the double integral over [0, pi]^2 of
@@ -80,14 +81,14 @@ def gff_cheb_covariance(
         nonlocal err_acc
         args = (cmath.exp(complex(t1, v)), cmath.exp(complex(t1, -v)), math.sin(k * v))
         if singular and 0.0 < v < math.pi:
-            a, ea = integrate.quad(integrand, 0.0, v, args=args, epsabs=tol, limit=100)
+            a, ea = integrate.quad(integrand, 0.0, v, args=args, epsabs=QUAD_TOL, limit=100)
             b, eb = integrate.quad(
-                integrand, v, math.pi, args=args, epsabs=tol, limit=100
+                integrand, v, math.pi, args=args, epsabs=QUAD_TOL, limit=100
             )
             err_acc = max(err_acc, ea + eb)
             return a + b
         val, err = integrate.quad(
-            integrand, 0.0, math.pi, args=args, epsabs=tol, limit=100
+            integrand, 0.0, math.pi, args=args, epsabs=QUAD_TOL, limit=100
         )
         err_acc = max(err_acc, err)
         return val
@@ -96,7 +97,7 @@ def gff_cheb_covariance(
         # near the diagonal the log singularity triggers a spurious slow-
         # convergence warning; the explicit error bound below still governs
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        total, outer_err = integrate.quad(inner, 0.0, math.pi, epsabs=tol, limit=100)
+        total, outer_err = integrate.quad(inner, 0.0, math.pi, epsabs=QUAD_TOL, limit=100)
     bound = outer_err + math.pi * err_acc
     if bound > 1e-5:
         raise NumericError(f"quadrature error estimate {bound:.2e} exceeds 1e-5")

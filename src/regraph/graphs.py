@@ -5,9 +5,8 @@ Two models are supported:
 * the permutation model: ``d`` uniform permutations of ``[n]``; vertex ``x`` is
   joined to ``pi_l(x)`` for every label ``l``, giving a 2d-regular multigraph
   whose edges carry labels and orientations;
-* the uniform model: a simple d-regular graph drawn uniformly at random
-  (sampled by rejection from the pairing model), one at a time or, on a
-  stream of its own, a block of attempts at a time.
+* the uniform model: a simple d-regular graph drawn uniformly at random,
+  sampled by rejection from the pairing model a block of attempts at a time.
 
 The cycles of a simple graph, and of its complement, all come from one
 search, ``_cycles_through_edges``: through a set of changed edges for the
@@ -99,17 +98,6 @@ class PermGraph:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "PermGraph":
-        obj = json.loads(text)
-        if obj.get("model") != "permutation":
-            raise InvalidInputError(f"expected permutation model, got {obj.get('model')!r}")
-        perms = np.asarray(obj["perms"], dtype=np.int64) - 1
-        g = cls(perms)
-        if g.n != obj["n"] or g.d != obj["d"]:
-            raise InvalidInputError("n/d fields disagree with perms shape")
-        return g
-
 
 class SimpleGraph:
     """Simple d-regular graph stored as a set of undirected edges."""
@@ -169,22 +157,6 @@ class SimpleGraph:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "SimpleGraph":
-        obj = json.loads(text)
-        if obj.get("model") != "uniform":
-            raise InvalidInputError(f"expected uniform model, got {obj.get('model')!r}")
-        return cls(obj["n"], obj["d"], [(u - 1, v - 1) for u, v in obj["edges"]])
-
-
-def graph_from_json(text: str):
-    model = json.loads(text).get("model")
-    if model == "permutation":
-        return PermGraph.from_json(text)
-    if model == "uniform":
-        return SimpleGraph.from_json(text)
-    raise InvalidInputError(f"unknown model {model!r}")
-
 
 # ---------------------------------------------------------------------------
 # samplers
@@ -204,29 +176,12 @@ def simple_regular_exists(n: int, d: int) -> bool:
 def sample_uniform_model(
     n: int, d: int, rng: np.random.Generator, max_retries: int = 10**5
 ) -> SimpleGraph:
-    """Uniform simple d-regular graph via rejection from the pairing model.
-
-    An attempt pairs stub 2i with stub 2i + 1 of one permutation of the n d
-    stubs, and is accepted when it makes no loop and no repeated edge.  Each
-    attempt is one Python pass over the listed vertex ends, which stops at
-    the first loop: most attempts are rejected, and small numpy calls would
-    cost more than the pass."""
-    if not simple_regular_exists(n, d):
-        raise InvalidInputError(f"no simple d-regular graph with n={n}, d={d}")
-    half = n * d // 2
-    for _ in range(max_retries):
-        ends = (rng.permutation(n * d) // d).tolist()
-        pairs: set[Edge] = set()
-        for u, v in zip(ends[0::2], ends[1::2]):
-            if u == v:
-                break
-            pairs.add((u, v) if u < v else (v, u))
-        else:
-            if len(pairs) == half:
-                return SimpleGraph(n, d, pairs)
-    raise ResourceLimitError(
-        f"pairing-model rejection failed {max_retries} times for n={n}, d={d}"
-    )
+    """Uniform simple d-regular graph via rejection from the pairing model:
+    the one graph ``sample_uniform_pairings`` draws, with its edges taken
+    into a set in stub order, so ``g.edges`` iterates in the order that
+    the switching chain's draws rest on."""
+    pairs = sample_uniform_pairings(n, d, 1, rng, max_retries)[0].tolist()
+    return SimpleGraph(n, d, {(u, v) if u < v else (v, u) for u, v in pairs})
 
 
 # most bytes one block of pairing-model attempts may take: 4 MiB blocks were
@@ -242,14 +197,17 @@ def sample_uniform_pairings(
     array of shape (count, n d / 2, 2): row i holds, in stub order, the
     pairs of the i-th accepted pairing-model attempt.
 
-    These are the graphs of ``count`` calls of ``sample_uniform_model`` on
-    the same stream: one ``permuted`` call over a block of attempts draws
-    the permutations that one ``permutation`` call per attempt would.  A
-    block is rejected at once: an attempt with a loop goes, and the others
-    are kept when their sorted ``min n + max`` edge codes repeat no edge.
-    The last block may be drawn past the last accepted attempt, so ``rng``
-    must not be shared with anything that reads it after this call.  The
-    block size is set by bytes, under ``PAIRING_BLOCK_BYTES``."""
+    An attempt pairs stub 2i with stub 2i + 1 of one permutation of the n d
+    stubs, and is accepted when it makes no loop and no repeated edge.  One
+    ``permuted`` call over a block of attempts draws the permutations that
+    one ``permutation`` call per attempt would, so the graphs do not depend
+    on the block size.  A block is rejected at once: an attempt with a loop
+    goes, and the others are kept when their sorted ``min n + max`` edge
+    codes repeat no edge.  A block holds at most ``count`` attempts, under
+    ``PAIRING_BLOCK_BYTES``, so the last one overdraws by fewer than
+    ``count`` attempts, and a one-graph call stops at its accepted attempt.
+    A graph that would need more than ``max_retries`` attempts raises
+    ResourceLimitError."""
     if not simple_regular_exists(n, d):
         raise InvalidInputError(f"no simple d-regular graph with n={n}, d={d}")
     if count < 0:
@@ -257,7 +215,8 @@ def sample_uniform_pairings(
     nd = n * d
     out = np.empty((count, nd // 2, 2), dtype=np.int64)
     # an attempt's ends, its loop test and its edge codes take under 40 bytes a stub
-    stubs = np.broadcast_to(np.arange(nd), (max(1, PAIRING_BLOCK_BYTES // (40 * nd)), nd))
+    block = max(1, min(count, PAIRING_BLOCK_BYTES // (40 * nd)))
+    stubs = np.broadcast_to(np.arange(nd), (block, nd))
     got = failed = 0  # graphs accepted, and attempts since the last one
     while got < count:
         ends = rng.permuted(stubs, axis=1)
@@ -269,7 +228,7 @@ def sample_uniform_pairings(
         codes.sort(axis=1)
         ok[rows] = (codes[:, 1:] != codes[:, :-1]).all(axis=1)
         accepted = ok.nonzero()[0][: count - got]
-        # the attempts each accepted graph took, counted as sample_uniform_model counts them
+        # the attempts each accepted graph took, since the one before it
         if accepted.size and np.diff(accepted, prepend=-1 - failed).max() > max_retries:
             break
         failed = len(ends) - 1 - accepted[-1] if accepted.size else failed + len(ends)

@@ -210,7 +210,7 @@ def insertion_events(tower: PermTower, r: int, time: float = 0.0) -> list[Growth
 # ---------------------------------------------------------------------------
 # trajectories
 
-# most vertices a run may insert by default
+# most vertices a run may insert
 MAX_VERTICES = 10**6
 
 
@@ -236,7 +236,6 @@ def simulate_growth(
     r: int,
     rng: np.random.Generator,
     track_events: bool = False,
-    max_vertices: int = MAX_VERTICES,
 ) -> Trajectory:
     """Grow the graph to time s, then census it at s + grid up to s + T.
 
@@ -251,7 +250,7 @@ def simulate_growth(
         raise InvalidInputError("need s >= 0 and T >= 0")
     if grid.ndim != 1 or (grid.size and (grid.min() < 0 or grid.max() > T)):
         raise InvalidInputError("grid must lie within [0, T]")
-    jumps = poissonized_times(s + T, 0, rng, max_events=max_vertices)
+    jumps = poissonized_times(s + T, 0, rng, max_events=MAX_VERTICES)
     # every seat of the run in one draw: row m seats vertex m uniformly on
     # 0..m in each permutation, the same values (and generator state) as one
     # scalar draw per permutation per vertex

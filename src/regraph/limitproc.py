@@ -136,6 +136,11 @@ ATOM_CHUNK = 3 * 2**20 // CHUNK_ATOM_BYTES
 # numpy's own buffers in a call of any size (tracemalloc: an array-bounded
 # Generator.integers takes 15 KB, a Poisson table 7 KB)
 CALL_BYTES = 2**15
+# np.add.at's buffer as it counts the cells: 8 bytes for each of up to 8,192
+# indices, and its iterator (tracemalloc: 70,840 bytes at any length past 8,192)
+ADD_AT_BYTES = 72 * 2**10
+# standard deviations of the cell count charged over its mean
+CELL_SDS = 4
 
 
 @dataclass(frozen=True)
@@ -201,11 +206,15 @@ def limit_bytes(model: LimitModel, replicas: int, grid_size: int, T: float,
     class) each) beside the atoms' replicas and classes placed from them;
     the whole atom state (those, a float64 time and a grid index, in the
     types of _atom_dtypes, per expected atom) beside the cells gathered; and
-    the cells beside the int64 counts.  A cell takes its index type per
-    (replica, grid point, class) slot in expectation (no more atoms are
-    alive at a time than the stationary mean 1/h <= 1 of each class), a
-    count 8 bytes per slot.  A pass over at most ATOM_CHUNK atoms, or cells
-    of a table, adds CHUNK_ATOM_BYTES of temporaries for each, and numpy
+    the cells beside the int64 counts and np.add.at's buffer.  A cell
+    takes its index type, a count 8 bytes, per (replica, grid point, class)
+    slot, which bounds the mean: no more atoms of a class are alive at a
+    time than its stationary mean 1/h <= 1.  The atoms alive at one grid
+    time are Poisson, with variance at most m = sum 1/h, so over R
+    independent replicas and G grid points the cell count has a standard
+    deviation of at most G sqrt(R m), and CELL_SDS of those are charged on
+    top of the slots.  A pass over at most ATOM_CHUNK atoms, or cells of a
+    table, adds CHUNK_ATOM_BYTES of temporaries for each, and numpy
     CALL_BYTES of its own.
     """
     ncls = len(model.classes)
@@ -218,8 +227,9 @@ def limit_bytes(model: LimitModel, replicas: int, grid_size: int, T: float,
     placed = atoms * (rep_t.itemsize + cls_t.itemsize)
     state = placed + atoms * (8 + grid_t.itemsize)
     slots = replicas * grid_size * ncls
-    cells = cell_t.itemsize * slots
-    return (max(tables + placed, state + cells, cells + 8.0 * slots)
+    spread = CELL_SDS * grid_size * math.sqrt(replicas * model.stationary_means.sum())
+    cells = cell_t.itemsize * (slots + spread)
+    return (max(tables + placed, state + cells, cells + 8.0 * slots + ADD_AT_BYTES)
             + CHUNK_ATOM_BYTES * min(ATOM_CHUNK, max(atoms, replicas * ncls)) + CALL_BYTES)
 
 

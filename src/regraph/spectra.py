@@ -7,11 +7,11 @@ natural polynomial basis for walk counting is a shifted Chebyshev family:
     P_0 = 1,   P_k(u) = 2 T_k(u) + c_k,   c_k = (D-2)/(D-1)^{k/2} for even k,
                                           c_k = 0 for odd k >= 1,
 
-here called the ``nb_unit`` basis (``nb_half`` is the same family in the
-variable x = 2u).  Summed over the unit-scaled spectrum, P_k gives
-(D-1)^{-k/2} times the number of closed cyclically non-backtracking walks of
-length k, and its Kesten-McKay mean vanishes for k >= 1, which pins down the
-centering constant of any polynomial linear statistic.
+here called the ``nb_unit`` basis.  Summed over the unit-scaled spectrum,
+P_k gives (D-1)^{-k/2} times the number of closed cyclically
+non-backtracking walks of length k, and its Kesten-McKay mean vanishes for
+k >= 1, which pins down the centering constant of any polynomial linear
+statistic.
 """
 
 from __future__ import annotations
@@ -26,10 +26,7 @@ from numpy.polynomial import chebyshev as _cheb
 from .errors import InvalidInputError, check_bytes
 from .graphs import PermGraph, SimpleGraph
 
-_BASES = ("monomial", "cheb_t", "cheb_u", "nb_unit", "nb_half")
-
-# entries of one row block in the symmetry check of an adjacency array
-_CHECK_BLOCK_ENTRIES = 2**16
+_BASES = ("monomial", "cheb_t", "nb_unit")
 
 
 def _correction(degree: int, k: int) -> float:
@@ -42,7 +39,7 @@ def _correction(degree: int, k: int) -> float:
 class PolySeries:
     """A polynomial held as coefficients in one of the supported bases.
 
-    ``degree`` is the graph degree parameter of the nb bases; it is ignored
+    ``degree`` is the graph degree parameter of the nb basis; it is ignored
     (and may be None) for the plain bases.
     """
 
@@ -53,8 +50,8 @@ class PolySeries:
     def __post_init__(self):
         if self.basis not in _BASES:
             raise InvalidInputError(f"unknown basis {self.basis!r}")
-        if self.basis.startswith("nb_") and (self.degree is None or self.degree < 2):
-            raise InvalidInputError("nb bases need a graph degree >= 2")
+        if self.basis == "nb_unit" and (self.degree is None or self.degree < 2):
+            raise InvalidInputError("the nb basis needs a graph degree >= 2")
         object.__setattr__(self, "coef", tuple(float(c) for c in self.coef))
         if not self.coef:
             raise InvalidInputError("empty coefficient list")
@@ -65,39 +62,22 @@ class PolySeries:
 
     # -- conversions ------------------------------------------------------
 
-    def _to_cheb_pair(self) -> tuple[np.ndarray, float]:
-        """Chebyshev-T coefficients in a scaled variable; returns (coefs, scale)
-        with the polynomial equal to sum b_k T_k(x / scale)."""
+    def _to_cheb(self) -> np.ndarray:
+        """Chebyshev-T coefficients b, the polynomial being sum b_k T_k."""
         a = np.asarray(self.coef, dtype=float)
         if self.basis == "monomial":
-            return _cheb.poly2cheb(a), 1.0
+            return _cheb.poly2cheb(a)
         if self.basis == "cheb_t":
-            return a.copy(), 1.0
-        if self.basis == "cheb_u":
-            # U_k = 2(T_k + T_{k-2} + ...), with the T_0 term counted once
-            total = np.zeros(len(a))
-            for k, c in enumerate(a):
-                j = k
-                while j > 0:
-                    total[j] += 2 * c
-                    j -= 2
-                if k % 2 == 0:
-                    total[0] += c
-            return total, 1.0
-        scale = 2.0 if self.basis == "nb_half" else 1.0
+            return a.copy()
         b = np.zeros(len(a))
         b[0] = a[0]
         for k in range(1, len(a)):
             b[k] += 2 * a[k]
             b[0] += a[k] * _correction(self.degree, k)
-        return b, scale
+        return b
 
     def to_monomial(self) -> "PolySeries":
-        b, scale = self._to_cheb_pair()
-        mono = np.asarray(_cheb.cheb2poly(b), dtype=float)
-        if scale != 1.0:
-            mono = mono / scale ** np.arange(len(mono))
-        return PolySeries("monomial", tuple(mono))
+        return PolySeries("monomial", tuple(_cheb.cheb2poly(self._to_cheb())))
 
     def to_basis(self, basis: str, degree: Optional[int] = None) -> "PolySeries":
         if basis == self.basis and (degree is None or degree == self.degree):
@@ -108,15 +88,10 @@ class PolySeries:
             return PolySeries("monomial", tuple(mono))
         if basis == "cheb_t":
             return PolySeries("cheb_t", tuple(_cheb.poly2cheb(mono)))
-        if basis == "cheb_u":
-            b = np.asarray(_cheb.poly2cheb(mono), dtype=float)
-            return PolySeries("cheb_u", tuple(_t_series_to_u(b)))
-        if basis in ("nb_unit", "nb_half"):
+        if basis == "nb_unit":
             if deg is None:
-                raise InvalidInputError("converting to an nb basis needs a degree")
-            scale = 2.0 if basis == "nb_half" else 1.0
-            scaled = mono * scale ** np.arange(len(mono))
-            b = np.asarray(_cheb.poly2cheb(scaled), dtype=float)
+                raise InvalidInputError("converting to the nb basis needs a degree")
+            b = np.asarray(_cheb.poly2cheb(mono), dtype=float)
             a = np.zeros(len(b))
             for k in range(len(b) - 1, 0, -1):
                 a[k] = b[k] / 2
@@ -126,30 +101,14 @@ class PolySeries:
         raise InvalidInputError(f"unknown basis {basis!r}")
 
     def __call__(self, x) -> np.ndarray:
-        b, scale = self._to_cheb_pair()
-        return _cheb.chebval(np.asarray(x, dtype=float) / scale, b)
+        return _cheb.chebval(np.asarray(x, dtype=float), self._to_cheb())
 
 
-def _t_series_to_u(b: np.ndarray) -> np.ndarray:
-    """Rewrite sum b_k T_k as a Chebyshev-U series via T_k = (U_k - U_{k-2})/2."""
-    out = np.zeros(len(b))
-    for k, c in enumerate(b):
-        if k == 0:
-            out[0] += c
-        elif k == 1:
-            out[1] += c / 2
-        else:
-            out[k] += c / 2
-            out[k - 2] -= c / 2
-    return out
-
-
-def nb_basis_poly(degree: int, k: int, scale: str = "unit") -> PolySeries:
+def nb_basis_poly(degree: int, k: int) -> PolySeries:
     """The k-th member of the walk-counting Chebyshev family."""
     coef = [0.0] * (k + 1)
     coef[k] = 1.0
-    basis = "nb_unit" if scale == "unit" else "nb_half"
-    return PolySeries(basis, tuple(coef), degree=degree)
+    return PolySeries("nb_unit", tuple(coef), degree=degree)
 
 
 def cheb_t_poly(k: int) -> PolySeries:
@@ -194,30 +153,13 @@ def eigen_bytes(n: int) -> int:
     return 16 * n * n
 
 
-def eigenvalues(g, scale: str = "unit") -> Spectrum:
+def eigenvalues(g: PermGraph | SimpleGraph, scale: str = "unit") -> Spectrum:
     """Adjacency spectrum of a permutation-model or uniform-model graph."""
-    graph = isinstance(g, (PermGraph, SimpleGraph))
-    shape = (g.n, g.n) if graph else np.shape(g)
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
-        raise InvalidInputError("adjacency must be square, with at least one vertex")
-    n = shape[0]
-    check_bytes(eigen_bytes(n), f"dense eigen-solve at n={n}")
-    if graph:
-        a, degree = g.adjacency(), g.degree
-    else:
-        a = np.asarray(g, dtype=float)
-        # compare row blocks with the matching column blocks, so the check
-        # makes no n x n temporary
-        rows = max(1, _CHECK_BLOCK_ENTRIES // max(n, 1))
-        for lo in range(0, n, rows):
-            if not np.allclose(a[lo:lo + rows], a[:, lo:lo + rows].T):
-                raise InvalidInputError("adjacency must be symmetric")
-        rowsum = a.sum(axis=1)
-        if not np.allclose(rowsum, rowsum[0]):
-            raise InvalidInputError("graph must be regular")
-        degree = int(round(rowsum[0]))
-    vals = np.linalg.eigvalsh(a)[::-1]
-    raw = Spectrum(tuple(float(v) for v in vals), degree, "raw")
+    if g.n < 1:
+        raise InvalidInputError("the graph needs at least one vertex")
+    check_bytes(eigen_bytes(g.n), f"dense eigen-solve at n={g.n}")
+    vals = np.linalg.eigvalsh(g.adjacency())[::-1]
+    raw = Spectrum(tuple(float(v) for v in vals), g.degree, "raw")
     return raw.rescaled(scale)
 
 
@@ -240,7 +182,7 @@ def cnbw_from_spectrum(spectrum: Spectrum, r: int) -> np.ndarray:
     d = spectrum.degree
     out = np.empty(r)
     for k in range(1, r + 1):
-        pk = nb_basis_poly(d, k, "unit")
+        pk = nb_basis_poly(d, k)
         out[k - 1] = (d - 1) ** (k / 2) * float(np.sum(pk(vals)))
     return out
 

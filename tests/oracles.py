@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from regraph.errors import InvalidInputError, ResourceLimitError
-from regraph.graphs import CycleSpec, Edge, PermGraph, SimpleGraph, _edge
+from regraph.graphs import CycleSpec, Edge, PermGraph, SimpleGraph, _edge, simple_regular_exists
 from regraph.walks import CycleCensus, cnbw_via_nb_matrix, enumerate_cycles
 from regraph.words import (
     Word,
@@ -56,6 +56,31 @@ def contained_in(cycle: CycleSpec, g) -> bool:
             return False
         return all(e in g.edges for e in undirected_edges(cycle))
     raise InvalidInputError(f"unsupported graph type {type(g)!r}")
+
+
+def pairing_model_graph(
+    n: int, d: int, rng: np.random.Generator, max_retries: int = 10**5
+) -> SimpleGraph:
+    """Uniform simple d-regular graph by rejection from the pairing model,
+    one ``rng.permutation`` and one Python pass per attempt: an attempt pairs
+    stub 2i with stub 2i + 1 and is accepted when it makes no loop and no
+    repeated edge."""
+    if not simple_regular_exists(n, d):
+        raise InvalidInputError(f"no simple d-regular graph with n={n}, d={d}")
+    half = n * d // 2
+    for _ in range(max_retries):
+        ends = (rng.permutation(n * d) // d).tolist()
+        pairs: set[Edge] = set()
+        for u, v in zip(ends[0::2], ends[1::2]):
+            if u == v:
+                break
+            pairs.add((u, v) if u < v else (v, u))
+        else:
+            if len(pairs) == half:
+                return SimpleGraph(n, d, pairs)
+    raise ResourceLimitError(
+        f"pairing-model rejection failed {max_retries} times for n={n}, d={d}"
+    )
 
 
 def enumerate_labeled_regular_graphs(n: int, d: int, budget: int = 10**7) -> list[SimpleGraph]:

@@ -1,6 +1,8 @@
 """Tests for graph models, cycle specs, couplings, and switchings."""
 
+import hashlib
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -21,14 +23,19 @@ from regraph.graphs import (
     _edge,
     _forward_option_counts,
     apply_switching,
-    graph_from_json,
     sample_permutation_model,
     sample_uniform_model,
     simple_cycle_census,
     size_bias_coupling,
 )
 
-from oracles import canonical, contained_in, enumerate_labeled_regular_graphs, undirected_edges
+from oracles import (
+    canonical,
+    contained_in,
+    enumerate_labeled_regular_graphs,
+    pairing_model_graph,
+    undirected_edges,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -61,19 +68,20 @@ def test_perm_graph_inverse_consistency():
 def test_perm_graph_json_roundtrip():
     rng = np.random.default_rng(2)
     g = sample_permutation_model(7, 2, rng)
-    g2 = graph_from_json(g.to_json())
+    obj = json.loads(g.to_json())
+    g2 = PermGraph(np.asarray(obj["perms"]) - 1)
+    assert obj["model"] == "permutation" and (obj["n"], obj["d"]) == (g2.n, g2.d)
     assert g == g2
     # serialization is 1-based
-    import json
-
-    obj = json.loads(g.to_json())
     assert min(min(row) for row in obj["perms"]) == 1
 
 
 def test_simple_graph_json_roundtrip():
     rng = np.random.default_rng(3)
     g = sample_uniform_model(10, 3, rng)
-    g2 = graph_from_json(g.to_json())
+    obj = json.loads(g.to_json())
+    assert obj["model"] == "uniform"
+    g2 = SimpleGraph(obj["n"], obj["d"], [(u - 1, v - 1) for u, v in obj["edges"]])
     assert g == g2
 
 
@@ -163,7 +171,7 @@ def test_sample_uniform_pairings_are_successive_uniform_graphs(monkeypatch, bloc
         assert pairs.shape == (6, n * d // 2, 2) and pairs.dtype == np.int64
         nbrs = graphs.pairing_neighbors(pairs, n)
         for edges, table in zip(pairs, nbrs):
-            g = sample_uniform_model(n, d, oracle)
+            g = pairing_model_graph(n, d, oracle)
             assert SimpleGraph(n, d, map(tuple, edges.tolist())) == g, (n, d)
             assert [tuple(row) for row in table.tolist()] == g.neighbors
     assert graphs.sample_uniform_pairings(8, 3, 0, rng).shape == (0, 12, 2)
@@ -173,7 +181,7 @@ def test_sample_uniform_pairings_are_successive_uniform_graphs(monkeypatch, bloc
 
 @pytest.mark.parametrize("block", [None, 1, 2000])
 def test_sample_uniform_pairings_keep_the_retry_budget(monkeypatch, block):
-    # the budget is per graph, as in sample_uniform_model: the block sampler
+    # the budget is per graph, as in pairing_model_graph: the block sampler
     # fails exactly when one of the graphs would need more attempts, also
     # when those attempts span blocks
     if block is not None:
@@ -183,7 +191,7 @@ def test_sample_uniform_pairings_keep_the_retry_budget(monkeypatch, block):
         for seed in range(8):
             rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
             try:
-                expected = [sample_uniform_model(n, d, oracle, max_retries) for _ in range(4)]
+                expected = [pairing_model_graph(n, d, oracle, max_retries) for _ in range(4)]
             except ResourceLimitError:
                 outcomes["refused"] += 1
                 with pytest.raises(ResourceLimitError, match=f"failed {max_retries} times"):
@@ -826,6 +834,18 @@ def test_switching_chain_stays_regular_and_moves():
         moved += chain.step()
         assert chain.graph.d == 3
     assert moved > 10
+
+
+def test_switching_chain_replays_its_draws():
+    # every draw of the sampler and of the chain is pinned: a change that
+    # keeps the chain's law but reads the stream differently fails here
+    rng = np.random.default_rng(1701)
+    chain = SwitchingChain(sample_uniform_model(20, 3, rng), 3, rng)
+    moved = [chain.step() for _ in range(500)]
+    assert sum(moved) == 82
+    replay = json.dumps([moved, sorted(chain.graph.edges)]).encode()
+    assert hashlib.sha256(replay).hexdigest() == (
+        "7c7062d2e6e00b78fa822e5de021e7276b0ecebc544adb8b58ce7a417c7c5fee")
 
 
 def test_switching_chain_census_mode_freezes_small_graphs():

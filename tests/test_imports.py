@@ -1,5 +1,7 @@
 """Every name a ``regraph`` or test module imports is used by that module,
-and every private module-level name of ``regraph`` is used by its module.
+every private module-level name of ``regraph`` is used by its module, and
+every public function and class of ``regraph`` is named somewhere beyond
+its own definition.
 
 No linter runs on this repository, so this keeps dead imports and left-over
 private helpers out.  Exempt from the import check are ``from __future__``
@@ -9,6 +11,7 @@ re-exports.
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -128,6 +131,53 @@ def test_private_name_detector_flags_unused_and_respects_exemptions():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_has_no_unused_private_names(path):
     assert unused_private_names(path.read_text()) == []
+
+
+def dead_public_names(sources: dict[str, str], texts: dict[str, str]) -> list[str]:
+    """Public module-level functions and classes of ``sources`` (path to
+    source) whose name appears in none of ``texts`` (path to text) as a
+    whole word, except on the line that defines it."""
+    lines = [(path, i, line) for path, text in texts.items()
+             for i, line in enumerate(text.splitlines(), 1)]
+    dead = []
+    for path, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(line) for p, i, line in lines
+                       if (p, i) != (path, node.lineno)):
+                dead.append(f"{path} line {node.lineno}: {node.name}")
+    return sorted(dead)
+
+
+def test_dead_public_name_detector_flags_unused_and_respects_exemptions():
+    source = (
+        "def used():\n"
+        "    return 1\n"
+        "def only_here():\n"
+        "    return 2\n"
+        "def _private():\n"
+        "    return 3\n"
+        "class Kind:\n"
+        "    pass\n"
+        "def part():\n"
+        "    return 4\n"
+    )
+    texts = {"m.py": source, "test_m.py": "from m import Kind\nassert used() == 1\npartial = 0\n"}
+    assert dead_public_names({"m.py": source}, texts) == [
+        "m.py line 3: only_here", "m.py line 9: part"]
+
+
+def test_every_public_name_is_used():
+    # a public function or class of regraph is called, imported or named
+    # somewhere in src/, tests/ or perfbench/ beyond its own def line
+    texts = {str(path.relative_to(ROOT)): path.read_text()
+             for path in MODULES + sorted((ROOT / "perfbench").glob("*.py"))}
+    sources = {str(path.relative_to(ROOT)): path.read_text() for path in SOURCES}
+    assert dead_public_names(sources, texts) == []
 
 
 def byte_caps(source: str) -> list[str]:

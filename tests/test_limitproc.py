@@ -264,22 +264,29 @@ def test_simulate_limit_matches_reference_loop_at_chunk_boundaries(monkeypatch, 
     _assert_matches_reference(case, 0)
 
 
-@pytest.mark.parametrize("d, K, T, grid, replicas, stationary_init", [
+@pytest.mark.parametrize("d, K, T, grid, replicas, stationary_init, seed", [
     # the atoms dominate
-    pytest.param(2, 3, 1.0, [0.0, 0.5, 1.0], 20000, True, id="2-3-1.0-grid0-20000"),
+    pytest.param(2, 3, 1.0, [0.0, 0.5, 1.0], 20000, True, 5, id="2-3-1.0-grid0-20000"),
     # the cells dominate
-    pytest.param(2, 4, 1.0, list(np.linspace(0.0, 1.0, 300)), 400, True, id="2-4-1.0-grid1-400"),
+    pytest.param(2, 4, 1.0, list(np.linspace(0.0, 1.0, 300)), 400, True, 5,
+                 id="2-4-1.0-grid1-400"),
     # immigrants only: one Poisson table
-    pytest.param(2, 3, 1.0, [0.0, 0.5, 1.0], 20000, False, id="2-3-1.0-grid0-20000-empty"),
+    pytest.param(2, 3, 1.0, [0.0, 0.5, 1.0], 20000, False, 5, id="2-3-1.0-grid0-20000-empty"),
     # the benchmark shape: 2.37 million atoms, 37 chunks in the first round
-    pytest.param(2, 3, 1.0, [0.0, 0.5, 1.0], 100000, True, id="2-3-1.0-grid0-100000"),
+    pytest.param(2, 3, 1.0, [0.0, 0.5, 1.0], 100000, True, 5, id="2-3-1.0-grid0-100000"),
+] + [
+    # few replicas: numpy's fixed buffers and the spread of the cell count
+    # are a large part of the peak
+    pytest.param(2, 3, 1.0, list(np.linspace(0.0, 1.0, points)), replicas, True, seed,
+                 id=f"2-3-1.0-grid{points}-{replicas}-seed{seed}")
+    for points, replicas in ((100, 10), (300, 1)) for seed in range(8)
 ])
 def test_simulate_limit_peak_under_byte_estimate(monkeypatch, d, K, T, grid, replicas,
-                                                 stationary_init):
+                                                 stationary_init, seed):
     model = limit_model(d, K)
     need = limit_bytes(model, replicas, len(grid), T, stationary_init)
     # refused before any draw: the generator is left as it was
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     state = rng.bit_generator.state
     monkeypatch.setattr(errors, "BYTE_CAP", int(need) - 1)
     with pytest.raises(ResourceLimitError):

@@ -14,7 +14,6 @@ from regraph.graphs import (
     PermGraph,
     force_edges,
     sample_permutation_model,
-    sample_uniform_model,
     simple_cycle_census,
 )
 from regraph.poissonlab import (
@@ -29,6 +28,8 @@ from regraph.poissonlab import (
     tv_distance,
 )
 from regraph.walks import enumerate_cycles
+
+from oracles import pairing_model_graph
 
 
 def test_permutation_model_poisson_means():
@@ -190,7 +191,7 @@ def _uniform_counts_oracle(n, d, r, samples, seed):
     rng = np.random.default_rng([seed, n, 1])
     out = np.zeros((samples, r), dtype=np.int64)
     for i in range(samples):
-        for vs in simple_cycle_census(sample_uniform_model(n, d, rng), r).values():
+        for vs in simple_cycle_census(pairing_model_graph(n, d, rng), r).values():
             out[i, len(vs) - 1] += 1
     return out
 

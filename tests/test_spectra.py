@@ -1,7 +1,6 @@
 """Tests for spectra, polynomial bases, and the Kesten-McKay law."""
 
 import math
-import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from scipy import integrate
 
 from regraph.errors import InvalidInputError, NumericError, ResourceLimitError
-from regraph.graphs import PermGraph, sample_permutation_model, sample_uniform_model
+from regraph.graphs import PermGraph, SimpleGraph, sample_permutation_model, sample_uniform_model
 from regraph.spectra import (
     PolySeries,
     Spectrum,
@@ -84,39 +83,22 @@ def kesten_mckay(d: int) -> KestenMcKay:
 def test_nb_basis_is_shifted_chebyshev():
     d = 6
     for k in range(0, 7):
-        pk = nb_basis_poly(d, k, "unit")
+        pk = nb_basis_poly(d, k)
         tk = np.cos(k * np.arccos(U))
         c = (d - 2) / (d - 1) ** (k // 2) if k >= 2 and k % 2 == 0 else 0.0
         expect = tk if k == 0 else 2 * tk + c
         assert np.allclose(pk(U), expect, atol=1e-12)
 
 
-def test_nb_half_is_unit_in_doubled_variable():
-    d = 4
-    for k in range(0, 6):
-        unit = nb_basis_poly(d, k, "unit")
-        half = nb_basis_poly(d, k, "half")
-        assert np.allclose(half(2 * U), unit(U), atol=1e-12)
-
-
 def test_basis_round_trips():
     rng = np.random.default_rng(0)
     coef = tuple(rng.normal(size=6))
     f = PolySeries("nb_unit", coef, degree=6)
-    for basis in ("monomial", "cheb_t", "cheb_u"):
+    for basis in ("monomial", "cheb_t"):
         g = f.to_basis(basis)
         assert np.allclose(g(U), f(U), atol=1e-9)
         back = g.to_basis("nb_unit", degree=6)
         assert np.allclose(back.coef, coef, atol=1e-9)
-
-
-def test_cheb_u_basis_evaluates_correctly():
-    f = PolySeries("cheb_u", (0.0, 0.0, 1.0))
-    theta = np.arccos(np.clip(U, -1, 1))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        u2 = np.where(np.abs(U) < 1, np.sin(3 * theta) / np.sin(theta), np.nan)
-    mask = np.abs(U) < 0.999
-    assert np.allclose(f(U)[mask], u2[mask], atol=1e-9)
 
 
 def test_spectrum_rescaling():
@@ -134,7 +116,7 @@ def test_spectrum_rescaling():
 def test_rescaling_below_degree_two():
     # an empty graph (degree 0) and a perfect matching (degree 1) have raw
     # spectra only: their unit and half scales divide by sqrt(degree - 1)
-    empty = eigenvalues(np.zeros((3, 3)), scale="raw")
+    empty = eigenvalues(SimpleGraph(3, 0, []), scale="raw")
     assert empty == Spectrum((0.0, 0.0, 0.0), 0, "raw")
     matching = eigenvalues(sample_uniform_model(4, 1, np.random.default_rng(2)), scale="raw")
     assert matching.values == pytest.approx((1.0, 1.0, -1.0, -1.0))
@@ -146,23 +128,14 @@ def test_rescaling_below_degree_two():
         with pytest.raises(InvalidInputError, match="unknown scale"):
             spec.rescaled("bogus")
     with pytest.raises(InvalidInputError, match="degree >= 2"):
-        eigenvalues(np.zeros((3, 3)))
-
-
-def test_eigenvalues_validates_matrix_input():
-    with pytest.raises(InvalidInputError):
-        eigenvalues(np.array([[0, 1], [1, 0], [0, 0]]))
-    with pytest.raises(InvalidInputError):
-        eigenvalues(np.array([[0, 1], [0, 0]]))
-    with pytest.raises(InvalidInputError):
-        eigenvalues(np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]]))  # irregular
+        eigenvalues(SimpleGraph(3, 0, []))
 
 
 def test_eigenvalues_rejects_empty_adjacency():
-    # a 0 x 0 array is square, but has no row sum to test regularity against
+    # a graph on no vertices has no spectrum
     for scale in ("raw", "unit"):
         with pytest.raises(InvalidInputError, match="at least one vertex"):
-            eigenvalues(np.zeros((0, 0)), scale=scale)
+            eigenvalues(SimpleGraph(0, 2, []), scale=scale)
 
 
 def test_eigenvalues_refuses_dense_copies_over_the_byte_cap(monkeypatch):
@@ -171,37 +144,6 @@ def test_eigenvalues_refuses_dense_copies_over_the_byte_cap(monkeypatch):
     monkeypatch.setattr(PermGraph, "adjacency", lambda self: pytest.fail("adjacency built"))
     with pytest.raises(ResourceLimitError):
         eigenvalues(g)
-
-
-def test_eigenvalues_refuses_array_over_the_byte_cap_before_converting():
-    class Huge:
-        shape = (20_000, 20_000)
-
-        def __array__(self, *args, **kwargs):
-            pytest.fail("array input converted")
-
-    with pytest.raises(ResourceLimitError):
-        eigenvalues(Huge())
-
-
-def test_eigenvalues_array_checks_make_no_dense_temporaries():
-    n = 1200
-    g = sample_permutation_model(n, 2, np.random.default_rng(1))
-    a = g.adjacency()
-    want = eigenvalues(g)
-    tracemalloc.start()
-    try:
-        spec = eigenvalues(a)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert spec == want
-    # the old whole-matrix allclose(a, a.T) took about 2.1 n x n float copies
-    assert peak < 0.25 * 8 * n * n
-    # an asymmetry within the last row block is still found
-    a[n - 1, n - 2] += 1e-3
-    with pytest.raises(InvalidInputError, match="symmetric"):
-        eigenvalues(a)
 
 
 def test_cnbw_recovered_from_spectrum_uniform_model():
@@ -239,9 +181,9 @@ def test_kesten_mckay_density_value_at_zero():
 
 def test_nb_basis_has_zero_kesten_mckay_mean():
     km = kesten_mckay(6)
-    assert math.isclose(km.a0_of(nb_basis_poly(6, 0, "unit")), 1.0, abs_tol=1e-8)
+    assert math.isclose(km.a0_of(nb_basis_poly(6, 0)), 1.0, abs_tol=1e-8)
     for k in range(1, 7):
-        assert abs(km.a0_of(nb_basis_poly(6, k, "unit"))) < 1e-8
+        assert abs(km.a0_of(nb_basis_poly(6, k))) < 1e-8
 
 
 def test_chebyshev_kesten_mckay_mean():
