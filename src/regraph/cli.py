@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import metadata
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -36,16 +37,6 @@ from .graphs import (
     sample_permutation_model,
     sample_uniform_model,
     simple_regular_exists,
-)
-
-KINDS = (
-    "sample",
-    "cycles",
-    "spectrum",
-    "poisson-test",
-    "grow",
-    "limit-sim",
-    "gff-check",
 )
 
 _LIMIT_CHUNK = 1024  # replicas per RNG stream; fixed so workers never matter
@@ -115,43 +106,88 @@ def parse_config_file(path: Path) -> dict[str, Any]:
     return params
 
 
-def _as_list(value: Any) -> list:
-    return list(value) if isinstance(value, list) else [value]
+# A type takes a parsed value and its field's bound, and returns the value
+# typed, or None when it is not of the type or breaks the bound.  A bool is
+# no number: ``n = true`` parses to True.
+
+def _integer(value: Any, least: int) -> int | None:
+    return value if type(value) is int and value >= least else None
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _number(value: Any, least: float) -> float | None:
+    # inf, nan and ints past the float range fail the upper bound
+    finite = type(value) in (int, float) and least <= value <= sys.float_info.max
+    return float(value) if finite else None
 
 
-def _is_int(value: Any) -> bool:
-    """An int that is not a bool: ``n = true`` parses to True, which is an int."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _entries(check: Callable[[Any, Any], Any], value: Any, bound: Any) -> list | None:
+    """One or more values, each of type ``check``."""
+    typed = [check(entry, bound) for entry in (value if isinstance(value, list) else [value])]
+    return typed if typed and None not in typed else None
 
 
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "sample": ("model", "n", "d"),
-    "cycles": ("model", "n", "d", "r"),
-    "spectrum": ("model", "n", "d"),
-    "poisson-test": ("model", "d", "r", "n_values", "samples"),
-    "grow": ("d", "s", "T", "grid", "r"),
-    "limit-sim": ("d", "K", "T", "grid"),
-    "gff-check": ("jmax", "kmax", "lags"),
+# type -> (its check, what it asks of a value given the bound)
+_TYPES: dict[str, tuple[Callable[[Any, Any], Any], Callable[[Any], str]]] = {
+    "int": (_integer, "an integer >= {}".format),
+    "number": (_number, "a number >= {}, not inf or nan".format),
+    "ints": (partial(_entries, _integer), "one or more integers >= {}".format),
+    "numbers": (partial(_entries, _number), "one or more numbers >= {}, not inf or nan".format),
+    "choice": (lambda value, options: value if value in options else None,
+               lambda options: "one of " + ", ".join(options)),
 }
+
+
+# A field is (type, bound, default): the type a key of _TYPES, the bound the
+# least value of a number or of each entry or a choice's options, and the
+# default None when the field is required.
+_POSITIVE = ("int", 1, None)
+_COPIES = ("int", 1, 1)  # count and replicas: one graph or run
+_MODEL = ("choice", ("permutation", "uniform"), None)
+_TIME = ("number", 0, None)
+_GRID = ("numbers", 0, None)  # validate also puts it in [0, T], nondecreasing
+
+# kind -> field -> (type, bound, default); a config may hold no other field
+_FIELDS: dict[str, dict[str, tuple[str, Any, Any]]] = {
+    "sample": {"model": _MODEL, "n": _POSITIVE, "d": _POSITIVE, "count": _COPIES},
+    "cycles": {"model": _MODEL, "n": _POSITIVE, "d": _POSITIVE, "r": _POSITIVE,
+               "count": _COPIES},
+    "spectrum": {"model": _MODEL, "n": _POSITIVE, "d": _POSITIVE,
+                 "scale": ("choice", ("raw", "half", "unit"), "unit")},
+    "poisson-test": {"model": _MODEL, "d": _POSITIVE, "r": _POSITIVE,
+                     "n_values": ("ints", 1, None), "samples": _POSITIVE},
+    "grow": {"d": _POSITIVE, "s": _TIME, "T": _TIME, "grid": _GRID, "r": _POSITIVE,
+             "replicas": _COPIES},
+    "limit-sim": {"d": _POSITIVE, "K": _POSITIVE, "T": _TIME, "grid": _GRID,
+                  "replicas": _COPIES},
+    "gff-check": {"jmax": _POSITIVE, "kmax": _POSITIVE, "lags": ("numbers", 0, None)},
+}
+KINDS = tuple(_FIELDS)
+
+
+def _read(kind: str, params: dict[str, Any]) -> tuple[dict[str, Any], list[str]]:
+    """The kind's fields, typed and defaulted, and what in params breaks its
+    table; the bodies and estimates read a valid config's fields from here."""
+    table = _FIELDS[kind]
+    values: dict[str, Any] = {}
+    violations = [f"unknown field {name!r} for kind {kind}" for name in params
+                  if name not in table]
+    for name, (type_, bound, default) in table.items():
+        check, asks = _TYPES[type_]
+        value = params.get(name, default)  # no parsed value is None
+        values[name] = None if value is None else check(value, bound)
+        if value is None:
+            violations.append(f"missing required field {name!r} for kind {kind}")
+        elif values[name] is None:
+            violations.append(f"{name} must be {asks(bound)}; got {value!r}")
+    return values, violations
 
 
 def validate(config: ExperimentConfig) -> list[str]:
     """Return a list of precondition violations; empty iff run would start."""
-    violations: list[str] = []
-    kind, p = config.kind, config.params
+    kind = config.kind
     if kind not in KINDS:
         return [f"unknown experiment kind {kind!r}; expected one of {', '.join(KINDS)}"]
-    for name in _REQUIRED[kind]:
-        if name not in p:
-            violations.append(f"missing required field {name!r} for kind {kind}")
-        elif name in ("s", "T") and not _is_number(p[name]):
-            violations.append(f"{name} must be a number")
-        elif name in ("grid", "lags") and not all(map(_is_number, _as_list(p[name]))):
-            violations.append(f"{name} must be a number or a list of numbers")
+    p, violations = _read(kind, config.params)
     if violations:
         return violations
 
@@ -159,25 +195,8 @@ def validate(config: ExperimentConfig) -> list[str]:
         if not cond:
             violations.append(message)
 
-    if "model" in p:
-        check(p["model"] in ("permutation", "uniform"),
-              "model must be 'permutation' or 'uniform'")
-    if "d" in p:
-        check(_is_int(p["d"]) and p["d"] >= 1, "d must be an integer >= 1")
-    if "n" in p:
-        check(_is_int(p["n"]) and p["n"] >= 1, "n must be an integer >= 1")
-    if "r" in p:
-        check(_is_int(p["r"]) and p["r"] >= 1, "r must be an integer >= 1")
-    if "K" in p:
-        check(_is_int(p["K"]) and p["K"] >= 1, "K must be an integer >= 1")
-    if kind == "poisson-test" and not violations:
-        ns = _as_list(p["n_values"])
-        check(bool(ns) and all(_is_int(n) and n >= 1 for n in ns),
-              "n_values must be one or more positive integers")
-        check(_is_int(p["samples"]) and p["samples"] >= 1,
-              "samples must be a positive integer")
-    if "model" in _REQUIRED[kind] and p["model"] == "uniform" and not violations:
-        ns = _as_list(p["n_values"]) if kind == "poisson-test" else [p["n"]]
+    if p.get("model") == "uniform":
+        ns = p["n_values"] if kind == "poisson-test" else [p["n"]]
         bad = [str(n) for n in ns if not simple_regular_exists(n, p["d"])]
         check(not bad, f"uniform model needs n*d even and d < n; "
                        f"got d={p['d']}, n={', '.join(bad)}")
@@ -185,30 +204,12 @@ def validate(config: ExperimentConfig) -> list[str]:
             check(p["samples"] <= poissonlab.UNIFORM_SAMPLE_CAP,
                   f"uniform model samples at most {poissonlab.UNIFORM_SAMPLE_CAP} "
                   f"graphs; got samples={p['samples']}")
-    if kind == "spectrum" and not violations:
-        scale = p.get("scale", "unit")
-        check(scale in ("raw", "half", "unit"), f"scale must be raw, half or unit; got {scale!r}")
-        check(scale not in ("half", "unit") or p["model"] == "permutation" or p["d"] >= 2,
+    if kind == "spectrum":
+        check(p["scale"] == "raw" or p["model"] == "permutation" or p["d"] >= 2,
               "a uniform d = 1 graph has degree 1, so only scale = raw is defined for it")
-    if kind in ("grow", "limit-sim") and not violations:
-        grid = [float(t) for t in _as_list(p["grid"])]
-        horizon = float(p["T"])
-        check(horizon >= 0, "T must be >= 0")
-        check(all(0 <= t <= horizon for t in grid),
-              "grid times must lie in [0, T]")
-        check(list(grid) == sorted(grid), "grid times must be nondecreasing")
-        if kind == "grow":
-            check(float(p["s"]) >= 0, "s (warm-up time) must be >= 0")
-    if "replicas" in p:
-        check(_is_int(p["replicas"]) and p["replicas"] >= 1,
-              "replicas must be a positive integer")
-    if "count" in p:
-        check(_is_int(p["count"]) and p["count"] >= 1,
-              "count must be a positive integer")
-    if kind == "gff-check" and not violations:
-        check(_is_int(p["jmax"]) and p["jmax"] >= 1, "jmax must be >= 1")
-        check(_is_int(p["kmax"]) and p["kmax"] >= 1, "kmax must be >= 1")
-        check(all(float(l) >= 0 for l in _as_list(p["lags"])), "lags must be >= 0")
+    if "grid" in p:
+        check(all(t <= p["T"] for t in p["grid"]), "grid times must lie in [0, T]")
+        check(p["grid"] == sorted(p["grid"]), "grid times must be nondecreasing")
     if not violations and (estimate := _byte_estimate(kind, p)):
         try:
             check_bytes(*estimate[:2])
@@ -244,7 +245,7 @@ GROWTH_EVENT_BYTES = 640
 _CSV_WRITER_BYTES = 2**17
 
 
-def _grow_bytes(p: dict[str, Any]) -> float:
+def _grow_bytes(params: dict[str, Any]) -> float:
     """Peak bytes of a valid grow run: its held counts, its runs' own objects
     and events, the run in progress and a csv writer's buffer.  A k-cycle count
     is stationary with mean a(d, k)/2k and turns over at rate k, so k-cycles are
@@ -252,36 +253,58 @@ def _grow_bytes(p: dict[str, Any]) -> float:
     empty graph and has e^t - 1 vertices at time t on average; the run in
     progress is charged its tower, clock and census snapshot for that many at
     s + T, capped at ``growth.MAX_VERTICES``."""
-    replicas, d, r = p.get("replicas", 1), p["d"], p["r"]
-    events = float(p["T"]) * sum(words.count_reduced_words(d, k) for k in range(1, r + 1)) / 2
-    vertices = min(math.expm1(min(float(p["s"]) + float(p["T"]), 64.0)), growth.MAX_VERTICES)
+    p = _read("grow", params)[0]
+    d, r = p["d"], p["r"]
+    events = p["T"] * sum(words.count_reduced_words(d, k) for k in range(1, r + 1)) / 2
+    vertices = min(math.expm1(min(p["s"] + p["T"], 64.0)), growth.MAX_VERTICES)
     in_progress = (_GROW_CLOCK_BYTES + GROWTH_EVENT_BYTES * events
                    + vertices * (_LABEL_VERTEX_BYTES * d + walks.census_vertex_bytes(d, r)))
-    return (_trajectory_bytes(replicas, len(_as_list(p["grid"])), len(words.classes_upto(d, r)), r)
-            + (_GROW_RUN_BYTES + EVENT_BYTES * events) * replicas + in_progress
+    return (_trajectory_bytes(p["replicas"], len(p["grid"]), len(words.classes_upto(d, r)), r)
+            + (_GROW_RUN_BYTES + EVENT_BYTES * events) * p["replicas"] + in_progress
             + _CSV_WRITER_BYTES)
 
 
-def _limit_sim_bytes(p: dict[str, Any]) -> float:
+def _limit_sim_bytes(params: dict[str, Any]) -> float:
     """Peak bytes of a valid limit-sim run: its held counts, and one chunk
     simulated at a time."""
+    p = _read("limit-sim", params)[0]
     model = limitproc.limit_model(p["d"], p["K"])
-    replicas, grid_size = p.get("replicas", 1), len(_as_list(p["grid"]))
+    replicas, grid_size = p["replicas"], len(p["grid"])
     return (_trajectory_bytes(replicas, grid_size, len(model.classes), p["K"])
-            + limitproc.limit_bytes(model, min(replicas, _LIMIT_CHUNK), grid_size,
-                                    float(p["T"]), True))
+            + limitproc.limit_bytes(model, min(replicas, _LIMIT_CHUNK), grid_size, p["T"], True))
+
+
+# bytes a sample or cycles run takes a vertex and label (n d of them) of a
+# graph it holds: on the permutation model its arrays, its int lists and,
+# kept, its JSON ints and their encoding in report.json (tracemalloc read
+# 90-123); on the uniform model its edge set and neighbour lists and, kept,
+# a JSON pair an edge (178-270)
+_GRAPH_ENTRY_BYTES = {"permutation": 160, "uniform": 320}
+# a cycles row's bytes a key, by length or word class, with its encoding
+_ROW_ENTRY_BYTES = 320
+# a cycle a search finds, while its job runs
+_CYCLE_BYTES = 512
+# the run's own objects beside these: its report, jobs and results
+_RUN_BYTES = 16 * 1024
 
 
 def _byte_estimate(kind: str, p: dict[str, Any]) -> tuple[float, str, str] | None:
     """The peak bytes of a valid run, what holds them and the field to lower,
     or None; the library checks each of its calls again."""
+    if kind == "sample":
+        return (p["count"] * p["n"] * p["d"] * _GRAPH_ENTRY_BYTES[p["model"]] + _RUN_BYTES,
+                f"{p['count']} graphs with n={p['n']}", "count or n")
+    if kind == "cycles":
+        cycles = poissonlab.mean_cycle_count(p["model"], p["d"], min(p["r"], p["n"]))
+        return (p["n"] * p["d"] * _GRAPH_ENTRY_BYTES[p["model"]] + cycles * _CYCLE_BYTES
+                + p["count"] * (p["r"] + cycles) * _ROW_ENTRY_BYTES + _RUN_BYTES,
+                f"the cycles of {p['count']} graphs with n={p['n']} to length {p['r']}",
+                "count, n or r")
     if kind == "poisson-test":
-        n = max(_as_list(p["n_values"]))
-        if p["model"] == "uniform":
-            return (poissonlab.uniform_sample_bytes(n, p["d"], p["r"], p["samples"]),
-                    f"the cycle counts of {p['samples']} uniform graphs with n={n}",
-                    "n_values, r or samples")
-        return walks.census_graph_bytes(p["d"], n), f"the census of a graph with n={n}", "n_values"
+        n = max(p["n_values"])
+        return (poissonlab.cycle_sample_bytes(p["model"], n, p["d"], p["r"], p["samples"]),
+                f"the cycle counts of {p['samples']} {p['model']} graphs with n={n}",
+                "n_values, r or samples" if p["model"] == "uniform" else "n_values or samples")
     if kind in ("grow", "limit-sim"):
         return (_grow_bytes if kind == "grow" else _limit_sim_bytes)(p), kind, "replicas"
     if kind == "spectrum":
@@ -352,42 +375,32 @@ def _limit_chunk(d: int, K: int, horizon: float, grid: tuple, replicas: int,
 
 
 def _body_sample(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
-    p = config.params
-    count = p.get("count", 1)
-    jobs = [(p["model"], p["n"], p["d"], config.seed, i) for i in range(count)]
+    p = _read(config.kind, config.params)[0]
+    jobs = [(p["model"], p["n"], p["d"], config.seed, i) for i in range(p["count"])]
     graphs = _run_indexed(_sample_one, jobs, config.workers)
     return {"model": p["model"], "n": p["n"], "d": p["d"], "graphs": graphs}, {}
 
 
 def _body_cycles(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
-    p = config.params
-    count = p.get("count", 1)
-    jobs = [(p["model"], p["n"], p["d"], p["r"], config.seed, i) for i in range(count)]
+    p = _read(config.kind, config.params)[0]
+    jobs = [(p["model"], p["n"], p["d"], p["r"], config.seed, i) for i in range(p["count"])]
     rows = _run_indexed(_census_one, jobs, config.workers)
     body = {"model": p["model"], "n": p["n"], "d": p["d"], "r": p["r"], "rows": rows}
     return body, {}
 
 
 def _body_spectrum(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
-    p = config.params
-    scale = p.get("scale", "unit")
+    p = _read(config.kind, config.params)[0]
     g = _sample_graph(p["model"], p["n"], p["d"], np.random.default_rng([config.seed, 0]))
-    spec = spectra.eigenvalues(g, scale=scale)
-    body = {
-        "model": p["model"],
-        "n": p["n"],
-        "d": p["d"],
-        "scale": spec.scale,
-        "eigenvalues": [float(v) for v in spec.values],
-    }
+    spec = spectra.eigenvalues(g, scale=p["scale"])
+    body = {**p, "eigenvalues": [float(v) for v in spec.values]}
     return body, {"spectrum.csv": ((spec.scale,), ((v,) for v in spec.values))}
 
 
 def _body_poisson_test(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
-    p = config.params
-    n_list = [int(n) for n in _as_list(p["n_values"])]
+    p = _read(config.kind, config.params)[0]
     rows = poissonlab.tv_convergence_experiment(
-        p["model"], p["d"], p["r"], n_list, p["samples"], config.seed
+        p["model"], p["d"], p["r"], p["n_values"], p["samples"], config.seed
     )
     body = {"model": p["model"], "d": p["d"], "r": p["r"], "rows": rows}
     # validate() admits no empty n_values, so rows[0] exists
@@ -424,11 +437,9 @@ def _trajectory_csv(source: str, grid: Sequence[float], classes: Sequence[str],
 
 
 def _body_grow(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
-    p = config.params
-    replicas = p.get("replicas", 1)
-    grid = tuple(float(t) for t in _as_list(p["grid"]))
-    jobs = [(p["d"], float(p["s"]), float(p["T"]), grid, p["r"], config.seed, i)
-            for i in range(replicas)]
+    p = _read(config.kind, config.params)[0]
+    replicas, grid = p["replicas"], tuple(p["grid"])
+    jobs = [(p["d"], p["s"], p["T"], grid, p["r"], config.seed, i) for i in range(replicas)]
     run_counts, run_events = zip(*_run_indexed(_grow_one, jobs, config.workers))
     counts = np.stack(run_counts)
     del run_counts  # the stacked counts replace each run's own
@@ -437,11 +448,7 @@ def _body_grow(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
     classes = [str(wc) for wc in word_classes]
     by_len = words.counts_by_length(counts, word_classes, p["r"])
     events = ((run_id, *ev) for run_id, evs in enumerate(run_events) for ev in evs)
-    body = {
-        "d": p["d"], "s": float(p["s"]), "T": float(p["T"]), "r": p["r"],
-        "grid": list(grid), "replicas": replicas, "classes": classes,
-        "mean_counts_by_length": by_len.mean(axis=0).tolist(),
-    }
+    body = {**p, "classes": classes, "mean_counts_by_length": by_len.mean(axis=0).tolist()}
     return body, {
         "trajectory.csv": _trajectory_csv("growth", grid, classes, counts, by_len),
         "events.csv": (("run_id", "time", "kind", "word", "parent"), events),
@@ -449,34 +456,28 @@ def _body_grow(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
 
 
 def _body_limit_sim(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
-    p = config.params
-    replicas = p.get("replicas", 1)
-    grid = tuple(float(t) for t in _as_list(p["grid"]))
+    p = _read(config.kind, config.params)[0]
+    replicas, grid = p["replicas"], tuple(p["grid"])
     model = limitproc.limit_model(p["d"], p["K"])
     chunks = [(i, min(_LIMIT_CHUNK, replicas - i * _LIMIT_CHUNK))
               for i in range(math.ceil(replicas / _LIMIT_CHUNK))]
-    jobs = [(p["d"], p["K"], float(p["T"]), grid, size, config.seed, idx)
+    jobs = [(p["d"], p["K"], p["T"], grid, size, config.seed, idx)
             for idx, size in chunks]
     counts = np.concatenate(_run_indexed(_limit_chunk, jobs, config.workers))
 
     classes = [str(wc) for wc in model.classes]
     by_len = limitproc.counts_by_length(counts, model)
-    body = {
-        "d": p["d"], "K": p["K"], "T": float(p["T"]), "grid": list(grid),
-        "replicas": replicas, "classes": classes,
-        "mean_counts_by_length": by_len.mean(axis=0).tolist(),
-    }
+    body = {**p, "classes": classes, "mean_counts_by_length": by_len.mean(axis=0).tolist()}
     return body, {"trajectory.csv": _trajectory_csv("limit", grid, classes, counts, by_len)}
 
 
 def _body_gff_check(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
-    p = config.params
-    lags = [float(l) for l in _as_list(p["lags"])]
+    p = _read(config.kind, config.params)[0]
     header = ("j", "k", "lag", "numeric", "closed_form", "abs_err")
     rows = []
     for j in range(1, p["jmax"] + 1):
         for k in range(1, p["kmax"] + 1):
-            for lag in lags:
+            for lag in p["lags"]:
                 numeric = gffcheck.gff_cheb_covariance(j, k, 0.0, lag)
                 closed = gffcheck.gff_closed_form(j, k, 0.0, lag)
                 rows.append((j, k, lag, numeric, closed, abs(numeric - closed)))
@@ -565,26 +566,23 @@ def _build_config(argv: Sequence[str] | None) -> ExperimentConfig:
     params = parse_config_file(args.config)
     seed = params.pop("seed", 0)
     workers = params.pop("workers", 1)
-    out = Path(params.pop("out", "."))
+    out = params.pop("out", ".")
     if args.seed is not None:
         seed = args.seed
     if "REGRAPH_SEED" in os.environ:
-        try:
-            seed = int(os.environ["REGRAPH_SEED"])
-        except ValueError as exc:
-            raise InvalidInputError(
-                f"REGRAPH_SEED must be an integer, got {os.environ['REGRAPH_SEED']!r}"
-            ) from exc
+        seed = _parse_value(os.environ["REGRAPH_SEED"])
     if args.workers is not None:
         workers = args.workers
     if args.out is not None:
         out = args.out
-    if not _is_int(seed):
-        raise InvalidInputError(f"seed must be an integer, got {seed!r}")
-    if not _is_int(workers) or workers < 1:
-        raise InvalidInputError(f"workers must be a positive integer, got {workers!r}")
+    if _integer(seed, 0) is None:
+        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
+    if _integer(workers, 1) is None:
+        raise InvalidInputError(f"workers must be an integer >= 1, got {workers!r}")
+    if not isinstance(out, (str, Path)):
+        raise InvalidInputError(f"out must be a path, got {out!r}")
     return ExperimentConfig(kind=args.kind, params=params, seed=seed,
-                            workers=workers, out=out)
+                            workers=workers, out=Path(out))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

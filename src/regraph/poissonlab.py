@@ -21,6 +21,7 @@ import numpy as np
 from . import walks, words
 from .errors import InvalidInputError, ResourceLimitError, check_bytes
 from .graphs import (
+    PAIRING_BLOCK_BYTES,
     CycleSpec,
     PermGraph,
     force_edges,
@@ -63,6 +64,17 @@ def poisson_targets(model: str, d: int, r: int) -> PoissonTarget:
     else:
         raise InvalidInputError(f"unknown model {model!r}")
     return PoissonTarget(model=model, d=d, r=r, by_length=means)
+
+
+def mean_cycle_count(model: str, d: int, r: int) -> float:
+    """The limit mean number of cycles of length <= r, the target means
+    summed; on the permutation model it bounds the mean at every n.  Past
+    length 128 a mean is over 2^128/256 unless it is at most 1/k (d = 1, or a
+    uniform d = 2), and those sum to less than ln r."""
+    mean = float(sum(poisson_targets(model, d, min(r, 128)).by_length))
+    if r <= 128:
+        return mean
+    return mean + math.log(r) if d == 1 or (model == "uniform" and d == 2) else math.inf
 
 
 def class_poisson_means(d: int, r: int) -> dict[WordClass, Fraction]:
@@ -140,6 +152,26 @@ def uniform_sample_bytes(n: int, d: int, r: int, samples: int) -> int:
     return 16 * samples * n * d + simple_count_bytes(samples, n, d, r)
 
 
+def cycle_sample_bytes(model: str, n: int, d: int, r: int, samples: int,
+                       chunk: int = 256) -> int:
+    """Peak bytes of one n of ``tv_convergence_experiment``: its
+    ``sample_cycle_counts`` call, then the empirical pmf of the counts.  A
+    uniform-model call holds ``uniform_sample_bytes`` whole, beside an attempt
+    block under ``graphs.PAIRING_BLOCK_BYTES``.  A permutation-model call
+    holds its int64 (samples, r) counts, a chunk's float64 draw beside its
+    int64 argsort and the last chunk's permutations, and one graph's census
+    whole, ``walks.census_graph_bytes``.  Both add a path or position chunk
+    under ``walks.CENSUS_CHUNK_BYTES``.  The pmf is charged 256 + 64 r bytes
+    a sample, for when every row is its own key (np.unique's copies, a tuple
+    key, its mass and a dict slot; tracemalloc read 263-600 bytes a sample at
+    r = 1..7)."""
+    if model == "uniform":
+        held = uniform_sample_bytes(n, d, r, samples) + PAIRING_BLOCK_BYTES
+    else:
+        held = 8 * samples * r + 24 * min(chunk, samples) * d * n + walks.census_graph_bytes(d, n)
+    return held + walks.CENSUS_CHUNK_BYTES + samples * (256 + 64 * r)
+
+
 def sample_cycle_counts(
     model: str,
     n: int,
@@ -160,19 +192,17 @@ def sample_cycle_counts(
     """
     if samples < 1:
         raise InvalidInputError("need at least one sample")
+    if model not in ("permutation", "uniform"):
+        raise InvalidInputError(f"unknown model {model!r}")
+    if model == "uniform" and samples > UNIFORM_SAMPLE_CAP:
+        raise ResourceLimitError(f"uniform-model sampling capped at {UNIFORM_SAMPLE_CAP} graphs")
+    check_bytes(cycle_sample_bytes(model, n, d, r, samples, chunk),
+                f"cycle counts of {samples} {model} graphs with n={n}")
     if model == "uniform":
-        if samples > UNIFORM_SAMPLE_CAP:
-            raise ResourceLimitError(
-                f"uniform-model sampling capped at {UNIFORM_SAMPLE_CAP} graphs"
-            )
-        check_bytes(uniform_sample_bytes(n, d, r, samples),
-                    f"cycle counts of {samples} uniform graphs with n={n}")
         # the stream is this call's own, so the sampler may draw past its last graph
         rng = np.random.default_rng([seed, n, 1])
         pairs = sample_uniform_pairings(n, d, samples, rng)
         return simple_cycle_counts(pairing_neighbors(pairs, n), r)
-    if model != "permutation":
-        raise InvalidInputError(f"unknown model {model!r}")
     out = np.zeros((samples, r), dtype=np.int64)
     for start in range(0, samples, chunk):
         idx = start // chunk
@@ -196,8 +226,8 @@ def tv_convergence_experiment(
     target = poisson_targets(model, d, r)
     rows = []
     for n in n_list:
-        counts = sample_cycle_counts(model, n, d, r, samples, seed)
-        emp = empirical_pmf(counts)
+        # the counts go once their pmf is made, and the pmf before the next n
+        emp = empirical_pmf(sample_cycle_counts(model, n, d, r, samples, seed))
         tv = tv_distance(emp, target.by_length)
         rows.append(
             {
@@ -211,6 +241,7 @@ def tv_convergence_experiment(
                 "rate_shape": rate_shape(model, d, r, n),
             }
         )
+        del emp
     return rows
 
 

@@ -1,16 +1,18 @@
 """Tests for the command-line experiment runner."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from regraph import cli, errors, growth, limitproc, walks
+from regraph import cli, errors, growth, limitproc, poissonlab, walks
 from regraph.errors import InvalidInputError, ResourceLimitError
 
 
@@ -298,6 +300,62 @@ def test_boolean_in_integer_field_exits_2(tmp_path, capsys, kind, line):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["5", "2.5", "true", "a, b"])
+def test_out_in_config_that_is_no_path_exits_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "o.cfg", _VALID["sample"] + f"out = {value}\n")
+    assert cli.main(["sample", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: out must be a path") and err.count("\n") == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["o.cfg"]
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("cycles", _VALID["cycles"] + "replicas = 0\n", "unknown field 'replicas' for kind cycles"),
+    ("grow", "d = 2\ns = 1.0\nT = 1.0\ngrid = 0.0\nr = 3\nreplica = 1000000000000\n",
+     "unknown field 'replica' for kind grow"),
+], ids=["cycles-replicas", "grow-replica"])
+def test_unknown_field_exits_2(tmp_path, capsys, kind, text, message):
+    cfg = _write(tmp_path, "u.cfg", text)
+    assert cli.validate(cli.ExperimentConfig(kind, cli.parse_config_file(cfg))) == [message]
+    assert _run(kind, cfg, tmp_path / "new" / "out") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("kind, text, name", [
+    ("grow", "d = 2\ns = 1.0\nT = 1.0\ngrid = ,\nr = 3\n", "grid"),
+    ("grow", "d = 2\ns = 1.0\nT = 1.0\ngrid = 0.0, inf\nr = 3\n", "grid"),
+    ("grow", "d = 2\ns = inf\nT = 1.0\ngrid = 0.0\nr = 3\n", "s"),
+    ("grow", "d = 2\ns = 1.0\nT = nan\ngrid = 0.0\nr = 3\n", "T"),
+    ("limit-sim", "d = 2\nK = 3\nT = 1.0\ngrid = ,\n", "grid"),
+    ("limit-sim", "d = 2\nK = 3\nT = inf\ngrid = 0.0\nreplicas = 2\n", "T"),
+    ("limit-sim", "d = 2\nK = 3\nT = 1.0\ngrid = 0.0, 1e400\n", "grid"),
+    ("gff-check", "jmax = 1\nkmax = 1\nlags = inf\n", "lags"),
+    ("gff-check", "jmax = 1\nkmax = 1\nlags = ,\n", "lags"),
+    ("gff-check", "jmax = 1\nkmax = 1\nlags = 0.5, nan\n", "lags"),
+], ids=["grow-grid-empty", "grow-grid-inf", "grow-s-inf", "grow-T-nan", "limit-sim-grid-empty",
+        "limit-sim-T-inf", "limit-sim-grid-overflow", "gff-check-lags-inf",
+        "gff-check-lags-empty", "gff-check-lags-nan"])
+def test_non_finite_or_empty_value_exits_2(tmp_path, capsys, monkeypatch, kind, text, name):
+    for body in cli._BODIES:
+        monkeypatch.setitem(cli._BODIES, body, lambda config: pytest.fail("it ran"))
+    cfg = _write(tmp_path, "n.cfg", text)
+    assert _run(kind, cfg, tmp_path / "new" / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {name} must be") and err.count("\n") == 1
+    assert not (tmp_path / "new").exists()
+
+
+def test_an_int_past_the_float_range_is_no_number(tmp_path):
+    text = "d = 2\ns = 1.0\nT = 1.0\ngrid = 0.0\nr = 3\n"
+    big = "1" + "0" * 400
+    for line in (f"s = {big}", f"T = {big}"):
+        params = cli.parse_config_file(_write(tmp_path, "b.cfg", text + line + "\n"))
+        assert cli.validate(cli.ExperimentConfig("grow", params)) == [
+            f"{line.split(' =')[0]} must be a number >= 0, not inf or nan; got {int(big)}"]
+
+
 def test_failed_run_leaves_no_output_directory(tmp_path):
     # valid config whose warm-up to s = 20 passes the 10^6-vertex cap of
     # growth.poissonized_times at run time
@@ -324,7 +382,8 @@ def test_limit_sim_replicas_over_byte_cap_exits_2(tmp_path, capsys, monkeypatch)
 
 def test_poisson_test_census_over_byte_cap_exits_2(tmp_path, capsys, monkeypatch):
     text = "model = permutation\nd = 2\nr = 3\nn_values = 10, {}\nsamples = 4\n"
-    monkeypatch.setattr(errors, "BYTE_CAP", walks.census_graph_bytes(2, 1000))
+    monkeypatch.setattr(errors, "BYTE_CAP",
+                        poissonlab.cycle_sample_bytes("permutation", 1000, 2, 3, 4))
     assert cli.validate(cli.ExperimentConfig("poisson-test", cli.parse_config_file(
         _write(tmp_path, "ok.cfg", text.format(1000))))) == []
     monkeypatch.setitem(cli._BODIES, "poisson-test", lambda config: pytest.fail("it ran"))
@@ -613,3 +672,112 @@ def test_spectrum_over_byte_cap_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "eigen-solve at n=20000" in err and "lower n" in err
     assert not (tmp_path / "new").exists()
+
+
+def test_permutation_poisson_test_over_byte_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # the draw and its argsort at n = 10^6 (about 8.2 GB), and the counts and
+    # pmf of 10^9 samples, are refused before anything runs
+    monkeypatch.setitem(cli._BODIES, "poisson-test", lambda config: pytest.fail("it ran"))
+    text = "model = permutation\nd = 2\nr = 3\nn_values = {}\nsamples = {}\n"
+    for n, samples in ((1_000_000, 256), (100, 10**9)):
+        cfg = _write(tmp_path, "p.cfg", text.format(n, samples))
+        assert _run("poisson-test", cfg, tmp_path / "new" / "out") == 2
+        err = capsys.readouterr().err
+        assert f"{samples} permutation graphs with n={n}" in err
+        assert "lower n_values or samples" in err
+        assert not (tmp_path / "new").exists()
+
+
+def _traced_peak(config):
+    cli.run(dataclasses.replace(config, out=config.out.with_name("warm")))  # first-call set-up
+    tracemalloc.start()
+    try:
+        cli.run(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("text", [
+    "model = permutation\nn = 10\nd = 2\n",
+    "model = permutation\nn = 1000\nd = 2\ncount = 20\n",
+    "model = permutation\nn = 100\nd = 5\ncount = 50\n",
+    "model = uniform\nn = 10\nd = 3\n",
+    "model = uniform\nn = 2000\nd = 3\n",
+    "model = uniform\nn = 200\nd = 4\ncount = 50\n",
+], ids=["perm-1", "perm-20", "perm-d5", "uniform-1", "uniform-big", "uniform-50"])
+def test_sample_byte_estimate_bounds_tracemalloc_peak(tmp_path, text):
+    params = cli.parse_config_file(_write(tmp_path, "s.cfg", text))
+    config = cli.ExperimentConfig("sample", params, seed=3, out=tmp_path / "out")
+    need = cli._byte_estimate("sample", cli._read("sample", params)[0])[0]
+    assert need / 2 < _traced_peak(config) <= need
+
+
+@pytest.mark.parametrize("text", [
+    "model = permutation\nn = 10\nd = 2\nr = 3\n",
+    "model = permutation\nn = 1000\nd = 2\nr = 4\ncount = 5\n",
+    "model = permutation\nn = 200\nd = 2\nr = 6\ncount = 4\n",
+    "model = permutation\nn = 12\nd = 2\nr = 12\ncount = 3\n",
+    "model = permutation\nn = 3000\nd = 1\nr = 3000\n",
+    "model = uniform\nn = 1000\nd = 3\nr = 5\ncount = 5\n",
+    "model = uniform\nn = 12\nd = 3\nr = 12\ncount = 3\n",
+    "model = uniform\nn = 1500\nd = 2\nr = 1500\n",
+], ids=["perm-small", "perm-1000", "perm-r6", "perm-r-is-n", "perm-d1-long",
+        "uniform-1000", "uniform-r-is-n", "uniform-d2-long"])
+def test_cycles_byte_estimate_bounds_tracemalloc_peak(tmp_path, text):
+    # the rows are charged the limit mean of the cycles a graph has, a bound
+    # of its mean on the permutation model, so small graphs are overcharged
+    params = cli.parse_config_file(_write(tmp_path, "c.cfg", text))
+    config = cli.ExperimentConfig("cycles", params, seed=3, out=tmp_path / "out")
+    need = cli._byte_estimate("cycles", cli._read("cycles", params)[0])[0]
+    assert _traced_peak(config) <= need
+
+
+@pytest.mark.parametrize("kind", ["sample", "cycles"])
+def test_sample_or_cycles_over_byte_cap_exits_2(tmp_path, capsys, monkeypatch, kind):
+    # 10^9 graphs at n = 10^6 would hold some 10^17 bytes of JSON
+    monkeypatch.setitem(cli._BODIES, kind, lambda config: pytest.fail(f"{kind} ran"))
+    extra = "r = 3\n" if kind == "cycles" else ""
+    cfg = _write(tmp_path, "s.cfg", f"model = permutation\nn = 1000000\nd = 2\n{extra}"
+                                    f"count = {10**9}\n")
+    assert _run(kind, cfg, tmp_path / "new" / "out") == 2
+    err = capsys.readouterr().err
+    assert "1000000000 graphs with n=1000000" in err and "count" in err
+    assert not (tmp_path / "new").exists()
+
+
+def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch):
+    # a random stream is keyed by (seed, index), and numpy takes no negative key
+    cfg = _write(tmp_path, "s.cfg", _VALID["sample"])
+    assert _run("sample", cfg, tmp_path / "new" / "out", "--seed", "-1") == 2
+    assert _run("sample", _write(tmp_path, "n.cfg", _VALID["sample"] + "seed = -1\n"),
+                tmp_path / "new" / "out") == 2
+    monkeypatch.setenv("REGRAPH_SEED", "-1")
+    assert _run("sample", cfg, tmp_path / "new" / "out") == 2
+    assert capsys.readouterr().err.count("seed must be an integer >= 0") == 3
+    assert not (tmp_path / "new").exists()
+
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# each config a perfbench CLI op runs, and the kind it runs it under
+_PERFBENCH_CLI_CONFIGS = {
+    "tv-census-r3.cfg": "poisson-test",
+    "tv-census-r4.cfg": "poisson-test",
+    "couplings-poisson-test-uniform.cfg": "poisson-test",
+    "growth-grow.cfg": "grow",
+    "limit-spectral-limit-sim.cfg": "limit-sim",
+    "limit-spectral-spectrum.cfg": "spectrum",
+    "limit-spectral-gff-check.cfg": "gff-check",
+}
+
+
+def test_perfbench_cli_ops_are_the_listed_configs():
+    ops = re.findall(r'_cli_op\("([\w-]+)", "([\w.-]+)"',
+                     (_PERFBENCH / "workloads.py").read_text())
+    assert {config: kind for kind, config in ops} == _PERFBENCH_CLI_CONFIGS
+
+
+@pytest.mark.parametrize("name", sorted(_PERFBENCH_CLI_CONFIGS))
+def test_perfbench_cli_config_validates(name):
+    params = cli.parse_config_file(_PERFBENCH / "configs" / name)
+    assert cli.validate(cli.ExperimentConfig(_PERFBENCH_CLI_CONFIGS[name], params)) == []

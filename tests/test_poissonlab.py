@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -229,6 +230,36 @@ def test_uniform_cycle_counts_check_bytes_before_sampling(monkeypatch):
                         lambda *args: pytest.fail("sampled before the check"))
     with pytest.raises(ResourceLimitError, match="300 uniform graphs with n=16"):
         sample_cycle_counts("uniform", 16, 3, 4, samples=300, seed=0)
+
+
+def test_permutation_cycle_counts_check_bytes_before_drawing(monkeypatch):
+    need = poissonlab.cycle_sample_bytes("permutation", 1000, 2, 3, 300)
+    with monkeypatch.context() as patch:
+        patch.setattr(errors, "BYTE_CAP", need - 1)
+        patch.setattr(np.random, "default_rng", lambda *args: pytest.fail("drew before the check"))
+        with pytest.raises(ResourceLimitError, match="300 permutation graphs with n=1000"):
+            sample_cycle_counts("permutation", 1000, 2, 3, samples=300, seed=0)
+    monkeypatch.setattr(errors, "BYTE_CAP", need)
+    assert sample_cycle_counts("permutation", 1000, 2, 3, samples=300, seed=0).shape == (300, 3)
+
+
+@pytest.mark.parametrize("model, n, d, r, samples", [
+    ("permutation", 800, 2, 3, 256),  # the tv-census shape at its largest n
+    ("permutation", 100, 2, 4, 3000),
+    ("permutation", 30, 2, 5, 5000),  # nearly every row of counts its own pmf key
+    ("permutation", 5000, 1, 3, 600),  # three chunks of large graphs
+    ("uniform", 16, 3, 4, 300),
+    ("uniform", 12, 3, 6, 3000),
+])
+def test_cycle_sample_bytes_bound_tracemalloc_peak(model, n, d, r, samples):
+    tv_convergence_experiment(model, d, r, [n], samples, seed=1)  # first-call set-up
+    tracemalloc.start()
+    try:
+        tv_convergence_experiment(model, d, r, [n], samples, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= poissonlab.cycle_sample_bytes(model, n, d, r, samples)
 
 
 def test_tv_convergence_rows():

@@ -1,7 +1,10 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its CLI contract
+matches the CLI."""
 
 import re
 from pathlib import Path
+
+from regraph import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +18,31 @@ def test_readme_library_example_runs():
     exec(compile(block, str(README), "exec"), namespace)
     counts, model = namespace["counts"], namespace["model"]
     assert counts.shape == (10_000, 3, len(model.classes))
+
+
+def _ticked(text: str) -> list[str]:
+    return re.findall(r"`([^`]+)`", text)
+
+
+def test_readme_kinds_are_the_cli_kinds():
+    kinds = re.search(r"^Kinds: (.*?)\. ", README.read_text(), re.S | re.M).group(1)
+    assert tuple(_ticked(kinds)) == cli.KINDS
+
+
+def test_readme_field_rows_are_the_field_table():
+    def cell(name: str, default) -> str:  # a str default is ticked too
+        if default is None:
+            return f"`{name}`"
+        return f"`{name}` = " + (f"`{default}`" if isinstance(default, str) else str(default))
+
+    rows = re.findall(r"^\| `([\w-]+)` \| (`.*`(?: = \S+)?) \|$", README.read_text(), re.M)
+    assert dict(rows) == {
+        kind: ", ".join(cell(name, default) for name, (_type, _bound, default) in fields.items())
+        for kind, fields in cli._FIELDS.items()}
+
+
+def test_readme_integer_fields_are_the_tables_and_seed_and_workers():
+    listed = re.search(r"Every integer field \((.*?)\)", README.read_text(), re.S).group(1)
+    ints = {name for fields in cli._FIELDS.values()
+            for name, (type_, _bound, _default) in fields.items() if type_ in ("int", "ints")}
+    assert sorted(_ticked(listed)) == sorted(ints | {"seed", "workers"})
