@@ -18,6 +18,7 @@ Ornstein-Uhlenbeck process with covariance (k/2) e^{k(s-t)} per tr T_k.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,6 +142,18 @@ CALL_BYTES = 2**15
 ADD_AT_BYTES = 72 * 2**10
 # standard deviations of the cell count charged over its mean
 CELL_SDS = 4
+# glibc's malloc_trim, or None where the C library has none.  glibc keeps
+# freed heap blocks resident, and whether a later block of the counts' size
+# fits in the freed atom state depends on the heap's layout, so without a trim
+# a process's peak resident set moves by one counts array from run to run.
+# A state under TRIM_BYTES is left to the heap to reuse: the CLI's
+# 1,024-replica limit-sim chunks hold under 1 MB each, and trimming after
+# every chunk would trade that reuse for page faults.
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+TRIM_BYTES = 2**24
 
 
 @dataclass(frozen=True)
@@ -303,6 +316,7 @@ def simulate_limit(
     # each atom carries its time and the index of the first grid point at or
     # after it: 0 for a stationary atom, born at 0
     t, g = np.zeros(n), np.zeros(n, dtype=grid_t)
+    state_bytes = rep.nbytes + cls.nbytes + t.nbytes + g.nbytes
     for a, b in _chunks(n - n0):
         t[n0 + a:n0 + b] = rng.uniform(0.0, T, b - a)
         g[n0 + a:n0 + b] = np.searchsorted(grid, t[n0 + a:n0 + b])
@@ -349,6 +363,9 @@ def simulate_limit(
             kept = end
         n = kept
     del rep, cls, t, g
+    if _malloc_trim is not None and state_bytes >= TRIM_BYTES:
+        # the freed atom state leaves the resident set
+        _malloc_trim(0)
     counts = np.zeros(replicas * grid.size * ncls, dtype=np.int64)
     while cells:
         np.add.at(counts, cells.pop(), 1)

@@ -301,3 +301,28 @@ def test_simulate_limit_peak_under_byte_estimate(monkeypatch, d, K, T, grid, rep
         tracemalloc.stop()
     assert counts.sum() > 0
     assert peak <= need
+
+
+
+@pytest.mark.parametrize("trim_bytes, trims", [(1, 1), (2**40, 0)])
+def test_simulate_limit_trims_the_heap_once_a_large_atom_state_is_freed(monkeypatch, trim_bytes,
+                                                                        trims):
+    # the trim returns the freed atom state (14 bytes an atom at this shape)
+    # to the system, so it must come after the state is freed and before the
+    # counts are made; a state under TRIM_BYTES is not trimmed
+    model = limit_model(2, 3)
+    replicas = 20000
+    atoms = replicas * (model.stationary_means.sum() + model.immigration_rates.sum())
+    seen = []
+    monkeypatch.setattr(limitproc, "TRIM_BYTES", trim_bytes)
+    monkeypatch.setattr(limitproc, "_malloc_trim",
+                        lambda pad: seen.append(tracemalloc.get_traced_memory()))
+    tracemalloc.start()
+    try:
+        simulate_limit(2, 3, 1.0, [0.0, 0.5, 1.0], True, np.random.default_rng(5),
+                       replicas=replicas)
+    finally:
+        tracemalloc.stop()
+    assert len(seen) == trims
+    for current, peak in seen:
+        assert current <= peak - 0.9 * 14 * atoms
