@@ -274,12 +274,17 @@ def _limit_sim_bytes(params: dict[str, Any]) -> float:
             + limitproc.limit_bytes(model, min(replicas, _LIMIT_CHUNK), grid_size, p["T"], True))
 
 
-# bytes a sample or cycles run takes a vertex and label (n d of them) of a
-# graph it holds: on the permutation model its arrays, its int lists and,
-# kept, its JSON ints and their encoding in report.json (tracemalloc read
-# 90-123); on the uniform model its edge set and neighbour lists and, kept,
-# a JSON pair an edge (178-270)
+# bytes a sample or cycles run takes a vertex and label (n d of them) of the
+# graph it is making: on the permutation model its arrays, its int lists and
+# its JSON (tracemalloc read 90-123); on the uniform model its edge set,
+# neighbour lists and JSON (178-270)
 _GRAPH_ENTRY_BYTES = {"permutation": 160, "uniform": 320}
+# bytes a sample body keeps a vertex and label of each graph: a list slot of
+# its permutation row, or half an edge's [u, v] list; and 32 more for each
+# vertex number past 256, which Python does not cache (for 5 to 200 graphs,
+# tracemalloc read 13-53 and 51-87 a vertex and label in all)
+_BODY_ENTRY_BYTES = {"permutation": 16, "uniform": 56}
+_BODY_GRAPH_BYTES = 1024  # a body graph's dict, row lists and job tuple
 # a cycles row's bytes a key, by length or word class, with its encoding
 _ROW_ENTRY_BYTES = 320
 # a cycle a search finds, while its job runs
@@ -292,8 +297,10 @@ def _byte_estimate(kind: str, p: dict[str, Any]) -> tuple[float, str, str] | Non
     """The peak bytes of a valid run, what holds them and the field to lower,
     or None; the library checks each of its calls again."""
     if kind == "sample":
-        return (p["count"] * p["n"] * p["d"] * _GRAPH_ENTRY_BYTES[p["model"]] + _RUN_BYTES,
-                f"{p['count']} graphs with n={p['n']}", "count or n")
+        n, d, model = p["n"], p["d"], p["model"]
+        body = d * (n * _BODY_ENTRY_BYTES[model] + 32 * max(0, n - 256)) + _BODY_GRAPH_BYTES
+        return (n * d * _GRAPH_ENTRY_BYTES[model] + p["count"] * body + _RUN_BYTES,
+                f"{p['count']} graphs with n={n}", "count or n")
     if kind == "cycles":
         cycles = poissonlab.mean_cycle_count(p["model"], p["d"], min(p["r"], p["n"]))
         return (p["n"] * p["d"] * _GRAPH_ENTRY_BYTES[p["model"]] + cycles * _CYCLE_BYTES
@@ -316,8 +323,11 @@ def _byte_estimate(kind: str, p: dict[str, Any]) -> tuple[float, str, str] | Non
 
 
 def _run_indexed(fn: Callable, jobs: Sequence[tuple], workers: int) -> list:
-    """Map fn over argument tuples, merging results in job order."""
-    if workers <= 1 or len(jobs) <= 1:
+    """Map fn over argument tuples, merging results in job order.  The pool
+    is no larger than the jobs or the machine's cores; the results do not
+    depend on its size."""
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(*job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays its import
 
@@ -466,7 +476,7 @@ def _body_limit_sim(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
     counts = np.concatenate(_run_indexed(_limit_chunk, jobs, config.workers))
 
     classes = [str(wc) for wc in model.classes]
-    by_len = limitproc.counts_by_length(counts, model)
+    by_len = words.counts_by_length(counts, model.classes, model.K)
     body = {**p, "classes": classes, "mean_counts_by_length": by_len.mean(axis=0).tolist()}
     return body, {"trajectory.csv": _trajectory_csv("limit", grid, classes, counts, by_len)}
 
@@ -539,7 +549,9 @@ def run(config: ExperimentConfig) -> Path:
         }
         report_path = config.out / "report.json"
         written.append(report_path)
-        report_path.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
+        with report_path.open("w") as fh:
+            json.dump(report, fh, sort_keys=True, indent=1)
+            fh.write("\n")
         return report_path
     except BaseException:
         for path in written:

@@ -319,22 +319,6 @@ def force_edges(perms: np.ndarray, inv: np.ndarray, edges: Iterable) -> np.ndarr
     return perms
 
 
-def size_bias_coupling(g: PermGraph, alpha: CycleSpec) -> PermGraph:
-    """Minimal transposition edit of g that forces the cycle ``alpha`` in.
-
-    For every label, each required image is installed by one value swap, in
-    the order the cycle traverses those edges.  If alpha is already present
-    the graph is returned unchanged.
-    """
-    if alpha.word is None:
-        raise InvalidInputError("coupling needs a permutation-model cycle")
-    if max(alpha.vertices) >= g.n:
-        raise InvalidInputError("cycle vertices out of range")
-    if any(letter_index(c) > g.d for c in alpha.word):
-        raise InvalidInputError("cycle word uses labels beyond d")
-    return PermGraph(force_edges(g.perms, g.inv, alpha.labeled_steps()))
-
-
 # ---------------------------------------------------------------------------
 # switchings on simple graphs
 

@@ -372,11 +372,6 @@ def simulate_limit(
     return counts.reshape(replicas, grid.size, ncls), model
 
 
-def counts_by_length(counts: np.ndarray, model: LimitModel) -> np.ndarray:
-    """Aggregate per-class counts (..., n_classes) to lengths (..., K)."""
-    return words.counts_by_length(counts, model.classes, model.K)
-
-
 def chebyshev_fluctuation_series(by_length: np.ndarray, d: int, k: int) -> np.ndarray:
     """Centered doubled Chebyshev trace series from per-length counts.
 

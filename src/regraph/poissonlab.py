@@ -23,7 +23,6 @@ from .errors import InvalidInputError, ResourceLimitError, check_bytes
 from .graphs import (
     PAIRING_BLOCK_BYTES,
     CycleSpec,
-    PermGraph,
     force_edges,
     pairing_neighbors,
     sample_permutation_model,
@@ -260,6 +259,14 @@ def _nth_arrangement(n: int, k: int, i: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _trial_bytes(n: int, d: int, r: int) -> int:
+    """Bytes one trial adds to a block of ``coupling_monotonicity_report``:
+    the census of its two graphs (``walks.census_vertex_bytes`` a vertex),
+    their int64 permutations and the coupled graph's int64 images, the int32
+    tables of alpha's out and in edges, and alpha's int64 edge rows."""
+    return n * (2 * walks.census_vertex_bytes(d, r) + 32 * d) + 32 * r
+
+
 def coupling_monotonicity_report(
     n: int, d: int, r: int, trials: int, seed: int
 ) -> dict:
@@ -275,10 +282,14 @@ def coupling_monotonicity_report(
     A minus violation is present in the coupled graph and a plus violation in
     the sampled one, so only cycles of those two graphs can violate.  A
     cycle of length k has exactly 2k representations (k rotations, two
-    directions), all with its directed labelled edges, so each cycle found by
-    one census of each graph stands for 2k candidates.  Alpha is drawn, as
-    its representation, uniformly from the candidates of a length drawn with
-    weight proportional to the number of cycles of that length.
+    directions), all with its directed labelled edges.  Both graphs of a
+    block of trials are censused at once by ``walks.cycle_walks``, which
+    meets a cycle of a class with period h once for each of the h
+    representations that read the class representative, so each hit stands
+    for 2k/h candidates.  Alpha is drawn, as its representation, uniformly
+    from the candidates of a length drawn with weight proportional to the
+    number of cycles of that length.  Trials are drawn and checked a block
+    at a time, each block under ``walks.CENSUS_CHUNK_BYTES``.
     """
     classes = words.classes_upto(d, r)
     words_by_length = [
@@ -289,39 +300,59 @@ def coupling_monotonicity_report(
     # weight lengths by the number of cycles [n]_k * a(d,k) / 2k
     weights = [size / (2 * k) for k, size in enumerate(sizes, 1)]
     weights = np.array(weights) / sum(weights)
+    # a hit of a class's census walk stands for 2k/h candidates
+    orbit_sizes = np.array([wc.orbit_size for wc in classes])
     rng = np.random.default_rng([seed, n, d, r])
     minus_violations = 0
     plus_violations = 0
     alpha_installed = 0
-    for _ in range(trials):
-        g = sample_permutation_model(n, d, rng)
-        k = int(rng.choice(r, p=weights)) + 1
-        ws = words_by_length[k - 1]
-        ri = int(rng.integers(sizes[k - 1]))
-        alpha = CycleSpec(_nth_arrangement(n, k, ri // len(ws)), ws[ri % len(ws)])
-        steps = alpha.labeled_steps()
-        out_map = {(l, a): b for l, a, b in steps}
-        in_map = {(l, b): a for l, a, b in steps}
-        g2 = PermGraph(force_edges(g.perms, g.inv, steps))
-        g2_perms = g2.perms.tolist()
-        alpha_installed += all(g2_perms[l][a] == b for l, a, b in steps)
-
-        def conflicts(c_steps: list) -> bool:
-            return any(
-                out_map.get((l, a), b) != b or in_map.get((l, b), a) != a
-                for l, a, b in c_steps
-            )
-
-        for c in walks.perm_graph_cycles(g2_perms, g2.inv.tolist(), r):
-            if conflicts(c.labeled_steps()):
-                minus_violations += 2 * c.length
-        for c in walks.perm_graph_cycles(g.perms.tolist(), g.inv.tolist(), r):
-            c_steps = c.labeled_steps()
+    block = max(1, walks.CENSUS_CHUNK_BYTES // _trial_bytes(n, d, r))
+    for first in range(0, trials, block):
+        b = min(block, trials - first)
+        # vertex x of trial t is t n + x in both of its graphs; the census
+        # numbers the sampled graphs first, so a census vertex below b n is
+        # in a sampled graph and is v mod b n in its trial's numbering
+        perms = np.empty((2 * b, d, n), dtype=np.int64)
+        # (trial, label, tail, head) of every alpha edge, stored as each trial
+        # is drawn, so no block's worth of small tuples is held at once
+        alpha_edges = np.empty((b * r, 4), dtype=np.int64)
+        m = 0
+        for t in range(b):
+            g = sample_permutation_model(n, d, rng)
+            k = int(rng.choice(r, p=weights)) + 1
+            ws = words_by_length[k - 1]
+            ri = int(rng.integers(sizes[k - 1]))
+            alpha = CycleSpec(_nth_arrangement(n, k, ri // len(ws)), ws[ri % len(ws)])
+            steps = alpha.labeled_steps()
+            perms[t] = g.perms
+            perms[b + t] = force_edges(g.perms, g.inv, steps)
+            alpha_edges[m : m + k, 0] = t
+            alpha_edges[m : m + k, 1:] = steps
+            m += k
+        trial, labels, tails, heads = alpha_edges[:m].T
+        # alpha is installed when its coupled graph has every edge of alpha
+        missed = np.bincount(trial[perms[b + trial, labels, tails] != heads], minlength=b)
+        alpha_installed += int(np.count_nonzero(missed == 0))
+        out_edge = np.full((d, b * n), -1, dtype=np.int32)
+        in_edge = np.full((d, b * n), -1, dtype=np.int32)
+        out_edge[labels, trial * n + tails] = trial * n + heads
+        in_edge[labels, trial * n + heads] = trial * n + tails
+        image = (perms[b:] + n * np.arange(b)[:, None, None]).transpose(1, 0, 2).reshape(d, b * n)
+        for ci, letters, trail in walks.cycle_walks(perms, r):
+            labels = letters >> 1
+            after = np.roll(trail, -1, axis=0)
+            inverted = (letters & 1).astype(bool)
+            tails = np.where(inverted, after, trail) % (b * n)
+            heads = np.where(inverted, trail, after) % (b * n)
+            outs, ins = out_edge[labels, tails], in_edge[labels, heads]
+            conflict = (((outs >= 0) & (outs != heads)) | ((ins >= 0) & (ins != tails))).any(axis=0)
+            in_g = trail[0] < b * n
             # a cycle whose edges all are alpha's is alpha
-            is_alpha = all(out_map.get((l, a)) == b for l, a, b in c_steps)
-            kept = all(g2_perms[l][a] == b for l, a, b in c_steps)
-            if not (conflicts(c_steps) or is_alpha or kept):
-                plus_violations += 2 * c.length
+            is_alpha = (outs == heads).all(axis=0)
+            kept = (image[labels, tails] == heads).all(axis=0)
+            per_hit = orbit_sizes[ci]
+            minus_violations += int(per_hit[conflict & ~in_g].sum())
+            plus_violations += int(per_hit[in_g & ~(conflict | is_alpha | kept)].sum())
     return {
         "n": n,
         "d": d,

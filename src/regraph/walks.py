@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -209,8 +209,9 @@ def census_graph_bytes(d: int, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _census_plan(d: int, r: int):
-    """The classes of length <= r, the half-words their census walks and,
-    per class, the indices of its two halves.
+    """The classes of length <= r, the half-words their census walks, per
+    class the indices of its two halves, and per length k the index of its
+    first class and the (k, classes) letters of its representatives.
 
     A class word w splits as w = u v with |u| = ceil(k/2), and x is a fixed
     point of w exactly when walking u from x ends where walking the inverted
@@ -231,7 +232,12 @@ def _census_plan(d: int, r: int):
     order = sorted(halves, key=lambda h: (len(h), h))
     index = {h: i for i, h in enumerate(order)}
     steps = tuple((index[h[:-1]], h[-1]) for h in order[1:])
-    return classes, steps, tuple((index[u], index[v]) for u, v in pairs)
+    lengths = [wc.length for wc in classes]
+    groups = tuple(
+        (lengths.index(k),
+         np.array([wc.letters for wc in classes if wc.length == k], dtype=np.int32).T.copy())
+        for k in sorted(set(lengths)))
+    return classes, steps, tuple((index[u], index[v]) for u, v in pairs), groups
 
 
 def batch_class_counts(
@@ -263,8 +269,7 @@ def batch_class_counts(
         classes = words.classes_upto(perms.shape[1], r)
         return np.zeros((0, len(classes)), dtype=np.int64), classes
     d = len(first)
-    plan = _census_plan(d, r)
-    classes = plan[0]
+    classes = words.classes_upto(d, r)
     per_vertex = census_vertex_bytes(d, r)
     rows: list[np.ndarray] = []
     chunk: list[np.ndarray] = []
@@ -276,26 +281,38 @@ def batch_class_counts(
         n = g.shape[1]
         check_bytes(census_graph_bytes(d, n), f"census of one graph with {n} vertices")
         if chunk and per_vertex * (size + n) > CENSUS_CHUNK_BYTES:
-            rows.append(_census_chunk(chunk, plan))
+            rows.append(_census_chunk(chunk, r))
             chunk, size = [], 0
         chunk.append(g)
         size += n
-    rows.append(_census_chunk(chunk, plan))
+    rows.append(_census_chunk(chunk, r))
     return np.concatenate(rows), classes
 
 
-def _census_chunk(graphs: list[np.ndarray], plan) -> np.ndarray:
-    """Per-class cycle counts of a chunk of graphs, one flat table set.
+def cycle_walks(
+    graphs: Sequence[np.ndarray], r: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The closed walks on distinct vertices of every class representative
+    of length <= r, on a chunk of (d, n_b) permutation arrays (a (batch, d,
+    n) array is one) whose vertices are numbered in one flat range, graph b's
+    from o_b = n_0 + ... + n_(b-1).
 
-    The position arrays are made for a slice of starts at a time, each slice
-    under ``CENSUS_CHUNK_BYTES``; a chunk of several graphs is one slice, and
-    a graph past the chunk keeps only its tables whole."""
-    classes, steps, pairs = plan
+    Yields (ci, letters, trail) for each slice of starts and each run of
+    consecutive classes of one length k that close at fewer than two slices
+    of starts: column j is a start whose walk of the representative of class
+    ci[j] (``words.classes_upto`` order) closes on distinct vertices, and the
+    int32 trail[:, j] is its k vertices in walk order, trail[i + 1, j]
+    reached from trail[i, j] by the letter letters[i, j].  A cycle of a class
+    with period h is met h times.  The tables are made whole and the
+    position arrays a slice of starts at a time, each slice under
+    ``CENSUS_CHUNK_BYTES``.
+    """
+    d = len(graphs[0])
+    _classes, steps, pairs, groups = _census_plan(d, r)
     sizes = [g.shape[1] for g in graphs]
     total = sum(sizes)
-    d = graphs[0].shape[0]
-    # row 2l maps the flat vertex o_b + x to o_b + pi_l(x) in graph b, whose
-    # vertices start at o_b; row 2l + 1 is its inverse, built by scatter
+    # row 2l maps the flat vertex o_b + x to o_b + pi_l(x) in graph b; row
+    # 2l + 1 is its inverse, built by scatter
     tables = np.empty((2 * d, total), dtype=np.int32)
     np.concatenate(graphs, axis=1, out=tables[0::2])
     tables[0::2] += np.repeat(np.cumsum([0] + sizes[:-1], dtype=np.int32), sizes)
@@ -303,27 +320,50 @@ def _census_chunk(graphs: list[np.ndarray], plan) -> np.ndarray:
     for l in range(d):
         tables[2 * l + 1][tables[2 * l]] = starts
     del starts
-    graph_of = np.repeat(np.arange(len(graphs), dtype=np.int32), sizes)
-    reps = np.zeros((len(graphs), len(classes)), dtype=np.int64)
+    flat = tables.reshape(-1)
     width = max(1, CENSUS_CHUNK_BYTES // (4 * (len(steps) + 1)))
     for lo in range(0, total, width):
         hi = min(lo + width, total)
         pos = [np.arange(lo, hi, dtype=np.int32)]
         for parent, letter in steps:
             pos.append(tables[letter][lo:hi] if parent == 0 else tables[letter].take(pos[parent]))
-        for ci, (wc, (iu, iv)) in enumerate(zip(classes, pairs)):
-            closed = (pos[iu] == pos[iv]).nonzero()[0]
-            if not closed.size:
-                continue
-            closed += lo
-            w = wc.letters
-            trail = np.empty((len(w), closed.size), dtype=np.int32)
-            trail[0] = closed
-            for i, c in enumerate(w[:-1]):
-                tables[c].take(trail[i], out=trail[i + 1])
-            trail.sort(axis=0)
-            distinct = (trail[1:] != trail[:-1]).all(axis=0)
-            reps[:, ci] += np.bincount(graph_of[closed[distinct]], minlength=len(graphs))
+        for first, reps in groups:
+            # the classes of one length are walked together, a run of them
+            # ending once it closes at ``width`` starts, so under 2 ``width``
+            run, closed, found = first, [], 0
+            for c, (iu, iv) in enumerate(pairs[first : first + reps.shape[1]], first):
+                closed.append((pos[iu] == pos[iv]).nonzero()[0] + lo)
+                found += closed[-1].size
+                if found >= width or (found and c == first + reps.shape[1] - 1):
+                    yield _walk_run(flat, total, run, reps[:, run - first : c + 1 - first], closed)
+                    run, closed, found = c + 1, [], 0
+
+
+def _walk_run(flat: np.ndarray, total: int, first: int, reps: np.ndarray,
+              closed: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk the representative of class first + j, letters reps[:, j], from
+    each of its closed starts closed[j]; keep the walks on distinct vertices.
+    ``flat`` is the step tables, row c of ``total`` entries for letter c."""
+    ci = np.repeat(np.arange(len(closed)), [c.size for c in closed])
+    letters = reps[:, ci]
+    rows = letters * total
+    trail = np.empty(letters.shape, dtype=np.int32)
+    np.concatenate(closed, out=trail[0])
+    keep = np.ones(ci.size, dtype=bool)
+    for i in range(1, len(trail)):
+        flat.take(rows[i - 1] + trail[i - 1], out=trail[i])
+        keep &= (trail[:i] != trail[i]).all(axis=0)
+    return ci[keep] + first, letters[:, keep], trail[:, keep]
+
+
+def _census_chunk(graphs: list[np.ndarray], r: int) -> np.ndarray:
+    """Per-class cycle counts of a chunk of graphs, one flat table set; a
+    graph past the chunk keeps only its tables whole."""
+    classes = words.classes_upto(len(graphs[0]), r)
+    graph_of = np.repeat(np.arange(len(graphs), dtype=np.int32), [g.shape[1] for g in graphs])
+    reps = np.zeros((len(graphs), len(classes)), dtype=np.int64)
+    for ci, _letters, trail in cycle_walks(graphs, r):
+        np.add.at(reps.reshape(-1), graph_of[trail[0]].astype(np.int64) * len(classes) + ci, 1)
     h = np.array([wc.h for wc in classes], dtype=np.int64)
     if (reps % h).any():
         raise InvalidInputError("closed walk count not divisible by the class period h")

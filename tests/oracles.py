@@ -7,7 +7,15 @@ import math
 import numpy as np
 
 from regraph.errors import InvalidInputError, ResourceLimitError
-from regraph.graphs import CycleSpec, Edge, PermGraph, SimpleGraph, _edge, simple_regular_exists
+from regraph.graphs import (
+    CycleSpec,
+    Edge,
+    PermGraph,
+    SimpleGraph,
+    _edge,
+    force_edges,
+    simple_regular_exists,
+)
 from regraph.walks import CycleCensus, cnbw_via_nb_matrix, enumerate_cycles
 from regraph.words import (
     Word,
@@ -17,6 +25,7 @@ from regraph.words import (
     format_word,
     inverted_reversal,
     is_cyclically_reduced,
+    letter_index,
     letter_inverse,
     word_period_quotient,
 )
@@ -151,3 +160,19 @@ def brute_force_classes(d: int, k: int) -> tuple[WordClass, ...]:
 
     extend(0)
     return tuple(WordClass(w) for w in sorted(canon))
+
+
+def size_bias_coupling(g: PermGraph, alpha: CycleSpec) -> PermGraph:
+    """Minimal transposition edit of g that forces the cycle ``alpha`` in.
+
+    For every label, each required image is installed by one value swap, in
+    the order the cycle traverses those edges.  If alpha is already present
+    the graph is returned unchanged.
+    """
+    if alpha.word is None:
+        raise InvalidInputError("coupling needs a permutation-model cycle")
+    if max(alpha.vertices) >= g.n:
+        raise InvalidInputError("cycle vertices out of range")
+    if any(letter_index(c) > g.d for c in alpha.word):
+        raise InvalidInputError("cycle word uses labels beyond d")
+    return PermGraph(force_edges(g.perms, g.inv, alpha.labeled_steps()))

@@ -26,11 +26,10 @@ from regraph.graphs import (
     sample_permutation_model,
     sample_uniform_model,
     simple_cycle_census,
-    size_bias_coupling,
 )
 from regraph.words import count_reduced_words
 
-from oracles import enumerate_labeled_regular_graphs
+from oracles import enumerate_labeled_regular_graphs, size_bias_coupling
 
 
 def _cov_and_se(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -232,7 +231,7 @@ def test_limit_process_means_and_covariances():
     counts, model = limitproc.simulate_limit(
         d, r, 1.0, lags, True, rng, replicas=10**5
     )
-    by_len = limitproc.counts_by_length(counts, model)
+    by_len = words.counts_by_length(counts, model.classes, model.K)
     for ti in range(len(lags)):
         for k in (1, 2, 3):
             mean = count_reduced_words(d, k) / (2 * k)
@@ -273,7 +272,7 @@ def test_trace_series_variance_approaches_ou_limit():
         counts, model = limitproc.simulate_limit(
             d, k, 1.0, [0.0, 1.0], True, rng, replicas=10**5
         )
-        by_len = limitproc.counts_by_length(counts, model)
+        by_len = words.counts_by_length(counts, model.classes, model.K)
         series = limitproc.chebyshev_fluctuation_series(by_len, d, k) / 2.0
         prod0 = series[:, 0] * series[:, 0]
         var_hat = float(prod0.mean())

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regraph import cli, errors, growth, limitproc, poissonlab, walks
+from regraph import cli, errors, growth, limitproc, poissonlab, walks, words
 from regraph.errors import InvalidInputError, ResourceLimitError
 
 
@@ -461,7 +461,7 @@ def test_streamed_csvs_match_dict_row_oracle(tmp_path, seed):
             d, K, horizon, grid, True, np.random.default_rng([seed, idx]), replicas=size)
         pieces.append(counts)
     counts = np.concatenate(pieces)
-    by_len = limitproc.counts_by_length(counts, model)
+    by_len = words.counts_by_length(counts, model.classes, model.K)
     classes = [str(wc) for wc in model.classes]
     rows = []
     for run_id in range(replicas):
@@ -530,6 +530,75 @@ def test_failed_stream_leaves_no_csv_or_output_directory(tmp_path, monkeypatch):
     (tmp_path / "mine").mkdir()
     assert _run("gff-check", cfg, tmp_path / "mine") == 3
     assert list((tmp_path / "mine").iterdir()) == []
+
+
+def test_report_json_is_streamed_in_the_dumps_format(tmp_path):
+    cfg = _write(tmp_path, "s.cfg", "model = permutation\nn = 8\nd = 2\ncount = 3\n")
+    assert _run("sample", cfg, tmp_path / "out", "--seed", "5") == 0
+    raw = (tmp_path / "out" / "report.json").read_bytes()
+    assert raw == (json.dumps(json.loads(raw), sort_keys=True, indent=1) + "\n").encode()
+
+
+def test_failed_report_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:50])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.json, "dump", dump_then_fail)
+    cfg = _write(tmp_path, "s.cfg", "model = permutation\nn = 8\nd = 2\ncount = 3\n")
+    with pytest.raises(OSError):
+        _run("sample", cfg, tmp_path / "new" / "out")
+    assert not (tmp_path / "new").exists()
+    (tmp_path / "mine").mkdir()
+    with pytest.raises(OSError):
+        _run("sample", cfg, tmp_path / "mine")
+    assert list((tmp_path / "mine").iterdir()) == []
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records each pool's size and maps
+    in this process, so no worker process starts."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_worker_pool_is_capped_by_jobs_and_cores(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    jobs = [(i, 3) for i in range(10)]
+    assert cli._run_indexed(divmod, jobs, 100_000) == [divmod(i, 3) for i in range(10)]
+    assert cli._run_indexed(divmod, jobs[:3], 100_000) == [divmod(i, 3) for i in range(3)]
+    assert cli._run_indexed(divmod, jobs, 2) == [divmod(i, 3) for i in range(10)]
+    assert _InlinePool.sizes == [4, 3, 2]
+    # one core, or none known, runs every job in this process
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._run_indexed(divmod, jobs, 100_000) == [divmod(i, 3) for i in range(10)]
+    assert _InlinePool.sizes == [4, 3, 2]
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    cfg = _write(tmp_path, "s.cfg", "model = permutation\nn = 8\nd = 2\ncount = 6\n")
+    bodies = []
+    for workers in (1, 100_000):
+        out = tmp_path / f"out{workers}"
+        assert _run("sample", cfg, out, "--seed", "5", "--workers", str(workers)) == 0
+        bodies.append(json.loads((out / "report.json").read_text())["body"])
+    assert bodies[0] == bodies[1]
+    assert _InlinePool.sizes == [4, 3, 2, 4]
 
 
 # The row-by-row trajectory.csv of before the line template: every row a

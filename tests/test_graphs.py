@@ -26,7 +26,6 @@ from regraph.graphs import (
     sample_permutation_model,
     sample_uniform_model,
     simple_cycle_census,
-    size_bias_coupling,
 )
 
 from oracles import (
@@ -34,6 +33,7 @@ from oracles import (
     contained_in,
     enumerate_labeled_regular_graphs,
     pairing_model_graph,
+    size_bias_coupling,
     undirected_edges,
 )
 

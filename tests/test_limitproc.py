@@ -11,7 +11,6 @@ from regraph import errors, limitproc
 from regraph.errors import InvalidInputError, ResourceLimitError
 from regraph.limitproc import (
     chebyshev_fluctuation_series,
-    counts_by_length,
     expected_alpha,
     limit_covariance,
     limit_bytes,
@@ -23,7 +22,7 @@ from regraph.limitproc import (
     trace_covariance,
     yule_pmf,
 )
-from regraph.words import count_reduced_words
+from regraph.words import count_reduced_words, counts_by_length
 
 
 def test_yule_pmf_known_values():
@@ -123,7 +122,7 @@ def test_simulate_limit_stationary_means():
     counts, model = simulate_limit(
         2, 3, 1.0, [0.0, 0.5, 1.0], True, rng, replicas=40000
     )
-    by_len = counts_by_length(counts, model)
+    by_len = counts_by_length(counts, model.classes, model.K)
     for ti in range(3):
         for k in (1, 2, 3):
             mean = count_reduced_words(2, k) / (2 * k)
@@ -135,7 +134,7 @@ def test_simulate_limit_lagged_covariance():
     rng = np.random.default_rng(2)
     tau = math.log(2)
     counts, model = simulate_limit(2, 2, tau, [0.0, tau], True, rng, replicas=60000)
-    by_len = counts_by_length(counts, model)
+    by_len = counts_by_length(counts, model.classes, model.K)
     x = by_len[:, 0, 0] - by_len[:, 0, 0].mean()
     y = by_len[:, 1, 1] - by_len[:, 1, 1].mean()
     cov_hat = np.mean(x * y)
@@ -146,7 +145,7 @@ def test_simulate_limit_lagged_covariance():
 def test_chebyshev_fluctuation_series_centering():
     rng = np.random.default_rng(3)
     counts, model = simulate_limit(2, 4, 0.5, [0.0, 0.5], True, rng, replicas=30000)
-    by_len = counts_by_length(counts, model)
+    by_len = counts_by_length(counts, model.classes, model.K)
     series = chebyshev_fluctuation_series(by_len, 2, 2)
     assert series.shape == by_len.shape[:2]
     assert abs(series.mean()) < 4 * series.std() / math.sqrt(series.size)

@@ -372,6 +372,27 @@ def test_coupling_report_counts_violations_like_scan_oracle(monkeypatch, n, d, r
     assert report == _scan_report(n, d, r, trials, 18)
 
 
+@pytest.mark.parametrize("leaky", [False, True], ids=["force_edges", "leaky"])
+@pytest.mark.parametrize(
+    "n, d, r, trials",
+    [(10, 2, 3, 40), (8, 3, 3, 30), (7, 2, 4, 20), (5, 1, 4, 40), (6, 3, 2, 40)],
+)
+def test_coupling_report_independent_of_block_size(monkeypatch, n, d, r, trials, leaky):
+    if leaky:
+        monkeypatch.setattr(poissonlab, "force_edges", _leaky_force_edges)
+    trial_bytes = poissonlab._trial_bytes(n, d, r)
+    assert walks.CENSUS_CHUNK_BYTES // trial_bytes >= trials  # one block by default
+    report = coupling_monotonicity_report(n, d, r, trials, 18)
+    for per_block in (1, 7):
+        monkeypatch.setattr(walks, "CENSUS_CHUNK_BYTES", per_block * trial_bytes)
+        assert coupling_monotonicity_report(n, d, r, trials, 18) == report
+
+
+def test_coupling_report_runs_no_cycle_search(monkeypatch):
+    monkeypatch.setattr(walks, "perm_graph_cycles", lambda *args, **kwargs: pytest.fail("DFS ran"))
+    assert coupling_monotonicity_report(10, 2, 3, trials=20, seed=3)["alpha_installed"] == 20
+
+
 def test_coupling_report_with_fewer_vertices_than_r():
     # no candidate of length 3 fits on two vertices; lengths 1 and 2 still do
     report = coupling_monotonicity_report(2, 2, 3, trials=5, seed=19)

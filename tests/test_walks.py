@@ -1,6 +1,7 @@
 """Tests for cycle censuses and non-backtracking walk counts."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -299,6 +300,29 @@ def test_batch_class_counts_ragged_matches_per_graph_and_oracle():
                 assert {wc: int(c) for wc, c in zip(classes, row) if c} == by_word
 
 
+def test_cycle_walks_meet_each_cycle_once_per_period():
+    rng = np.random.default_rng(15)
+    for d in (1, 2, 3):
+        for r in (1, 3, 5):
+            graphs = [_random_perms(rng, d, n) for n in (1, 6, 2, 9)]
+            offsets = [0, 1, 7, 9]
+            classes = words.classes_upto(d, r)
+            hits = Counter()
+            for ci, letters, trail in walks.cycle_walks(graphs, r):
+                assert trail.dtype == np.int32 and letters.shape == trail.shape
+                for c, word, walk in zip(ci.tolist(), letters.T.tolist(), trail.T.tolist()):
+                    assert tuple(word) == classes[c].letters
+                    b = max(i for i, o in enumerate(offsets) if o <= walk[0])
+                    cycle = CycleSpec(tuple(v - offsets[b] for v in walk), classes[c].letters)
+                    assert contained_in(cycle, PermGraph(graphs[b]))
+                    hits[b, canonical(cycle)] += 1
+            expected = Counter()
+            for b, g in enumerate(graphs):
+                for c in enumerate_cycles(PermGraph(g), r).cycles:
+                    expected[b, canonical(c)] = words.canonicalize(c.word).h
+            assert hits == expected
+
+
 def test_batch_class_counts_empty_and_generator():
     counts, classes = batch_class_counts(np.zeros((0, 2, 5), dtype=np.int64), 3)
     assert counts.dtype == np.int64 and counts.shape == (0, len(classes))
@@ -367,6 +391,22 @@ def test_batch_class_counts_memory_bounded_by_chunk():
     assert peak(perms) < 2 * walks.CENSUS_CHUNK_BYTES
     for b in (16, 256):
         assert peak(drawn(b)) < 2 * walks.CENSUS_CHUNK_BYTES
+
+
+def test_batch_class_counts_memory_bounded_when_every_walk_closes():
+    # on identity permutations every class closes at every start, and only
+    # the loops are cycles; the classes of one length are walked a run of
+    # about one slice of closed starts at a time
+    n, d, r = 20_000, 2, 6
+    perms = np.tile(np.arange(n), (1, d, 1))
+    tracemalloc.start()
+    try:
+        counts, classes = batch_class_counts(perms, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.tolist() == [[n if wc.length == 1 else 0 for wc in classes]]
+    assert peak < 4 * walks.CENSUS_CHUNK_BYTES
 
 
 def test_batch_class_counts_large_graph_holds_only_its_tables(monkeypatch):
