@@ -227,39 +227,50 @@ def _trajectory_bytes(replicas: int, grid_size: int, classes: int, lengths: int)
     return 16.0 * replicas * grid_size * (classes + lengths)
 
 
-# bytes of a grow run's own Python objects beyond its counts: its job tuple,
-# its result, its count array's header and its events list (tracemalloc
-# measured at most 450 without events); and per expected event, a tuple held
-# until events.csv is written (120-140 at d = 2, r = 4, its word and parent
-# strings shared by the run's events of one class)
-_GROW_RUN_BYTES = 1024
+# bytes of a grow run's own Python objects beyond its counts: its events
+# list and its share of its block's job and result (tracemalloc measured
+# 130-200 with one grid time and no events); and per expected event, a tuple
+# held until events.csv is written (120-140 at d = 2, r = 4, its word and
+# parent strings shared by the block's events of one class)
+_GROW_RUN_BYTES = 256
 EVENT_BYTES = 160
-# what the run in progress holds until simulate_growth returns, by tracemalloc:
-# its clock's first blocks and generator (35 KB); per vertex and label, its
-# tower entries, seat and clock (90-150 bytes at d = 1..3, r = 4 and 6); per
-# event, a GrowthEvent with its CycleSpec while the run lasts (510-630 bytes)
+# what the run in progress holds until its last snapshot is taken, by
+# tracemalloc: its clock's first blocks and generator (35 KB); per vertex and
+# label, its tower entries, seat and clock (90-150 bytes at d = 1..3, r = 4
+# and 6); per event, a GrowthEvent with its CycleSpec while the run lasts
+# (510-630 bytes)
 _GROW_CLOCK_BYTES = 48 * 1024
 _LABEL_VERTEX_BYTES = 160
 GROWTH_EVENT_BYTES = 640
+# a snapshot's array header, held with its data until its block is censused
+_SNAPSHOT_BYTES = 128
 # a csv writer's record buffer, 32,768 4-byte characters from its first row on
 _CSV_WRITER_BYTES = 2**17
 
 
 def _grow_bytes(params: dict[str, Any]) -> float:
     """Peak bytes of a valid grow run: its held counts, its runs' own objects
-    and events, the run in progress and a csv writer's buffer.  A k-cycle count
-    is stationary with mean a(d, k)/2k and turns over at rate k, so k-cycles are
-    born at rate a(d, k)/2 (a: cyclically reduced words).  A run starts from the
-    empty graph and has e^t - 1 vertices at time t on average; the run in
-    progress is charged its tower, clock and census snapshot for that many at
-    s + T, capped at ``growth.MAX_VERTICES``."""
+    and events, the block of runs in progress and a csv writer's buffer.  A
+    k-cycle count is stationary with mean a(d, k)/2k and turns over at rate
+    k, so k-cycles are born at rate a(d, k)/2 (a: cyclically reduced words).
+    A run starts from the empty graph and has e^t - 1 vertices at time t on
+    average, capped at ``growth.MAX_VERTICES``.  The run in progress is
+    charged its tower and clock for that many at s + T, and its block the
+    census of every run's snapshots, their int64 arrays and headers."""
     p = _read("grow", params)[0]
     d, r = p["d"], p["r"]
+    times = [p["s"] + t for t in p["grid"]]
+    block = min(p["replicas"], growth.block_replicas(d, r, times))
     events = p["T"] * sum(words.count_reduced_words(d, k) for k in range(1, r + 1)) / 2
-    vertices = min(math.expm1(min(p["s"] + p["T"], 64.0)), growth.MAX_VERTICES)
+
+    def vertices(t: float) -> float:
+        return min(math.expm1(min(t, 64.0)), growth.MAX_VERTICES)
+
+    snapshots = (len(times) * _SNAPSHOT_BYTES
+                 + sum(map(vertices, times)) * (walks.census_vertex_bytes(d, r) + 8 * d))
     in_progress = (_GROW_CLOCK_BYTES + GROWTH_EVENT_BYTES * events
-                   + vertices * (_LABEL_VERTEX_BYTES * d + walks.census_vertex_bytes(d, r)))
-    return (_trajectory_bytes(p["replicas"], len(p["grid"]), len(words.classes_upto(d, r)), r)
+                   + vertices(p["s"] + p["T"]) * _LABEL_VERTEX_BYTES * d + block * snapshots)
+    return (_trajectory_bytes(p["replicas"], len(times), len(words.classes_upto(d, r)), r)
             + (_GROW_RUN_BYTES + EVENT_BYTES * events) * p["replicas"] + in_progress
             + _CSV_WRITER_BYTES)
 
@@ -358,17 +369,26 @@ def _census_one(model: str, n: int, d: int, r: int, seed: int, idx: int) -> dict
     return body
 
 
-def _grow_one(d: int, s: float, horizon: float, grid: tuple, r: int,
-              seed: int, idx: int) -> tuple[np.ndarray, list[tuple]]:
-    rng = np.random.default_rng([seed, idx])
-    traj = growth.simulate_growth(d, s, horizon, list(grid), r, rng, track_events=True)
-    names = {None: ""}  # one string per class the run meets; no parent is ""
-    for ev in traj.events:
-        for wc in (ev.word, ev.parent):
-            if wc not in names:
-                names[wc] = str(wc)
-    events = [(float(ev.time), ev.kind, names[ev.word], names[ev.parent]) for ev in traj.events]
-    return traj.counts, events
+def _grow_block(d: int, s: float, horizon: float, grid: tuple, r: int,
+                seed: int, lo: int, hi: int) -> tuple[np.ndarray, list[list[tuple]]]:
+    """The counts of runs lo..hi-1, censused in one call, and each run's events
+    as tuples, made as soon as the run ends."""
+    names = {None: ""}  # one string per class the block meets; no parent is ""
+    events: list[list[tuple]] = []
+
+    def name(wc) -> str:
+        if wc not in names:
+            names[wc] = str(wc)
+        return names[wc]
+
+    def tagged(run: growth.GrowthRun) -> Iterator[np.ndarray]:
+        yield from run
+        events.append([(float(ev.time), ev.kind, name(ev.word), name(ev.parent))
+                       for ev in run.events])
+
+    runs = (tagged(growth.GrowthRun(d, s, horizon, grid, r, np.random.default_rng([seed, idx]),
+                                    track_events=True)) for idx in range(lo, hi))
+    return growth.census_runs(runs, r, len(grid)), events
 
 
 def _limit_chunk(d: int, K: int, horizon: float, grid: tuple, replicas: int,
@@ -449,10 +469,13 @@ def _trajectory_csv(source: str, grid: Sequence[float], classes: Sequence[str],
 def _body_grow(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
     p = _read(config.kind, config.params)[0]
     replicas, grid = p["replicas"], tuple(p["grid"])
-    jobs = [(p["d"], p["s"], p["T"], grid, p["r"], config.seed, i) for i in range(replicas)]
-    run_counts, run_events = zip(*_run_indexed(_grow_one, jobs, config.workers))
-    counts = np.stack(run_counts)
-    del run_counts  # the stacked counts replace each run's own
+    block = growth.block_replicas(p["d"], p["r"], [p["s"] + t for t in grid])
+    jobs = [(p["d"], p["s"], p["T"], grid, p["r"], config.seed, lo, min(lo + block, replicas))
+            for lo in range(0, replicas, block)]
+    block_counts, block_events = zip(*_run_indexed(_grow_block, jobs, config.workers))
+    counts = np.concatenate(block_counts)
+    del block_counts  # the joined counts replace each block's own
+    run_events = [evs for evs_of_block in block_events for evs in evs_of_block]
 
     word_classes = words.classes_upto(p["d"], p["r"])
     classes = [str(wc) for wc in word_classes]

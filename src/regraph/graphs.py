@@ -177,11 +177,27 @@ def sample_uniform_model(
     n: int, d: int, rng: np.random.Generator, max_retries: int = 10**5
 ) -> SimpleGraph:
     """Uniform simple d-regular graph via rejection from the pairing model:
-    the one graph ``sample_uniform_pairings`` draws, with its edges taken
-    into a set in stub order, so ``g.edges`` iterates in the order that
-    the switching chain's draws rest on."""
-    pairs = sample_uniform_pairings(n, d, 1, rng, max_retries)[0].tolist()
-    return SimpleGraph(n, d, {(u, v) if u < v else (v, u) for u, v in pairs})
+    the one graph ``sample_uniform_pairings`` draws, from the same draws,
+    with its edges taken into a set in stub order, so ``g.edges`` iterates
+    in the order that the switching chain's draws rest on."""
+    if not simple_regular_exists(n, d):
+        raise InvalidInputError(f"no simple d-regular graph with n={n}, d={d}")
+    stubs = np.arange(n * d)[None]
+    for _ in range(max_retries):
+        # the one-row draw of a one-graph sample_uniform_pairings block, tested
+        # in Python up to its first loop or repeated edge
+        ends = (rng.permuted(stubs, axis=1)[0] // d).tolist()
+        edges: set[Edge] = set()
+        for u, v in zip(ends[0::2], ends[1::2]):
+            e = (u, v) if u < v else (v, u)
+            if u == v or e in edges:
+                break
+            edges.add(e)
+        else:
+            return SimpleGraph(n, d, edges)
+    raise ResourceLimitError(
+        f"pairing-model rejection failed {max_retries} times for n={n}, d={d}"
+    )
 
 
 # most bytes one block of pairing-model attempts may take: 4 MiB blocks were

@@ -16,9 +16,11 @@ spontaneous.
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -112,7 +114,8 @@ def poissonized_times(
         raise InvalidInputError(f"need horizon >= 0, got {horizon}")
     if n0 < 0:
         raise InvalidInputError(f"need n0 >= 0, got {n0}")
-    out: list[float] = []
+    out: list[np.ndarray] = []
+    count = 0
     t = 0.0
     m = n0
     block = 1024
@@ -121,11 +124,12 @@ def poissonized_times(
         holds = rng.exponential(1.0, block) / rates
         times = t + np.cumsum(holds)
         over = np.searchsorted(times, horizon, side="right")
-        out.extend(times[:over].tolist())
-        if len(out) > max_events:
+        out.append(times[:over])
+        count += over
+        if count > max_events:
             raise ResourceLimitError(f"more than {max_events} insertions before horizon")
         if over < block:
-            return np.asarray(out)
+            return np.concatenate(out)
         t = float(times[-1])
         m += block
 
@@ -228,6 +232,86 @@ class Trajectory:
         return words.counts_by_length(self.counts, self.classes, r)
 
 
+class GrowthRun:
+    """One run from the empty graph, censused at s + grid up to s + T.
+
+    Iterating it draws the clock and then every seat of the run in one call,
+    grows the tower and yields its (d, n) permutations at each grid time in
+    ascending order.  From then on ``n_vertices`` holds the vertex count at
+    each grid time.  With ``track_events`` the run extends in one block up to
+    time s, then classifies every later insertion into ``events``, and grows
+    to s + T before the iteration ends.
+    """
+
+    def __init__(self, d: int, s: float, T: float, grid, r: int,
+                 rng: np.random.Generator, track_events: bool = False):
+        grid = np.asarray(grid, dtype=float)
+        if r < 1:
+            raise InvalidInputError(f"need r >= 1, got {r}")
+        if s < 0 or T < 0:
+            raise InvalidInputError("need s >= 0 and T >= 0")
+        if grid.ndim != 1 or (grid.size and (grid.min() < 0 or grid.max() > T)):
+            raise InvalidInputError("grid must lie within [0, T]")
+        self.d, self.s, self.horizon, self.r, self.rng = d, s, s + T, r, rng
+        self.grid = s + np.sort(grid)
+        self.n_vertices: Optional[np.ndarray] = None
+        self.events: Optional[list[GrowthEvent]] = [] if track_events else None
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        d, r, rng, events = self.d, self.r, self.rng, self.events
+        jumps = poissonized_times(self.horizon, 0, rng, max_events=MAX_VERTICES)
+        # every seat of the run in one draw: row m seats vertex m uniformly on
+        # 0..m in each permutation, the same values (and generator state) as one
+        # scalar draw per permutation per vertex
+        seats = rng.integers(0, np.arange(1, jumps.size + 1)[:, None], size=(jumps.size, d))
+        # the census at grid time t sees every vertex that arrived by t
+        self.n_vertices = np.searchsorted(jumps, self.grid, side="right").astype(np.int64)
+        tower = PermTower(d, 0)
+
+        def grow_to(size: int) -> None:
+            if events is None:
+                tower.extend(choices=seats[tower.n : size])
+                return
+            for v in range(tower.n, size):
+                tower.extend(choices=seats[v])
+                events.extend(insertion_events(tower, r, time=jumps[v]))
+
+        if events is not None:
+            # grow to time s in one block; later insertions are classified one by one
+            tower.extend(choices=seats[: np.searchsorted(jumps, self.s, side="right")])
+        for size in self.n_vertices:
+            grow_to(size)
+            yield tower.perms()
+        if events is not None:
+            grow_to(jumps.size)
+
+
+# expected census bytes of the grid snapshots that one block of runs hands
+# to one batch_class_counts call.  At 1 MiB, 6 runs at the growth-vs-limit
+# acceptance shape, the growth benchmark took 0.8 of the time of one call a
+# run.  Three 40-run growth_count_samples calls there peaked at 37.3 MiB
+# resident with one run a block, 38.3 at 1 MiB, 40.1 at 4 MiB and 40.8 with
+# all 40 in one block (2-vCPU VM)
+GROWTH_BLOCK_BYTES = 2**20
+
+
+def block_replicas(d: int, r: int, times) -> int:
+    """Runs per census block: as many as fit ``GROWTH_BLOCK_BYTES`` of
+    expected census, a run having about e^t vertices at each grid time t of
+    ``times``, and at least one."""
+    vertices = sum(math.exp(min(float(t), 64.0)) for t in times)
+    return max(1, int(GROWTH_BLOCK_BYTES // (walks.census_vertex_bytes(d, r) * max(vertices, 1.0))))
+
+
+def census_runs(runs: Iterable[Iterable[np.ndarray]], r: int, grid_size: int) -> np.ndarray:
+    """Per-class counts (runs, grid_size, classes) of a block of runs, each an
+    iterable of its grid_size > 0 snapshots, in one ``batch_class_counts``
+    call.  The runs are read lazily and in order, one after the other, so a
+    run's tower is gone before the next one grows."""
+    counts = walks.batch_class_counts(itertools.chain.from_iterable(runs), r)[0]
+    return counts.reshape(-1, grid_size, counts.shape[1])
+
+
 def simulate_growth(
     d: int,
     s: float,
@@ -241,55 +325,23 @@ def simulate_growth(
 
     The run always starts from the empty graph (warm-up convention);
     ``grid`` holds offsets in [0, T].  With ``track_events`` every insertion
-    after time s is classified into grown/spontaneous/split events.
+    after time s is classified into grown/spontaneous/split events.  This is
+    the one-run case of ``growth_count_samples``'s census blocks.
     """
-    grid = np.asarray(grid, dtype=float)
-    if r < 1:
-        raise InvalidInputError(f"need r >= 1, got {r}")
-    if s < 0 or T < 0:
-        raise InvalidInputError("need s >= 0 and T >= 0")
-    if grid.ndim != 1 or (grid.size and (grid.min() < 0 or grid.max() > T)):
-        raise InvalidInputError("grid must lie within [0, T]")
-    jumps = poissonized_times(s + T, 0, rng, max_events=MAX_VERTICES)
-    # every seat of the run in one draw: row m seats vertex m uniformly on
-    # 0..m in each permutation, the same values (and generator state) as one
-    # scalar draw per permutation per vertex
-    seats = rng.integers(0, np.arange(1, jumps.size + 1)[:, None], size=(jumps.size, d))
-    tower = PermTower(d, 0)
+    run = GrowthRun(d, s, T, grid, r, rng, track_events)
     classes = words.classes_upto(d, r)
-    abs_grid = s + np.sort(grid)
-    # the census at grid time t sees every vertex that arrived by t
-    n_vertices = np.searchsorted(jumps, abs_grid, side="right").astype(np.int64)
-    counts = np.zeros((abs_grid.size, len(classes)), dtype=np.int64)
-    events: list[GrowthEvent] = []
-
-    def grow_to(size: int) -> None:
-        if not track_events:
-            tower.extend(choices=seats[tower.n : size])
-            return
-        for v in range(tower.n, size):
-            tower.extend(choices=seats[v])
-            events.extend(insertion_events(tower, r, time=jumps[v]))
-
-    def snapshots():
-        for size in n_vertices:
-            grow_to(size)
-            yield tower.perms()
-
-    if track_events:
-        # grow to time s in one block; later insertions are classified one by one
-        tower.extend(choices=seats[: np.searchsorted(jumps, s, side="right")])
-    if abs_grid.size:
-        # one census of all grid snapshots, drawn lazily as the tower grows
-        counts = walks.batch_class_counts(snapshots(), r)[0]
-    if track_events:
-        grow_to(jumps.size)
+    if run.grid.size:
+        counts = census_runs([run], r, run.grid.size)[0]
+    else:
+        counts = np.zeros((0, len(classes)), dtype=np.int64)
+        for _ in run:  # nothing to census; the run still draws, grows and tags
+            pass
     return Trajectory(
-        grid=tuple(float(t) for t in abs_grid),
+        grid=tuple(float(t) for t in run.grid),
         classes=classes,
         counts=counts,
-        n_vertices=n_vertices,
-        events=events,
+        n_vertices=run.n_vertices,
+        events=run.events or [],
     )
 
 
@@ -305,6 +357,7 @@ def growth_count_samples(
 
     Returns an array of shape (replicas, 1 + len(lags), r); replica b uses
     the RNG stream keyed (seed, b), so results are independent of scheduling.
+    The runs are censused a block of ``block_replicas`` at a time.
     """
     lags = np.asarray(lags, dtype=float)
     if replicas < 1:
@@ -313,9 +366,11 @@ def growth_count_samples(
         raise InvalidInputError("lags must be positive")
     grid = np.concatenate([[0.0], lags])
     T = float(grid.max())
+    classes = words.classes_upto(d, r)
+    block = block_replicas(d, r, s + grid)
     out = np.zeros((replicas, grid.size, r), dtype=np.int64)
-    for b in range(replicas):
-        rng = np.random.default_rng([seed, b])
-        traj = simulate_growth(d, s, T, grid, r, rng)
-        out[b] = traj.by_length(r)
+    for lo in range(0, replicas, block):
+        runs = (GrowthRun(d, s, T, grid, r, np.random.default_rng([seed, b]))
+                for b in range(lo, min(lo + block, replicas)))
+        out[lo : lo + block] = words.counts_by_length(census_runs(runs, r, grid.size), classes, r)
     return out

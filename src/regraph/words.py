@@ -154,6 +154,17 @@ class WordClass:
         object.__setattr__(self, "h", word_period_quotient(self.letters))
         object.__setattr__(self, "c", doubled_letter_count(self.letters))
 
+    @classmethod
+    def _proven(cls, letters: Word, h: int) -> WordClass:
+        """The class of a word already proven cyclically reduced and
+        canonical, with repetition order h: public construction's checks,
+        which repeat that proof, are skipped."""
+        wc = object.__new__(cls)
+        object.__setattr__(wc, "letters", letters)
+        object.__setattr__(wc, "h", h)
+        object.__setattr__(wc, "c", doubled_letter_count(letters))
+        return wc
+
     @property
     def length(self) -> int:
         return len(self.letters)
@@ -215,8 +226,10 @@ def _enumerate_classes_cached(d: int, k: int, budget: int) -> tuple[WordClass, .
         )
     # one Fredricksen-Kessler-Maiorana necklace pass that never puts a letter
     # after its inverse: necklaces come in ascending order, and a class's
-    # representative is the one that is cyclically reduced and canonical
-    found: list[Word] = []
+    # representative is the one that is cyclically reduced and canonical.  A
+    # necklace whose longest Lyndon prefix has length p is that prefix
+    # repeated k / p times, so its repetition order is k / p
+    found: list[WordClass] = []
     word = [0] * (k + 1)  # letters in word[1..k]; word[0] = 0 starts the first at 0
 
     def extend(t: int, p: int) -> None:  # word[1..t-1] is a prenecklace, Lyndon prefix p
@@ -224,7 +237,7 @@ def _enumerate_classes_cached(d: int, k: int, budget: int) -> tuple[WordClass, .
             w = tuple(word[1:])
             reduced = k == 1 or w[0] != letter_inverse(w[-1])
             if k % p == 0 and reduced and w == canonical_form(w):
-                found.append(w)
+                found.append(WordClass._proven(w, k // p))
             return
         for c in range(word[t - p], 2 * d):
             if t == 1 or c != letter_inverse(word[t - 1]):
@@ -232,7 +245,7 @@ def _enumerate_classes_cached(d: int, k: int, budget: int) -> tuple[WordClass, .
                 extend(t + 1, p if c == word[t - p] else t)
 
     extend(1, 1)
-    classes = tuple(WordClass(w) for w in found)
+    classes = tuple(found)
     # orbit sizes must tile the full set of reduced words
     tiled = sum(wc.orbit_size for wc in classes)
     if tiled != count_reduced_words(d, k):

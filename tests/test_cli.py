@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -171,6 +172,26 @@ def test_report_body_independent_of_workers(tmp_path):
         bodies.append((out / "trajectory.csv").read_text())
     assert bodies[0] == bodies[2]
     assert bodies[1] == bodies[3]
+
+
+def test_grow_outputs_do_not_depend_on_block_or_workers(tmp_path, monkeypatch):
+    # blocks of one run, of two, and of all five, each at one and two workers
+    text = "d = 2\ns = 1.0\nT = 1.0\ngrid = 0.0, 0.5, 1.0\nr = 4\nreplicas = 5\n"
+    cfg = _write(tmp_path, "g.cfg", text)
+    per_run = walks.census_vertex_bytes(2, 4) * sum(math.exp(1.0 + t) for t in (0.0, 0.5, 1.0))
+    outputs = set()
+    for block_bytes, block in ((1, 1), (2.5 * per_run, 2), (2**62, 5)):
+        monkeypatch.setattr(growth, "GROWTH_BLOCK_BYTES", block_bytes)
+        assert min(5, growth.block_replicas(2, 4, [1.0, 1.5, 2.0])) == block
+        for workers in (1, 2):
+            out = tmp_path / f"out{block}-{workers}"
+            assert _run("grow", cfg, out, "--seed", "17", "--workers", str(workers)) == 0
+            report = json.loads((out / "report.json").read_text())
+            outputs.add((json.dumps(report["body"], sort_keys=True),
+                         (out / "trajectory.csv").read_bytes(),
+                         (out / "events.csv").read_bytes()))
+    assert len(outputs) == 1
+    assert next(iter(outputs))[2].count(b"\n") > 5 * 10  # the events file holds real rows
 
 
 def test_env_seed_overrides_flag(tmp_path, monkeypatch):
@@ -696,7 +717,7 @@ def test_grow_byte_estimate_bounds_one_replica_peak(tmp_path):
 
 
 def test_grow_events_share_one_string_per_class():
-    _counts, events = cli._grow_one(2, 3.0, 1.0, (0.0,), 4, 3, 0)
+    _counts, [events] = cli._grow_block(2, 3.0, 1.0, (0.0,), 4, 3, 0, 1)
     names: dict[str, set[int]] = {}
     for _time, _kind, word, parent in events:
         for name in (word, parent):
@@ -715,6 +736,9 @@ def test_grow_byte_estimate_with_events_bounds_tracemalloc_peak(tmp_path):
     params = cli.parse_config_file(_write(tmp_path, "g.cfg", text.format(50)))
     config = cli.ExperimentConfig("grow", params, seed=3, out=tmp_path / "out")
     need = cli._grow_bytes(params)
+    # a collection empties CPython's tuple free lists, which would otherwise
+    # serve the event tuples untraced after earlier tests freed a block of tuples
+    gc.collect()
     tracemalloc.start()
     try:
         cli.run(config)

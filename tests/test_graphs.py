@@ -203,6 +203,26 @@ def test_sample_uniform_pairings_keep_the_retry_budget(monkeypatch, block):
     assert min(outcomes.values()) >= 10
 
 
+def test_sample_uniform_model_keeps_the_retry_budget():
+    # its own attempt loop refuses exactly where the oracle loop does, after
+    # the same draws
+    outcomes = Counter()
+    for n, d, max_retries in ((10, 2, 1), (12, 2, 2), (10, 3, 5)):
+        for seed in range(8):
+            rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            try:
+                expected = pairing_model_graph(n, d, oracle, max_retries)
+            except ResourceLimitError:
+                outcomes["refused"] += 1
+                with pytest.raises(ResourceLimitError, match=f"failed {max_retries} times"):
+                    sample_uniform_model(n, d, rng, max_retries)
+            else:
+                outcomes["sampled"] += 1
+                assert sample_uniform_model(n, d, rng, max_retries) == expected
+            assert rng.bit_generator.state == oracle.bit_generator.state
+    assert min(outcomes.values()) >= 5
+
+
 def test_simple_cycle_counts_small_graphs():
     k4 = SimpleGraph(4, 3, itertools.combinations(range(4), 2))
     k33 = SimpleGraph(6, 3, [(u, v) for u in range(3) for v in range(3, 6)])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regraph import words
+from regraph import growth, words
 from regraph.errors import InvalidInputError, ResourceLimitError
 from regraph.growth import (
     PermTower,
@@ -103,6 +103,37 @@ def test_poissonized_times_cap_holds_inside_the_first_block():
     with pytest.raises(ResourceLimitError):
         poissonized_times(6.5, 0, np.random.default_rng(0), max_events=100)
     assert poissonized_times(6.5, 0, np.random.default_rng(0), max_events=325).size == 325
+
+
+def _list_poissonized_times(horizon, n0, rng, max_events=10**7):
+    """poissonized_times the list way: each 1,024-time block's times below
+    the horizon go into one Python list, checked against the cap as it grows."""
+    out, t, m = [], 0.0, n0
+    while True:
+        times = t + np.cumsum(rng.exponential(1.0, 1024) / np.arange(m + 1, m + 1025, dtype=float))
+        over = np.searchsorted(times, horizon, side="right")
+        out.extend(times[:over].tolist())
+        if len(out) > max_events:
+            raise ResourceLimitError("cap")
+        if over < 1024:
+            return np.asarray(out)
+        t, m = float(times[-1]), m + 1024
+
+
+@pytest.mark.parametrize("horizon, n0", [(0.0, 0), (1.0, 0), (math.log(501) + 1, 0),
+                                         (8.0, 0), (0.5, 3000), (2.0, 1023)])
+def test_poissonized_times_match_list_oracle(horizon, n0):
+    for seed in range(5):
+        rng, oracle_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        got = poissonized_times(horizon, n0, rng)
+        want = _list_poissonized_times(horizon, n0, oracle_rng)
+        assert got.dtype == want.dtype == np.float64 and np.array_equal(got, want)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    # the cap counts every block: one over it raises, as the list path does
+    cap = _list_poissonized_times(8.0, 0, np.random.default_rng(2)).size
+    assert poissonized_times(8.0, 0, np.random.default_rng(2), max_events=cap).size == cap
+    with pytest.raises(ResourceLimitError):
+        poissonized_times(8.0, 0, np.random.default_rng(2), max_events=cap - 1)
 
 
 def test_vertex_count_grows_exponentially():
@@ -363,6 +394,20 @@ def test_growth_count_samples_match_scalar_draw_oracle():
             for b in range(6)
         ])
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d, s, r, replicas", [
+    (1, 2.5, 3, 7), (2, 2.5, 3, 7), (3, 2.5, 3, 7),
+    (2, math.log(501), 3, 10),  # the growth-vs-limit acceptance shape
+])
+def test_growth_count_samples_do_not_depend_on_the_block(monkeypatch, d, s, r, replicas):
+    lags = [0.5, 1.0]
+    default = growth_count_samples(d, s, lags, r, replicas, seed=5)
+    for block_bytes, block in ((1, 1), (2**62, replicas)):  # one run a block, and all
+        monkeypatch.setattr(growth, "GROWTH_BLOCK_BYTES", block_bytes)
+        assert min(replicas, growth.block_replicas(d, r, s + np.array([0.0, *lags]))) == block
+        got = growth_count_samples(d, s, lags, r, replicas, seed=5)
+        assert got.dtype == default.dtype and np.array_equal(got, default)
 
 
 @st.composite

@@ -262,6 +262,17 @@ def test_canonicalize_properties(case):
     assert all(canonicalize(u) == wc for u in orbit)
 
 
+def test_public_construction_still_validates():
+    # the necklace pass builds its classes without the checks; a caller's
+    # word still gets them, and the pass's classes equal checked ones
+    with pytest.raises(InvalidInputError, match="canonical representative"):
+        WordClass(parse_word("b a"))
+    with pytest.raises(InvalidInputError, match="cyclically reduced"):
+        WordClass(parse_word("a b A"))
+    for wc in enumerate_word_classes(3, 5):
+        assert WordClass(wc.letters) == wc
+
+
 def test_orbit_tiling_failure_raises(monkeypatch):
     # a raised error, not an assert, so it survives python -O
     monkeypatch.setattr(words, "count_reduced_words", lambda d, k: 1)
