@@ -246,17 +246,24 @@ GROWTH_EVENT_BYTES = 640
 _SNAPSHOT_BYTES = 128
 # a csv writer's record buffer, 32,768 4-byte characters from its first row on
 _CSV_WRITER_BYTES = 2**17
+# what a grow run holds beside its counts and events once its runs are done
+# and its CSVs are written: the body's class names, the trajectory template
+# and the report (tracemalloc read up to 30 KB at d = 2, r = 4, one replica)
+_GROW_BODY_BYTES = 48 * 1024
 
 
 def _grow_bytes(params: dict[str, Any]) -> float:
     """Peak bytes of a valid grow run: its held counts, its runs' own objects
-    and events, the block of runs in progress and a csv writer's buffer.  A
-    k-cycle count is stationary with mean a(d, k)/2k and turns over at rate
-    k, so k-cycles are born at rate a(d, k)/2 (a: cyclically reduced words).
-    A run starts from the empty graph and has e^t - 1 vertices at time t on
-    average, capped at ``growth.MAX_VERTICES``.  The run in progress is
-    charged its tower and clock for that many at s + T, and its block the
-    census of every run's snapshots, their int64 arrays and headers."""
+    and events, and the block of runs in progress or, once the runs are
+    done, its body and a csv writer's buffer.  A k-cycle count is stationary
+    with mean a(d, k)/2k and turns over at rate k, so k-cycles are born at
+    rate a(d, k)/2 (a: cyclically reduced words).  A run starts from the
+    empty graph and has e^t - 1 vertices at time t on average, capped at
+    ``growth.MAX_VERTICES``, and its block is charged the census of every
+    run's snapshots at that size, their int64 arrays and headers.  The run
+    in progress is charged its tower and clock for the largest run at s + T:
+    a run has about e^t W vertices, W ~ Exp(1), and the largest of R such W
+    passes ln R + 4 with probability at most e^-4."""
     p = _read("grow", params)[0]
     d, r = p["d"], p["r"]
     times = [p["s"] + t for t in p["grid"]]
@@ -268,11 +275,13 @@ def _grow_bytes(params: dict[str, Any]) -> float:
 
     snapshots = (len(times) * _SNAPSHOT_BYTES
                  + sum(map(vertices, times)) * (walks.census_vertex_bytes(d, r) + 8 * d))
+    largest = min(math.exp(min(p["s"] + p["T"], 64.0)) * (math.log(p["replicas"]) + 4),
+                  growth.MAX_VERTICES)
     in_progress = (_GROW_CLOCK_BYTES + GROWTH_EVENT_BYTES * events
-                   + vertices(p["s"] + p["T"]) * _LABEL_VERTEX_BYTES * d + block * snapshots)
+                   + largest * _LABEL_VERTEX_BYTES * d + block * snapshots)
     return (_trajectory_bytes(p["replicas"], len(times), len(words.classes_upto(d, r)), r)
-            + (_GROW_RUN_BYTES + EVENT_BYTES * events) * p["replicas"] + in_progress
-            + _CSV_WRITER_BYTES)
+            + (_GROW_RUN_BYTES + EVENT_BYTES * events) * p["replicas"]
+            + max(in_progress, _GROW_BODY_BYTES + _CSV_WRITER_BYTES))
 
 
 def _limit_sim_bytes(params: dict[str, Any]) -> float:
@@ -302,6 +311,10 @@ _ROW_ENTRY_BYTES = 320
 _CYCLE_BYTES = 512
 # the run's own objects beside these: its report, jobs and results
 _RUN_BYTES = 16 * 1024
+# a gff-check row, held until report.json is written: its tuple of six
+# values, three of them new floats, its pairs dict and two list slots
+# (tracemalloc read 425-432 a row from 8,000 to 200,000 rows)
+_PAIR_ROW_BYTES = 512
 
 
 def _byte_estimate(kind: str, p: dict[str, Any]) -> tuple[float, str, str] | None:
@@ -327,6 +340,10 @@ def _byte_estimate(kind: str, p: dict[str, Any]) -> tuple[float, str, str] | Non
         return (_grow_bytes if kind == "grow" else _limit_sim_bytes)(p), kind, "replicas"
     if kind == "spectrum":
         return spectra.eigen_bytes(p["n"]), f"the dense eigen-solve at n={p['n']}", "n"
+    if kind == "gff-check":
+        rows = p["jmax"] * p["kmax"] * len(p["lags"])
+        return (rows * _PAIR_ROW_BYTES + _CSV_WRITER_BYTES + _RUN_BYTES,
+                f"gff-check of {rows} pairs", "jmax, kmax or lags")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,21 @@
-"""Exception hierarchy shared across the package, and the one byte cap.
+"""Exception hierarchy shared across the package, the one byte cap and the
+step budgets.
 
 The CLI maps these onto process exit codes, so library code should raise
-these (rather than bare ValueError) for user-facing failure modes.
+these (rather than bare ValueError) for user-facing failure modes.  Each
+budget is read where it is checked, as ``check_bytes`` reads BYTE_CAP, and
+passing it raises ResourceLimitError (exit 3).
 """
 
 # most bytes a census, NB trace, eigen-solve, simulate_limit call or CLI run may take
 BYTE_CAP = 2**31
+# most steps of one cycle search: letters tried on a permutation graph, path
+# extensions on a simple graph
+SEARCH_STEPS = 10**8
+# most words, (2d)^k, a word-class enumeration at length k may span
+WORD_SEQUENCES = 10**7
+# most pairing-model attempts one uniform graph may take
+PAIRING_RETRIES = 10**5
 
 
 class RegraphError(Exception):

@@ -8,9 +8,8 @@ reduces to a double integral whose closed form is
 
     delta_jk * (pi / 4k) * e^{j (t0 - t1)},   t0 <= t1.
 
-This module evaluates the double integral numerically (handling the
-logarithmic singularity on the diagonal at equal times) and exposes the
-discrete height pairing computed from a graph spectrum.
+This module evaluates the double integral numerically, handling the
+logarithmic singularity on the diagonal at equal times.
 """
 
 from __future__ import annotations
@@ -20,21 +19,9 @@ import math
 import warnings
 
 from .errors import InvalidInputError, NumericError
-from .spectra import Spectrum, cheb_t_poly, linear_statistic
 
 # absolute error asked of every quadrature in gff_cheb_covariance
 QUAD_TOL = 1e-6
-
-
-def green_halfplane(z: complex, w: complex) -> float:
-    """Green function of the upper half plane with Dirichlet boundary."""
-    z = complex(z)
-    w = complex(w)
-    if z.imag <= 0 or w.imag <= 0:
-        raise InvalidInputError("both points need positive imaginary part")
-    if z == w:
-        raise NumericError("Green function diverges at coincident points")
-    return (-math.log(abs(z - w)) + math.log(abs(z - w.conjugate()))) / (2 * math.pi)
 
 
 def gff_closed_form(j: int, k: int, t0: float, t1: float) -> float:
@@ -102,20 +89,3 @@ def gff_cheb_covariance(j: int, k: int, t0: float, t1: float) -> float:
     if bound > 1e-5:
         raise NumericError(f"quadrature error estimate {bound:.2e} exceeds 1e-5")
     return -total / (2 * math.pi)
-
-
-def height_pairing(
-    spectrum: Spectrum, d: int, k: int, conditional_mean: float
-) -> float:
-    """Discrete height pairing against the (k-1)-th Chebyshev-U polynomial.
-
-    Equals -(1/k) (tr T_k - conditional mean), where the conditional mean of
-    the same centered trace statistic given the vertex count is estimated by
-    the caller across runs.
-    """
-    if k < 1:
-        raise InvalidInputError(f"need k >= 1, got {k}")
-    if spectrum.scale != "unit":
-        raise InvalidInputError(f"need a unit-scale spectrum, got {spectrum.scale!r}")
-    stat = linear_statistic(spectrum, cheb_t_poly(k))
-    return -(stat - conditional_mean) / k

@@ -25,7 +25,7 @@ from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import words
+from . import errors, words
 from .errors import InvalidInputError, ResourceLimitError, check_bytes
 from .words import Word, letter_index, letter_is_inverted
 
@@ -173,15 +173,14 @@ def simple_regular_exists(n: int, d: int) -> bool:
     return 1 <= d < n and (n * d) % 2 == 0
 
 
-def sample_uniform_model(
-    n: int, d: int, rng: np.random.Generator, max_retries: int = 10**5
-) -> SimpleGraph:
+def sample_uniform_model(n: int, d: int, rng: np.random.Generator) -> SimpleGraph:
     """Uniform simple d-regular graph via rejection from the pairing model:
     the one graph ``sample_uniform_pairings`` draws, from the same draws,
     with its edges taken into a set in stub order, so ``g.edges`` iterates
     in the order that the switching chain's draws rest on."""
     if not simple_regular_exists(n, d):
         raise InvalidInputError(f"no simple d-regular graph with n={n}, d={d}")
+    max_retries = errors.PAIRING_RETRIES
     stubs = np.arange(n * d)[None]
     for _ in range(max_retries):
         # the one-row draw of a one-graph sample_uniform_pairings block, tested
@@ -206,9 +205,7 @@ def sample_uniform_model(
 PAIRING_BLOCK_BYTES = 2**19
 
 
-def sample_uniform_pairings(
-    n: int, d: int, count: int, rng: np.random.Generator, max_retries: int = 10**5
-) -> np.ndarray:
+def sample_uniform_pairings(n: int, d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """The edges of ``count`` uniform simple d-regular graphs, as an int64
     array of shape (count, n d / 2, 2): row i holds, in stub order, the
     pairs of the i-th accepted pairing-model attempt.
@@ -222,12 +219,13 @@ def sample_uniform_pairings(
     codes repeat no edge.  A block holds at most ``count`` attempts, under
     ``PAIRING_BLOCK_BYTES``, so the last one overdraws by fewer than
     ``count`` attempts, and a one-graph call stops at its accepted attempt.
-    A graph that would need more than ``max_retries`` attempts raises
-    ResourceLimitError."""
+    A graph that would need more than ``errors.PAIRING_RETRIES`` attempts
+    raises ResourceLimitError."""
     if not simple_regular_exists(n, d):
         raise InvalidInputError(f"no simple d-regular graph with n={n}, d={d}")
     if count < 0:
         raise InvalidInputError(f"need count >= 0, got {count}")
+    max_retries = errors.PAIRING_RETRIES
     nd = n * d
     out = np.empty((count, nd // 2, 2), dtype=np.int64)
     # an attempt's ends, its loop test and its edge codes take under 40 bytes a stub
@@ -391,10 +389,8 @@ def apply_switching(
         return None
 
 
-def _cycles_through_edges(
-    neighbors: Sequence[Collection[int]], changed: Iterable[Edge], r: int,
-    budget: int = 10**8,
-) -> set[tuple[int, ...]]:
+def _cycles_through_edges(neighbors: Sequence[Collection[int]], changed: Iterable[Edge],
+                          r: int) -> set[tuple[int, ...]]:
     """Canonical vertex tuples of the cycles of length 3..r that use at least
     one changed edge, in the graph where x is adjacent to ``neighbors[x]``:
     a graph's own neighbour tuples, or the sets of ``_complement_neighbors``.
@@ -405,10 +401,10 @@ def _cycles_through_edges(
     along an earlier one, in either direction.  The search is depth-first
     with an explicit stack and an on-path set, so Python's recursion limit
     does not bound r and a step costs the same at any depth.  A step is one
-    path extension, at most d neighbours tried; past ``budget`` steps the
-    search raises ResourceLimitError."""
+    path extension, at most d neighbours tried; past ``errors.SEARCH_STEPS``
+    steps the search raises ResourceLimitError."""
     found: set[tuple[int, ...]] = set()
-    steps = 0
+    steps, budget = 0, errors.SEARCH_STEPS
     if r < 3:
         return found
     cut: dict[int, set[int]] = {}  # x -> the other ends of the changed edges so far at x
@@ -445,22 +441,21 @@ def _cycles_through_edges(
     return found
 
 
-def _all_cycles(neighbors: Sequence[Collection[int]], r: int,
-                budget: int = 10**8) -> set[tuple[int, ...]]:
+def _all_cycles(neighbors: Sequence[Collection[int]], r: int) -> set[tuple[int, ...]]:
     """Canonical vertex tuples of all cycles of length 3..r.  The edges go
     by their smaller end u, ascending, so when the search from an edge at u
     runs, every edge at a smaller vertex is cut and the search stays above
     u: each cycle is found from its smallest vertex."""
     edges = ((x, y) for x, nb in enumerate(neighbors) for y in nb if x < y)
-    return _cycles_through_edges(neighbors, edges, r, budget)
+    return _cycles_through_edges(neighbors, edges, r)
 
 
-def simple_cycle_census(g: SimpleGraph, r: int,
-                        budget: int = 10**8) -> dict[frozenset, tuple[int, ...]]:
+def simple_cycle_census(g: SimpleGraph, r: int) -> dict[frozenset, tuple[int, ...]]:
     """All cycles of length 3..r as {edge set: vertex tuple}, ordered by
     (length, tuple); each tuple is in the form of ``_canonical_cycle``.  The
-    search raises ResourceLimitError past ``budget`` path extensions."""
-    cycles = sorted(_all_cycles(g.neighbors, r, budget), key=lambda vs: (len(vs), vs))
+    search raises ResourceLimitError past ``errors.SEARCH_STEPS`` path
+    extensions."""
+    cycles = sorted(_all_cycles(g.neighbors, r), key=lambda vs: (len(vs), vs))
     return {frozenset(map(_edge, vs, vs[1:] + vs[:1])): vs for vs in cycles}
 
 

@@ -46,18 +46,15 @@ class PermTower:
         self.succ = [list(range(n)) for _ in range(d)]
         self.pred = [list(range(n)) for _ in range(d)]
 
-    def extend(self, rng: Optional[np.random.Generator] = None, choices=None) -> np.ndarray:
+    def extend(self, choices) -> np.ndarray:
         """Insert elements n, n+1, ...; returns the seat rows as a (k, d) array.
 
         ``choices`` is one row of d seats (one element) or a (k, d) block
         whose row i seats element n + i.  Seat j < n + i puts the new element
         left of j (new -> j in the cycle); seat j = n + i opens a new table
-        (fixed point).  Without ``choices`` one element is seated uniformly,
-        with one ``rng.integers`` draw per permutation.
+        (fixed point).
         """
         new = self.n
-        if choices is None:
-            choices = [int(rng.integers(new + 1)) for _ in range(self.d)]
         block = np.asarray(choices, dtype=np.int64)
         if block.ndim == 1:
             block = block[None]
@@ -101,14 +98,17 @@ class PermTower:
         return np.array(self.succ, dtype=np.int64)
 
 
-def poissonized_times(
-    horizon: float, n0: int, rng: np.random.Generator, max_events: int = 10**7
-) -> np.ndarray:
+# most vertices a run may insert
+MAX_VERTICES = 10**6
+
+
+def poissonized_times(horizon: float, n0: int, rng: np.random.Generator) -> np.ndarray:
     """Jump times of the growth clock up to ``horizon``, starting at size n0.
 
     The holding time after reaching size m is Exp(m + 1), so the i-th entry
     is the arrival time of vertex n0 + i.  Runs start from the empty graph
-    (n0 = 0), whose vertex count therefore grows like e^t.
+    (n0 = 0), whose vertex count therefore grows like e^t.  More than
+    ``MAX_VERTICES`` jumps raise ResourceLimitError.
     """
     if horizon < 0:
         raise InvalidInputError(f"need horizon >= 0, got {horizon}")
@@ -126,8 +126,8 @@ def poissonized_times(
         over = np.searchsorted(times, horizon, side="right")
         out.append(times[:over])
         count += over
-        if count > max_events:
-            raise ResourceLimitError(f"more than {max_events} insertions before horizon")
+        if count > MAX_VERTICES:
+            raise ResourceLimitError(f"more than {MAX_VERTICES} insertions before horizon")
         if over < block:
             return np.concatenate(out)
         t = float(times[-1])
@@ -214,9 +214,6 @@ def insertion_events(tower: PermTower, r: int, time: float = 0.0) -> list[Growth
 # ---------------------------------------------------------------------------
 # trajectories
 
-# most vertices a run may insert
-MAX_VERTICES = 10**6
-
 
 @dataclass
 class Trajectory:
@@ -259,7 +256,7 @@ class GrowthRun:
 
     def __iter__(self) -> Iterator[np.ndarray]:
         d, r, rng, events = self.d, self.r, self.rng, self.events
-        jumps = poissonized_times(self.horizon, 0, rng, max_events=MAX_VERTICES)
+        jumps = poissonized_times(self.horizon, 0, rng)
         # every seat of the run in one draw: row m seats vertex m uniformly on
         # 0..m in each permutation, the same values (and generator state) as one
         # scalar draw per permutation per vertex

@@ -50,23 +50,6 @@ def yule_pmf(j: int, k: int, tau: float) -> float:
     )
 
 
-def sample_yule(j: int, tau: float, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Simulate Yule processes from j over time tau (exact exponential jumps)."""
-    if j < 1 or samples < 1:
-        raise InvalidInputError("need j >= 1 and samples >= 1")
-    if tau < 0:
-        raise InvalidInputError(f"need tau >= 0, got {tau}")
-    state = np.full(samples, j, dtype=np.int64)
-    t = rng.exponential(1.0, samples) / state
-    active = t < tau
-    while np.any(active):
-        state[active] += 1
-        idx = np.flatnonzero(active)
-        t[idx] += rng.exponential(1.0, idx.size) / state[idx]
-        active = t < tau
-    return state
-
-
 def expected_alpha(j: int, k: int, s: float, t: float) -> float:
     """Probability that a length-j atom at time s has length k at time t."""
     if s > t:

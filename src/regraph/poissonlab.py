@@ -30,7 +30,6 @@ from .graphs import (
     simple_count_bytes,
     simple_cycle_counts,
 )
-from .words import WordClass
 
 
 @dataclass(frozen=True)
@@ -74,11 +73,6 @@ def mean_cycle_count(model: str, d: int, r: int) -> float:
     if r <= 128:
         return mean
     return mean + math.log(r) if d == 1 or (model == "uniform" and d == 2) else math.inf
-
-
-def class_poisson_means(d: int, r: int) -> dict[WordClass, Fraction]:
-    """Limiting Poisson mean 1/h for every word class of length <= r."""
-    return {wc: Fraction(1, wc.h) for wc in words.classes_upto(d, r)}
 
 
 def rate_shape(model: str, d: int, r: int, n: int) -> float:
@@ -151,8 +145,12 @@ def uniform_sample_bytes(n: int, d: int, r: int, samples: int) -> int:
     return 16 * samples * n * d + simple_count_bytes(samples, n, d, r)
 
 
-def cycle_sample_bytes(model: str, n: int, d: int, r: int, samples: int,
-                       chunk: int = 256) -> int:
+# permutation-model graphs drawn from one stream: the chunk size decides which
+# stream each graph reads, so it is part of the output, not a tuning knob
+PERM_CHUNK = 256
+
+
+def cycle_sample_bytes(model: str, n: int, d: int, r: int, samples: int) -> int:
     """Peak bytes of one n of ``tv_convergence_experiment``: its
     ``sample_cycle_counts`` call, then the empirical pmf of the counts.  A
     uniform-model call holds ``uniform_sample_bytes`` whole, beside an attempt
@@ -167,27 +165,22 @@ def cycle_sample_bytes(model: str, n: int, d: int, r: int, samples: int,
     if model == "uniform":
         held = uniform_sample_bytes(n, d, r, samples) + PAIRING_BLOCK_BYTES
     else:
-        held = 8 * samples * r + 24 * min(chunk, samples) * d * n + walks.census_graph_bytes(d, n)
+        held = (8 * samples * r + 24 * min(PERM_CHUNK, samples) * d * n
+                + walks.census_graph_bytes(d, n))
     return held + walks.CENSUS_CHUNK_BYTES + samples * (256 + 64 * r)
 
 
-def sample_cycle_counts(
-    model: str,
-    n: int,
-    d: int,
-    r: int,
-    samples: int,
-    seed: int,
-    chunk: int = 256,
-) -> np.ndarray:
+def sample_cycle_counts(model: str, n: int, d: int, r: int, samples: int,
+                        seed: int) -> np.ndarray:
     """Cycle counts (C_1..C_r) for ``samples`` independent graphs.
 
-    Chunk i of the permutation model is seeded by (seed, n, i), independent
-    of how work is scheduled, so results depend only on (seed, n, d, r) and
-    ``chunk``: chunk 0 reads a prefix of the same stream whatever its size,
-    later chunks do not.  The uniform model draws all its graphs from one
-    stream seeded (seed, n, 1), the graphs ``sample_uniform_model`` would
-    draw from it one by one, and counts them in one batch.
+    Chunk i of the permutation model, ``PERM_CHUNK`` graphs, is seeded by
+    (seed, n, i), independent of how work is scheduled, so results depend
+    only on (seed, n, d, r) and the chunk size: chunk 0 reads a prefix of the
+    same stream whatever its size, later chunks do not.  The uniform model
+    draws all its graphs from one stream seeded (seed, n, 1), the graphs
+    ``sample_uniform_model`` would draw from it one by one, and counts them
+    in one batch.
     """
     if samples < 1:
         raise InvalidInputError("need at least one sample")
@@ -195,7 +188,7 @@ def sample_cycle_counts(
         raise InvalidInputError(f"unknown model {model!r}")
     if model == "uniform" and samples > UNIFORM_SAMPLE_CAP:
         raise ResourceLimitError(f"uniform-model sampling capped at {UNIFORM_SAMPLE_CAP} graphs")
-    check_bytes(cycle_sample_bytes(model, n, d, r, samples, chunk),
+    check_bytes(cycle_sample_bytes(model, n, d, r, samples),
                 f"cycle counts of {samples} {model} graphs with n={n}")
     if model == "uniform":
         # the stream is this call's own, so the sampler may draw past its last graph
@@ -203,6 +196,7 @@ def sample_cycle_counts(
         pairs = sample_uniform_pairings(n, d, samples, rng)
         return simple_cycle_counts(pairing_neighbors(pairs, n), r)
     out = np.zeros((samples, r), dtype=np.int64)
+    chunk = PERM_CHUNK
     for start in range(0, samples, chunk):
         idx = start // chunk
         rng = np.random.default_rng([seed, n, idx])

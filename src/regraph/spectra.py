@@ -56,10 +56,6 @@ class PolySeries:
         if not self.coef:
             raise InvalidInputError("empty coefficient list")
 
-    @property
-    def order(self) -> int:
-        return len(self.coef) - 1
-
     # -- conversions ------------------------------------------------------
 
     def _to_cheb(self) -> np.ndarray:
@@ -109,12 +105,6 @@ def nb_basis_poly(degree: int, k: int) -> PolySeries:
     coef = [0.0] * (k + 1)
     coef[k] = 1.0
     return PolySeries("nb_unit", tuple(coef), degree=degree)
-
-
-def cheb_t_poly(k: int) -> PolySeries:
-    coef = [0.0] * (k + 1)
-    coef[k] = 1.0
-    return PolySeries("cheb_t", tuple(coef))
 
 
 # ---------------------------------------------------------------------------

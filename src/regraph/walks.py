@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import words
+from . import errors, words
 from .errors import InvalidInputError, ResourceLimitError, check_bytes
 from .graphs import CycleSpec, PermGraph, SimpleGraph, simple_cycle_census
 from .words import WordClass
@@ -39,13 +39,8 @@ class CycleCensus:
         return self.by_length.get(k, 0)
 
 
-def perm_graph_cycles(
-    succ: list[list[int]],
-    pred: list[list[int]],
-    r: int,
-    tops: Optional[list[int]] = None,
-    budget: int = 10**8,
-) -> list[CycleSpec]:
+def perm_graph_cycles(succ: list[list[int]], pred: list[list[int]], r: int,
+                      tops: Optional[list[int]] = None) -> list[CycleSpec]:
     """Cycles of length <= r, each found once from its largest vertex.
 
     ``succ[l][x]`` is the image of x under permutation l and ``pred[l]`` the
@@ -56,8 +51,10 @@ def perm_graph_cycles(
     ``c`` is kept only if ``a < c ^ 1``.  Its reverse leaves by ``c ^ 1``,
     so of a cycle's two walks the one met first by the depth-first order
     is kept; a loop (``a == c``) once, by its forward letter, and a
-    backtrack over one edge (``a == c ^ 1``) never.
+    backtrack over one edge (``a == c ^ 1``) never.  The search raises
+    ResourceLimitError past ``errors.SEARCH_STEPS`` letters tried.
     """
+    budget = errors.SEARCH_STEPS
     # rows[letter][x] is the vertex that letter leads to from x: letter 2l
     # is pi_l and letter 2l + 1 its inverse
     rows = [row for pair in zip(succ, pred) for row in pair]
@@ -93,20 +90,20 @@ def perm_graph_cycles(
     return found
 
 
-def enumerate_cycles(g, r: int, budget: int = 10**8) -> CycleCensus:
+def enumerate_cycles(g, r: int) -> CycleCensus:
     """Census of all cycles of length at most r.  The search raises
-    ResourceLimitError past ``budget`` steps: letters tried on a
-    permutation graph, path extensions on a simple graph."""
+    ResourceLimitError past ``errors.SEARCH_STEPS`` steps: letters tried on
+    a permutation graph, path extensions on a simple graph."""
     if r < 1:
         raise InvalidInputError(f"need r >= 1, got {r}")
     if isinstance(g, PermGraph):
-        cycles = perm_graph_cycles(g.perms.tolist(), g.inv.tolist(), r, budget=budget)
+        cycles = perm_graph_cycles(g.perms.tolist(), g.inv.tolist(), r)
         by_word: dict[WordClass, int] = {}
         for c in cycles:
             wc = words.canonicalize(c.word)
             by_word[wc] = by_word.get(wc, 0) + 1
     elif isinstance(g, SimpleGraph):
-        cycles = [CycleSpec(vs) for vs in simple_cycle_census(g, r, budget).values()]
+        cycles = [CycleSpec(vs) for vs in simple_cycle_census(g, r).values()]
         by_word = None
     else:
         raise InvalidInputError(f"unsupported graph type {type(g)!r}")

@@ -23,19 +23,13 @@ from typing import Sequence
 
 import numpy as np
 
+from . import errors
 from .errors import InvalidInputError, NumericError, ResourceLimitError
 
 Word = tuple[int, ...]
 
 # ---------------------------------------------------------------------------
 # letters
-
-
-def letter_code(index: int, inverted: bool = False) -> int:
-    """Encode generator ``pi_index`` (1-based), possibly inverted."""
-    if index < 1:
-        raise InvalidInputError(f"generator index must be >= 1, got {index}")
-    return 2 * (index - 1) + (1 if inverted else 0)
 
 
 def letter_inverse(code: int) -> int:
@@ -53,21 +47,6 @@ def letter_is_inverted(code: int) -> bool:
 def letter_name(code: int) -> str:
     ch = chr(ord("a") + code // 2)
     return ch.upper() if code & 1 else ch
-
-
-def parse_letter(text: str) -> int:
-    if len(text) != 1 or not text.isalpha():
-        raise InvalidInputError(f"bad letter {text!r}")
-    idx = ord(text.lower()) - ord("a") + 1
-    return letter_code(idx, text.isupper())
-
-
-def parse_word(text: str) -> Word:
-    """Parse a space-separated word such as ``"a A b B"``."""
-    parts = text.split()
-    if not parts:
-        raise InvalidInputError("empty word")
-    return tuple(parse_letter(p) for p in parts)
 
 
 def format_word(word: Word) -> str:
@@ -218,12 +197,7 @@ def count_reduced_words(d: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_classes_cached(d: int, k: int, budget: int) -> tuple[WordClass, ...]:
-    total = (2 * d) ** k
-    if total > budget:
-        raise ResourceLimitError(
-            f"enumerating words with d={d}, k={k} needs ~{total} sequences (budget {budget})"
-        )
+def _enumerate_classes_cached(d: int, k: int) -> tuple[WordClass, ...]:
     # one Fredricksen-Kessler-Maiorana necklace pass that never puts a letter
     # after its inverse: necklaces come in ascending order, and a class's
     # representative is the one that is cyclically reduced and canonical.  A
@@ -255,15 +229,20 @@ def _enumerate_classes_cached(d: int, k: int, budget: int) -> tuple[WordClass, .
     return classes
 
 
-def enumerate_word_classes(d: int, k: int, budget: int = 10**7) -> list[WordClass]:
+def enumerate_word_classes(d: int, k: int) -> list[WordClass]:
     """All equivalence classes of cyclically reduced words of length k.
 
-    Raises ResourceLimitError when the raw search space (2d)^k exceeds
-    ``budget``.
+    Raises ResourceLimitError, before the cache is consulted, when the raw
+    search space (2d)^k exceeds ``errors.WORD_SEQUENCES``.
     """
     if d < 1 or k < 1:
         raise InvalidInputError(f"need d >= 1 and k >= 1, got d={d}, k={k}")
-    return list(_enumerate_classes_cached(d, k, budget))
+    total, budget = (2 * d) ** k, errors.WORD_SEQUENCES
+    if total > budget:
+        raise ResourceLimitError(
+            f"enumerating words with d={d}, k={k} needs ~{total} sequences (budget {budget})"
+        )
+    return list(_enumerate_classes_cached(d, k))
 
 
 @lru_cache(maxsize=None)
@@ -283,7 +262,7 @@ def counts_by_length(counts: np.ndarray, classes: Sequence[WordClass], r: int) -
 
 
 # ---------------------------------------------------------------------------
-# doubling and halving moves
+# doubling moves
 
 
 def double_letter(wc: WordClass, position: int) -> WordClass:
@@ -295,18 +274,3 @@ def double_letter(wc: WordClass, position: int) -> WordClass:
     i = position - 1
     return canonicalize(w[: i + 1] + (w[i],) + w[i + 1 :])
 
-
-def halvings(wc: WordClass) -> dict[WordClass, int]:
-    """Classes reachable by deleting one letter of a cyclic double-letter pair.
-
-    The returned multiplicities sum to ``c`` of the class.
-    """
-    w = wc.letters
-    k = wc.length
-    out: dict[WordClass, int] = {}
-    for i in range(k):
-        if k > 1 and w[i] == w[(i + 1) % k]:
-            shorter = w[:i] + w[i + 1 :]
-            child = canonicalize(shorter)
-            out[child] = out.get(child, 0) + 1
-    return out

@@ -3,10 +3,12 @@ that no ``regraph`` code path needs."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from regraph.errors import InvalidInputError, ResourceLimitError
+from regraph import words
+from regraph.errors import InvalidInputError, NumericError, ResourceLimitError
 from regraph.graphs import (
     CycleSpec,
     Edge,
@@ -16,11 +18,14 @@ from regraph.graphs import (
     force_edges,
     simple_regular_exists,
 )
+from regraph.growth import PermTower
+from regraph.spectra import PolySeries, Spectrum, linear_statistic
 from regraph.walks import CycleCensus, cnbw_via_nb_matrix, enumerate_cycles
 from regraph.words import (
     Word,
     WordClass,
     canonical_form,
+    canonicalize,
     doubled_letter_count,
     format_word,
     inverted_reversal,
@@ -176,3 +181,88 @@ def size_bias_coupling(g: PermGraph, alpha: CycleSpec) -> PermGraph:
     if any(letter_index(c) > g.d for c in alpha.word):
         raise InvalidInputError("cycle word uses labels beyond d")
     return PermGraph(force_edges(g.perms, g.inv, alpha.labeled_steps()))
+
+
+def seat_row(tower: PermTower, rng: np.random.Generator) -> list[int]:
+    """Seats of one new element of ``tower``, uniform on 0..n in each
+    permutation, with one ``rng.integers`` draw per permutation."""
+    return [int(rng.integers(tower.n + 1)) for _ in range(tower.d)]
+
+
+def parse_word(text: str) -> Word:
+    """Parse a space-separated word such as ``"a A b B"``: the letter of
+    generator i (``a`` is 1) is code 2 (i - 1), and its inverse, in upper
+    case, code 2 (i - 1) + 1."""
+    parts = text.split()
+    if not parts:
+        raise InvalidInputError("empty word")
+    for part in parts:
+        if len(part) != 1 or not part.isalpha():
+            raise InvalidInputError(f"bad letter {part!r}")
+    return tuple(2 * (ord(part.lower()) - ord("a")) + part.isupper() for part in parts)
+
+
+def halvings(wc: WordClass) -> dict[WordClass, int]:
+    """Classes reachable by deleting one letter of a cyclic double-letter
+    pair; the multiplicities sum to ``c`` of the class."""
+    w = wc.letters
+    k = wc.length
+    out: dict[WordClass, int] = {}
+    for i in range(k):
+        if k > 1 and w[i] == w[(i + 1) % k]:
+            child = canonicalize(w[:i] + w[i + 1 :])
+            out[child] = out.get(child, 0) + 1
+    return out
+
+
+def class_poisson_means(d: int, r: int) -> dict[WordClass, Fraction]:
+    """Limiting Poisson mean 1/h for every word class of length <= r."""
+    return {wc: Fraction(1, wc.h) for wc in words.classes_upto(d, r)}
+
+
+def sample_yule(j: int, tau: float, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Simulate Yule processes from j over time tau (exact exponential jumps)."""
+    if j < 1 or samples < 1:
+        raise InvalidInputError("need j >= 1 and samples >= 1")
+    if tau < 0:
+        raise InvalidInputError(f"need tau >= 0, got {tau}")
+    state = np.full(samples, j, dtype=np.int64)
+    t = rng.exponential(1.0, samples) / state
+    active = t < tau
+    while np.any(active):
+        state[active] += 1
+        idx = np.flatnonzero(active)
+        t[idx] += rng.exponential(1.0, idx.size) / state[idx]
+        active = t < tau
+    return state
+
+
+def cheb_t_poly(k: int) -> PolySeries:
+    """The Chebyshev polynomial T_k."""
+    coef = [0.0] * (k + 1)
+    coef[k] = 1.0
+    return PolySeries("cheb_t", tuple(coef))
+
+
+def green_halfplane(z: complex, w: complex) -> float:
+    """Green function of the upper half plane with Dirichlet boundary."""
+    z = complex(z)
+    w = complex(w)
+    if z.imag <= 0 or w.imag <= 0:
+        raise InvalidInputError("both points need positive imaginary part")
+    if z == w:
+        raise NumericError("Green function diverges at coincident points")
+    return (-math.log(abs(z - w)) + math.log(abs(z - w.conjugate()))) / (2 * math.pi)
+
+
+def height_pairing(spectrum: Spectrum, d: int, k: int, conditional_mean: float) -> float:
+    """Discrete height pairing against the (k-1)-th Chebyshev-U polynomial:
+    -(1/k) (tr T_k - conditional mean), where the conditional mean of the
+    same centered trace statistic given the vertex count is estimated by the
+    caller across runs."""
+    if k < 1:
+        raise InvalidInputError(f"need k >= 1, got {k}")
+    if spectrum.scale != "unit":
+        raise InvalidInputError(f"need a unit-scale spectrum, got {spectrum.scale!r}")
+    stat = linear_statistic(spectrum, cheb_t_poly(k))
+    return -(stat - conditional_mean) / k

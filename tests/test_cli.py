@@ -116,8 +116,7 @@ def test_cycles_of_a_long_uniform_two_regular_graph(tmp_path):
 
 
 def test_uniform_cycles_past_the_step_budget_exits_3(tmp_path, monkeypatch):
-    census = walks.enumerate_cycles
-    monkeypatch.setattr(walks, "enumerate_cycles", lambda g, r: census(g, r, budget=10))
+    monkeypatch.setattr(errors, "SEARCH_STEPS", 10)
     cfg = _write(tmp_path, "c.cfg", "model = uniform\nn = 20\nd = 3\nr = 6\n")
     assert _run("cycles", cfg, tmp_path / "c") == 3
     assert not (tmp_path / "c").exists()
@@ -716,6 +715,16 @@ def test_grow_byte_estimate_bounds_one_replica_peak(tmp_path):
     assert need / 2 < peak <= need
 
 
+def test_grow_byte_estimate_bounds_the_largest_run(tmp_path):
+    # a run from the empty graph has about e^t W vertices, W ~ Exp(1): at seed
+    # 3 the largest of these 40 runs has 29,759 vertices, 6.1 times the mean,
+    # and its tower held 1.8 times an estimate that charged the mean tower
+    text = "d = 2\ns = 8.5\nT = 0.0\ngrid = 0.0\nr = 1\nreplicas = 40\n"
+    params = cli.parse_config_file(_write(tmp_path, "g.cfg", text))
+    config = cli.ExperimentConfig("grow", params, seed=3, out=tmp_path / "out")
+    assert _traced_peak(config) <= cli._grow_bytes(params)
+
+
 def test_grow_events_share_one_string_per_class():
     _counts, [events] = cli._grow_block(2, 3.0, 1.0, (0.0,), 4, 3, 0, 1)
     names: dict[str, set[int]] = {}
@@ -824,6 +833,28 @@ def test_cycles_byte_estimate_bounds_tracemalloc_peak(tmp_path, text):
     config = cli.ExperimentConfig("cycles", params, seed=3, out=tmp_path / "out")
     need = cli._byte_estimate("cycles", cli._read("cycles", params)[0])[0]
     assert _traced_peak(config) <= need
+
+
+@pytest.mark.parametrize("text", [
+    "jmax = 1\nkmax = 1\nlags = 0.5\n",
+    "jmax = 2\nkmax = 2\nlags = 0.3, 0.6\n",
+    "jmax = 3\nkmax = 1\nlags = 0.0, 0.5\n",
+], ids=["one-pair", "square", "equal-times"])
+def test_gff_check_byte_estimate_bounds_tracemalloc_peak(tmp_path, text):
+    params = cli.parse_config_file(_write(tmp_path, "g.cfg", text))
+    config = cli.ExperimentConfig("gff-check", params, seed=3, out=tmp_path / "out")
+    need = cli._byte_estimate("gff-check", cli._read("gff-check", params)[0])[0]
+    assert need / 2 < _traced_peak(config) <= need
+
+
+def test_gff_check_over_byte_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # jmax = kmax = 10^6 would hold 10^12 rows, refused before any integral
+    monkeypatch.setitem(cli._BODIES, "gff-check", lambda config: pytest.fail("gff-check ran"))
+    cfg = _write(tmp_path, "g.cfg", "jmax = 1000000\nkmax = 1000000\nlags = 0.5\n")
+    assert _run("gff-check", cfg, tmp_path / "new" / "out") == 2
+    err = capsys.readouterr().err
+    assert "gff-check of 1000000000000 pairs" in err and "lower jmax, kmax or lags" in err
+    assert not (tmp_path / "new").exists()
 
 
 @pytest.mark.parametrize("kind", ["sample", "cycles"])

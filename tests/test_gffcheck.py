@@ -9,13 +9,10 @@ import pytest
 from scipy import integrate
 
 from regraph.errors import InvalidInputError, NumericError
-from regraph.gffcheck import (
-    gff_cheb_covariance,
-    gff_closed_form,
-    green_halfplane,
-    height_pairing,
-)
-from regraph.spectra import Spectrum, cheb_t_poly, linear_statistic
+from regraph.gffcheck import gff_cheb_covariance, gff_closed_form
+from regraph.spectra import Spectrum, linear_statistic
+
+from oracles import cheb_t_poly, green_halfplane, height_pairing
 
 
 def test_green_halfplane_value():

@@ -188,6 +188,7 @@ def test_sample_uniform_pairings_keep_the_retry_budget(monkeypatch, block):
         monkeypatch.setattr(graphs, "PAIRING_BLOCK_BYTES", block)
     outcomes = Counter()
     for n, d, max_retries in ((10, 2, 1), (12, 2, 2), (12, 2, 3), (10, 3, 5), (10, 3, 8)):
+        monkeypatch.setattr(errors, "PAIRING_RETRIES", max_retries)
         for seed in range(8):
             rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
             try:
@@ -195,19 +196,20 @@ def test_sample_uniform_pairings_keep_the_retry_budget(monkeypatch, block):
             except ResourceLimitError:
                 outcomes["refused"] += 1
                 with pytest.raises(ResourceLimitError, match=f"failed {max_retries} times"):
-                    graphs.sample_uniform_pairings(n, d, 4, rng, max_retries)
+                    graphs.sample_uniform_pairings(n, d, 4, rng)
                 continue
             outcomes["sampled"] += 1
-            pairs = graphs.sample_uniform_pairings(n, d, 4, rng, max_retries)
+            pairs = graphs.sample_uniform_pairings(n, d, 4, rng)
             assert [SimpleGraph(n, d, map(tuple, p.tolist())) for p in pairs] == expected
     assert min(outcomes.values()) >= 10
 
 
-def test_sample_uniform_model_keeps_the_retry_budget():
+def test_sample_uniform_model_keeps_the_retry_budget(monkeypatch):
     # its own attempt loop refuses exactly where the oracle loop does, after
     # the same draws
     outcomes = Counter()
     for n, d, max_retries in ((10, 2, 1), (12, 2, 2), (10, 3, 5)):
+        monkeypatch.setattr(errors, "PAIRING_RETRIES", max_retries)
         for seed in range(8):
             rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
             try:
@@ -215,10 +217,10 @@ def test_sample_uniform_model_keeps_the_retry_budget():
             except ResourceLimitError:
                 outcomes["refused"] += 1
                 with pytest.raises(ResourceLimitError, match=f"failed {max_retries} times"):
-                    sample_uniform_model(n, d, rng, max_retries)
+                    sample_uniform_model(n, d, rng)
             else:
                 outcomes["sampled"] += 1
-                assert sample_uniform_model(n, d, rng, max_retries) == expected
+                assert sample_uniform_model(n, d, rng) == expected
             assert rng.bit_generator.state == oracle.bit_generator.state
     assert min(outcomes.values()) >= 5
 

@@ -23,6 +23,8 @@ from regraph.growth import (
 from regraph.graphs import CycleSpec, PermGraph
 from regraph.walks import batch_class_counts, enumerate_cycles, perm_graph_cycles
 
+from oracles import seat_row
+
 
 def crp_extend(tower: PermTower, rng: np.random.Generator) -> PermTower:
     """Seat a new element uniformly in every permutation of a copy of ``tower``."""
@@ -30,7 +32,7 @@ def crp_extend(tower: PermTower, rng: np.random.Generator) -> PermTower:
     out.n = tower.n
     out.succ = [list(s) for s in tower.succ]
     out.pred = [list(p) for p in tower.pred]
-    out.extend(rng)
+    out.extend(seat_row(out, rng))
     return out
 
 
@@ -46,7 +48,7 @@ def _tower_from(perm):
 def test_first_seat_is_identity():
     rng = np.random.default_rng(0)
     t = PermTower(2, 0)
-    t.extend(rng)
+    t.extend(seat_row(t, rng))
     assert t.succ == [[0], [0]]
 
 
@@ -57,7 +59,7 @@ def test_crp_extension_is_uniform():
     starts = list(itertools.permutations(range(3)))
     for i in range(runs):
         t = _tower_from(starts[i % 6])
-        t.extend(rng)
+        t.extend(seat_row(t, rng))
         hits[tuple(t.succ[0])] += 1
     assert len(hits) == 24
     expect = runs / 24
@@ -71,7 +73,7 @@ def test_delete_back_recovers_every_level():
     history = []
     for _ in range(30):
         history.append([list(row) for row in t.succ])
-        t.extend(rng)
+        t.extend(seat_row(t, rng))
     while history:
         t.delete_last()
         assert t.succ == history.pop()
@@ -81,28 +83,31 @@ def test_extend_remains_permutation():
     rng = np.random.default_rng(3)
     t = PermTower(2, 0)
     for _ in range(50):
-        t.extend(rng)
+        t.extend(seat_row(t, rng))
         for row in t.succ:
             assert sorted(row) == list(range(t.n))
 
 
-def test_poissonized_times_monotone_and_empty():
+def test_poissonized_times_monotone_and_empty(monkeypatch):
     rng = np.random.default_rng(4)
     assert poissonized_times(0.0, 0, rng).size == 0
     times = poissonized_times(4.0, 0, rng)
     assert np.all(np.diff(times) > 0)
     assert times.size == 0 or times[-1] <= 4.0
+    monkeypatch.setattr(growth, "MAX_VERTICES", 100)
     with pytest.raises(ResourceLimitError):
-        poissonized_times(30.0, 0, rng, max_events=100)
+        poissonized_times(30.0, 0, rng)
 
 
-def test_poissonized_times_cap_holds_inside_the_first_block():
+def test_poissonized_times_cap_holds_inside_the_first_block(monkeypatch):
     # this draw makes 325 jumps, all inside the first 1,024-jump block, so
     # the cap has to hold on the block that returns too
     assert poissonized_times(6.5, 0, np.random.default_rng(0)).size == 325
+    monkeypatch.setattr(growth, "MAX_VERTICES", 100)
     with pytest.raises(ResourceLimitError):
-        poissonized_times(6.5, 0, np.random.default_rng(0), max_events=100)
-    assert poissonized_times(6.5, 0, np.random.default_rng(0), max_events=325).size == 325
+        poissonized_times(6.5, 0, np.random.default_rng(0))
+    monkeypatch.setattr(growth, "MAX_VERTICES", 325)
+    assert poissonized_times(6.5, 0, np.random.default_rng(0)).size == 325
 
 
 def _list_poissonized_times(horizon, n0, rng, max_events=10**7):
@@ -122,7 +127,7 @@ def _list_poissonized_times(horizon, n0, rng, max_events=10**7):
 
 @pytest.mark.parametrize("horizon, n0", [(0.0, 0), (1.0, 0), (math.log(501) + 1, 0),
                                          (8.0, 0), (0.5, 3000), (2.0, 1023)])
-def test_poissonized_times_match_list_oracle(horizon, n0):
+def test_poissonized_times_match_list_oracle(monkeypatch, horizon, n0):
     for seed in range(5):
         rng, oracle_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
         got = poissonized_times(horizon, n0, rng)
@@ -131,9 +136,11 @@ def test_poissonized_times_match_list_oracle(horizon, n0):
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
     # the cap counts every block: one over it raises, as the list path does
     cap = _list_poissonized_times(8.0, 0, np.random.default_rng(2)).size
-    assert poissonized_times(8.0, 0, np.random.default_rng(2), max_events=cap).size == cap
+    monkeypatch.setattr(growth, "MAX_VERTICES", cap)
+    assert poissonized_times(8.0, 0, np.random.default_rng(2)).size == cap
+    monkeypatch.setattr(growth, "MAX_VERTICES", cap - 1)
     with pytest.raises(ResourceLimitError):
-        poissonized_times(8.0, 0, np.random.default_rng(2), max_events=cap - 1)
+        poissonized_times(8.0, 0, np.random.default_rng(2))
 
 
 def test_vertex_count_grows_exponentially():
@@ -148,7 +155,7 @@ def test_vertex_count_grows_exponentially():
 def test_classify_grown_cycle():
     # a 5-cycle of one permutation grows into a 6-cycle
     tower = _tower_from([1, 2, 3, 4, 0])
-    tower.extend(np.random.default_rng(0), choices=[1])  # 0 -> new -> 1
+    tower.extend(choices=[1])  # 0 -> new -> 1
     events = insertion_events(tower, 6)
     assert len(events) == 1
     ev = events[0]
@@ -162,7 +169,7 @@ def test_classify_spontaneous_cycle():
     tower = PermTower(2, 2)
     tower.succ = [[1, 0], [0, 1]]
     tower.pred = [[1, 0], [0, 1]]
-    tower.extend(np.random.default_rng(0), choices=[1, 0])
+    tower.extend(choices=[1, 0])
     events = insertion_events(tower, 4)
     kinds = {(e.kind, words.format_word(e.word.letters)) for e in events}
     assert ("spontaneous", "a b") in kinds
@@ -178,7 +185,7 @@ def test_classify_split_cycle():
     tower.succ = [[1, 2, 3, 0], [1, 2, 3, 0]]
     tower.pred = [[3, 0, 1, 2], [3, 0, 1, 2]]
     # cycle 0 ->a 1 ->b 2 ->a 3 ->b 0 is hit by inserting into pi_a at 1 and pi_b at 0
-    tower.extend(np.random.default_rng(0), choices=[1, 0])
+    tower.extend(choices=[1, 0])
     events = insertion_events(tower, 4)
     by_kind = Counter(e.kind for e in events)
     assert by_kind["split"] >= 1
@@ -196,7 +203,7 @@ def test_crp_extend_returns_fresh_tower():
     rng = np.random.default_rng(6)
     t = PermTower(2, 0)
     for _ in range(5):
-        t.extend(rng)
+        t.extend(seat_row(t, rng))
     t2 = crp_extend(t, rng)
     assert t2.n == t.n + 1
     assert t.n == 5  # original untouched
@@ -284,9 +291,9 @@ def test_insertion_events_match_census_difference(case):
     d, seats, r = case
     tower = PermTower(d, 0)
     for choices in seats[:-1]:
-        tower.extend(None, choices=choices)
+        tower.extend(choices=choices)
     before = PermGraph(tower.perms())
-    tower.extend(None, choices=seats[-1])
+    tower.extend(choices=seats[-1])
     after = PermGraph(tower.perms())
 
     def edge_sets(cycles):

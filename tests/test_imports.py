@@ -1,7 +1,7 @@
 """Every name a ``regraph`` or test module imports is used by that module,
-every private module-level name of ``regraph`` is used by its module, and
-every public function and class of ``regraph`` is named somewhere beyond
-its own definition.
+every private module-level name of ``regraph`` is used by its module, every
+public function and class of ``regraph`` is named somewhere beyond its own
+definition, and one that only tests use is a paper target.
 
 No linter runs on this repository, so this keeps dead imports and left-over
 private helpers out.  Exempt from the import check are ``from __future__``
@@ -178,6 +178,99 @@ def test_every_public_name_is_used():
              for path in MODULES + sorted((ROOT / "perfbench").glob("*.py"))}
     sources = {str(path.relative_to(ROOT)): path.read_text() for path in SOURCES}
     assert dead_public_names(sources, texts) == []
+
+
+# Public functions of regraph that may have no caller but tests: the paper's
+# closed forms and statistics, which the tests hold the samplers to
+PAPER_TARGETS = (
+    "yule_pmf",
+    "limit_covariance",
+    "ou_covariance",
+    "nu_rate",
+    "trace_covariance",
+    "chebyshev_fluctuation_series",
+    "gff_closed_form",
+    "mobius_cycle_poly",
+    "linear_statistic",
+)
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def program_names(node: ast.AST) -> set[str]:
+    """Names the code under ``node`` uses: loaded names, attributes, imported
+    names and the parts of a string that is a dotted name, such as the traced
+    layer "growth.PermTower.extend"; a docstring or comment is no use."""
+    used: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            used.add(sub.name.split(".")[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if _DOTTED.fullmatch(sub.value):
+                used.update(sub.value.split("."))
+    return used
+
+
+def names_only_tests_use(programs: dict[str, str], library: list[str],
+                         exempt: tuple[str, ...]) -> list[str]:
+    """Public module-level functions and classes of the ``library`` paths of
+    ``programs`` (path to source) that no top-level statement of any program
+    uses but their own definition, so only tests can reach them; less
+    ``exempt``."""
+    bodies = {path: ast.parse(text).body for path, text in programs.items()}
+    uses = [((path, i), program_names(node)) for path, body in bodies.items()
+            for i, node in enumerate(body)]
+    found = []
+    for path in library:
+        for i, node in enumerate(bodies[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or node.name in exempt:
+                continue
+            if not any(node.name in used for at, used in uses if at != (path, i)):
+                found.append(f"{path} line {node.lineno}: {node.name}")
+    return sorted(found)
+
+
+def test_test_only_detector_flags_names_only_tests_use():
+    source = (
+        "def run(x: 'Shape'):\n"
+        "    '''Never calls ``only_tested``.'''\n"
+        "    return helper() + _private()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def only_tested(k):\n"
+        "    return only_tested(k - 1) if k else 0\n"
+        "def closed_form():\n"
+        "    return 2\n"
+        "def _private():\n"
+        "    return 3\n"
+        "class Shape:\n"
+        "    pass\n"
+        "def traced():\n"
+        "    pass\n"
+    )
+    programs = {"m.py": source, "bench.py": "LAYERS = ('m.traced', 'run')\n"}
+    assert names_only_tests_use(programs, ["m.py"], ("closed_form",)) == [
+        "m.py line 6: only_tested"]
+    assert names_only_tests_use(programs, ["m.py"], ()) == [
+        "m.py line 6: only_tested", "m.py line 8: closed_form"]
+
+
+def test_no_public_name_is_test_only():
+    # a public function or class of regraph is used by src/ or perfbench/,
+    # or it is a paper target: code that only tests use belongs in tests/
+    programs = {str(path.relative_to(ROOT)): path.read_text()
+                for path in SOURCES + sorted((ROOT / "perfbench").glob("*.py"))}
+    library = [str(path.relative_to(ROOT)) for path in SOURCES]
+    assert names_only_tests_use(programs, library, PAPER_TARGETS) == []
+    # and every paper target is a public function of regraph
+    public = {node.name for path in library for node in ast.parse(programs[path]).body
+              if isinstance(node, ast.FunctionDef)}
+    assert set(PAPER_TARGETS) <= public
 
 
 def byte_caps(source: str) -> list[str]:

@@ -17,12 +17,13 @@ from regraph.limitproc import (
     limit_model,
     nu_rate,
     ou_covariance,
-    sample_yule,
     simulate_limit,
     trace_covariance,
     yule_pmf,
 )
 from regraph.words import count_reduced_words, counts_by_length
+
+from oracles import sample_yule
 
 
 def test_yule_pmf_known_values():

@@ -19,7 +19,6 @@ from regraph.graphs import (
 )
 from regraph.poissonlab import (
     UNIFORM_SAMPLE_CAP,
-    class_poisson_means,
     coupling_monotonicity_report,
     empirical_pmf,
     poisson_targets,
@@ -30,7 +29,7 @@ from regraph.poissonlab import (
 )
 from regraph.walks import enumerate_cycles
 
-from oracles import pairing_model_graph
+from oracles import class_poisson_means, pairing_model_graph
 
 
 def test_permutation_model_poisson_means():
@@ -163,14 +162,15 @@ def test_empirical_pmf_and_tv():
     assert tv_distance(pmf, [0.0, 0.0]) == 1.0
 
 
-def test_sample_cycle_counts_deterministic_and_correct():
+def test_sample_cycle_counts_deterministic_and_correct(monkeypatch):
     counts = sample_cycle_counts("permutation", 12, 2, 4, samples=40, seed=7)
     again = sample_cycle_counts("permutation", 12, 2, 4, samples=40, seed=7)
     assert np.array_equal(counts, again)
     other = sample_cycle_counts("permutation", 12, 2, 4, samples=40, seed=8)
     assert not np.array_equal(counts, other)
     # chunk 0 reads a prefix of the same stream, so its graphs are unchanged
-    chunked = sample_cycle_counts("permutation", 12, 2, 4, samples=40, seed=7, chunk=16)
+    monkeypatch.setattr(poissonlab, "PERM_CHUNK", 16)
+    chunked = sample_cycle_counts("permutation", 12, 2, 4, samples=40, seed=7)
     assert np.array_equal(chunked[:16], counts[:16])
     # cross-check one graph against the census
     rng = np.random.default_rng([7, 12, 0])

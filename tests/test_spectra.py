@@ -12,7 +12,6 @@ from regraph.graphs import PermGraph, SimpleGraph, sample_permutation_model, sam
 from regraph.spectra import (
     PolySeries,
     Spectrum,
-    cheb_t_poly,
     cnbw_from_spectrum,
     eigenvalues,
     linear_statistic,
@@ -20,6 +19,8 @@ from regraph.spectra import (
     nb_basis_poly,
 )
 from regraph.walks import cnbw_via_nb_matrix, enumerate_cycles
+
+from oracles import cheb_t_poly
 
 
 U = np.linspace(-1, 1, 201)

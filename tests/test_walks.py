@@ -427,20 +427,24 @@ def test_batch_class_counts_large_graph_holds_only_its_tables(monkeypatch):
     assert np.array_equal(sliced, whole)
 
 
-def test_enumerate_cycles_budget():
+def test_enumerate_cycles_budget(monkeypatch):
     rng = np.random.default_rng(5)
     g = sample_permutation_model(30, 3, rng)
+    monkeypatch.setattr(errors, "SEARCH_STEPS", 100)
     with pytest.raises(ResourceLimitError):
-        enumerate_cycles(g, 6, budget=100)
+        enumerate_cycles(g, 6)
 
 
-def test_enumerate_cycles_budget_on_a_simple_graph():
+def test_enumerate_cycles_budget_on_a_simple_graph(monkeypatch):
     g = sample_uniform_model(30, 3, np.random.default_rng(5))
-    with pytest.raises(ResourceLimitError, match="exceeded 100 steps"):
-        enumerate_cycles(g, 6, budget=100)
+    with monkeypatch.context() as patch:
+        patch.setattr(errors, "SEARCH_STEPS", 100)
+        with pytest.raises(ResourceLimitError, match="exceeded 100 steps"):
+            enumerate_cycles(g, 6)
     # the budget only refuses: a run under it finds the same cycles
     full = enumerate_cycles(g, 6)
-    assert enumerate_cycles(g, 6, budget=10**5).cycles == full.cycles
+    monkeypatch.setattr(errors, "SEARCH_STEPS", 10**5)
+    assert enumerate_cycles(g, 6).cycles == full.cycles
     assert full.by_length[6] > 0
 
 
@@ -503,11 +507,14 @@ def test_perm_graph_cycles_matches_edge_set_oracle(case):
     g, r, tops = case
     expected, steps = _edge_set_cycles(g, r, tops)
     succ, pred = g.perms.tolist(), g.inv.tolist()
-    found = perm_graph_cycles(succ, pred, r, tops=tops, budget=steps)
-    assert [(c.vertices, c.word) for c in found] == [(c.vertices, c.word) for c in expected]
-    if steps:
-        with pytest.raises(ResourceLimitError):
-            perm_graph_cycles(succ, pred, r, tops=tops, budget=steps - 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(errors, "SEARCH_STEPS", steps)
+        found = perm_graph_cycles(succ, pred, r, tops=tops)
+        assert [(c.vertices, c.word) for c in found] == [(c.vertices, c.word) for c in expected]
+        if steps:
+            patch.setattr(errors, "SEARCH_STEPS", steps - 1)
+            with pytest.raises(ResourceLimitError):
+                perm_graph_cycles(succ, pred, r, tops=tops)
 
 
 def test_perm_graph_cycles_finds_a_cycle_longer_than_the_recursion_limit():

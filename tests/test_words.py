@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regraph import words
+from regraph import errors, words
 from regraph.errors import InvalidInputError, NumericError, ResourceLimitError
 from regraph.words import (
     WordClass,
@@ -17,13 +17,11 @@ from regraph.words import (
     double_letter,
     enumerate_word_classes,
     format_word,
-    halvings,
     inverted_reversal,
     is_cyclically_reduced,
-    parse_word,
 )
 
-from oracles import brute_force_classes, word_stats
+from oracles import brute_force_classes, halvings, parse_word, word_stats
 
 
 def brute_force_reduced_count(d, k):
@@ -166,16 +164,18 @@ class TestEnumeration:
                 )
                 assert lhs == rhs
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(errors, "WORD_SEQUENCES", 10**4)
         with pytest.raises(ResourceLimitError):
-            enumerate_word_classes(3, 12, budget=10**4)
+            enumerate_word_classes(3, 12)
 
     def test_budget_bound_is_inclusive_and_checked_first(self, monkeypatch):
-        enumerate_classes = words._enumerate_classes_cached.__wrapped__
-        assert len(enumerate_classes(3, 4, 6**4)) == 84
+        monkeypatch.setattr(errors, "WORD_SEQUENCES", 6**4)
+        assert len(enumerate_word_classes(3, 4)) == 84
+        monkeypatch.setattr(errors, "WORD_SEQUENCES", 6**4 - 1)
         monkeypatch.setattr(words, "canonical_form", None)  # any work would fail
         with pytest.raises(ResourceLimitError):
-            enumerate_classes(3, 4, 6**4 - 1)
+            enumerate_word_classes(3, 4)
 
     def test_matches_brute_force(self):
         # same classes in the same order wherever (2d)^k <= 10^6; uncached,
@@ -184,7 +184,7 @@ class TestEnumeration:
         for d in range(1, 6):
             k = 1
             while (2 * d) ** k <= 10**6:
-                assert enumerate_classes(d, k, 10**7) == brute_force_classes(d, k)
+                assert enumerate_classes(d, k) == brute_force_classes(d, k)
                 k += 1
         for d, r in ((1, 8), (2, 6), (3, 5)):
             expect = tuple(wc for k in range(1, r + 1) for wc in brute_force_classes(d, k))
@@ -277,4 +277,4 @@ def test_orbit_tiling_failure_raises(monkeypatch):
     # a raised error, not an assert, so it survives python -O
     monkeypatch.setattr(words, "count_reduced_words", lambda d, k: 1)
     with pytest.raises(NumericError):
-        words._enumerate_classes_cached.__wrapped__(2, 3, 10**7)
+        words._enumerate_classes_cached.__wrapped__(2, 3)
