@@ -86,8 +86,10 @@ def _parse_value(text: str) -> Any:
 
 
 def parse_config_file(path: Path) -> dict[str, Any]:
-    """Read a ``key = value`` file; ``#`` starts a comment."""
+    """Read a ``key = value`` file; ``#`` starts a comment, and a key may be
+    set once.  ``out`` keeps its text; every other value is parsed."""
     params: dict[str, Any] = {}
+    first_line: dict[str, int] = {}
     try:
         lines = path.read_text().splitlines()
     except OSError as exc:
@@ -102,7 +104,11 @@ def parse_config_file(path: Path) -> dict[str, Any]:
         key = key.strip()
         if not key:
             raise InvalidInputError(f"parse error at {path}:{lineno}: empty key")
-        params[key] = _parse_value(value)
+        if key in first_line:
+            raise InvalidInputError(f"parse error at {path}:{lineno}: key {key!r} "
+                                    f"is set again, first at line {first_line[key]}")
+        first_line[key] = lineno
+        params[key] = value.strip() if key == "out" else _parse_value(value)
     return params
 
 
@@ -631,8 +637,6 @@ def _build_config(argv: Sequence[str] | None) -> ExperimentConfig:
         raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
     if _integer(workers, 1) is None:
         raise InvalidInputError(f"workers must be an integer >= 1, got {workers!r}")
-    if not isinstance(out, (str, Path)):
-        raise InvalidInputError(f"out must be a path, got {out!r}")
     return ExperimentConfig(kind=args.kind, params=params, seed=seed,
                             workers=workers, out=Path(out))
 

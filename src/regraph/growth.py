@@ -225,9 +225,6 @@ class Trajectory:
     n_vertices: np.ndarray  # (len(grid),)
     events: list[GrowthEvent] = field(default_factory=list)
 
-    def by_length(self, r: int) -> np.ndarray:
-        return words.counts_by_length(self.counts, self.classes, r)
-
 
 class GrowthRun:
     """One run from the empty graph, censused at s + grid up to s + T.
@@ -247,8 +244,8 @@ class GrowthRun:
             raise InvalidInputError(f"need r >= 1, got {r}")
         if s < 0 or T < 0:
             raise InvalidInputError("need s >= 0 and T >= 0")
-        if grid.ndim != 1 or (grid.size and (grid.min() < 0 or grid.max() > T)):
-            raise InvalidInputError("grid must lie within [0, T]")
+        if grid.ndim != 1 or not grid.size or grid.min() < 0 or grid.max() > T:
+            raise InvalidInputError("grid must be one or more times within [0, T]")
         self.d, self.s, self.horizon, self.r, self.rng = d, s, s + T, r, rng
         self.grid = s + np.sort(grid)
         self.n_vertices: Optional[np.ndarray] = None
@@ -326,16 +323,11 @@ def simulate_growth(
     the one-run case of ``growth_count_samples``'s census blocks.
     """
     run = GrowthRun(d, s, T, grid, r, rng, track_events)
-    classes = words.classes_upto(d, r)
-    if run.grid.size:
-        counts = census_runs([run], r, run.grid.size)[0]
-    else:
-        counts = np.zeros((0, len(classes)), dtype=np.int64)
-        for _ in run:  # nothing to census; the run still draws, grows and tags
-            pass
+    # the census iterates the run, which sets n_vertices and events
+    counts = census_runs([run], r, run.grid.size)[0]
     return Trajectory(
         grid=tuple(float(t) for t in run.grid),
-        classes=classes,
+        classes=words.classes_upto(d, r),
         counts=counts,
         n_vertices=run.n_vertices,
         events=run.events or [],

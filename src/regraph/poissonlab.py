@@ -12,7 +12,6 @@ the empirical law and the product Poisson target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,36 +31,16 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class PoissonTarget:
-    """Limiting product-Poisson law of (C_1, ..., C_r)."""
-
-    model: str
-    d: int
-    r: int
-    by_length: tuple[Fraction, ...]
-
-    def mean(self, k: int) -> Fraction:
-        if not 1 <= k <= self.r:
-            raise InvalidInputError(f"length {k} outside 1..{self.r}")
-        return self.by_length[k - 1]
-
-
-def poisson_targets(model: str, d: int, r: int) -> PoissonTarget:
+def poisson_targets(model: str, d: int, r: int) -> tuple[Fraction, ...]:
+    """The means of the limiting product-Poisson law of (C_1, ..., C_r)."""
     if r < 1 or d < 1:
         raise InvalidInputError(f"need r >= 1 and d >= 1, got r={r}, d={d}")
     if model == "permutation":
-        means = tuple(
-            Fraction(words.count_reduced_words(d, k), 2 * k) for k in range(1, r + 1)
-        )
-    elif model == "uniform":
-        means = tuple(
-            Fraction((d - 1) ** k, 2 * k) if k >= 3 else Fraction(0)
-            for k in range(1, r + 1)
-        )
-    else:
-        raise InvalidInputError(f"unknown model {model!r}")
-    return PoissonTarget(model=model, d=d, r=r, by_length=means)
+        return tuple(Fraction(words.count_reduced_words(d, k), 2 * k) for k in range(1, r + 1))
+    if model == "uniform":
+        return tuple(Fraction((d - 1) ** k, 2 * k) if k >= 3 else Fraction(0)
+                     for k in range(1, r + 1))
+    raise InvalidInputError(f"unknown model {model!r}")
 
 
 def mean_cycle_count(model: str, d: int, r: int) -> float:
@@ -69,7 +48,7 @@ def mean_cycle_count(model: str, d: int, r: int) -> float:
     summed; on the permutation model it bounds the mean at every n.  Past
     length 128 a mean is over 2^128/256 unless it is at most 1/k (d = 1, or a
     uniform d = 2), and those sum to less than ln r."""
-    mean = float(sum(poisson_targets(model, d, min(r, 128)).by_length))
+    mean = float(sum(poisson_targets(model, d, min(r, 128))))
     if r <= 128:
         return mean
     return mean + math.log(r) if d == 1 or (model == "uniform" and d == 2) else math.inf
@@ -221,7 +200,7 @@ def tv_convergence_experiment(
     for n in n_list:
         # the counts go once their pmf is made, and the pmf before the next n
         emp = empirical_pmf(sample_cycle_counts(model, n, d, r, samples, seed))
-        tv = tv_distance(emp, target.by_length)
+        tv = tv_distance(emp, target)
         rows.append(
             {
                 "model": model,

@@ -7,7 +7,7 @@ natural polynomial basis for walk counting is a shifted Chebyshev family:
     P_0 = 1,   P_k(u) = 2 T_k(u) + c_k,   c_k = (D-2)/(D-1)^{k/2} for even k,
                                           c_k = 0 for odd k >= 1,
 
-here called the ``nb_unit`` basis.  Summed over the unit-scaled spectrum,
+here called the walk basis.  Summed over the unit-scaled spectrum,
 P_k gives (D-1)^{-k/2} times the number of closed cyclically
 non-backtracking walks of length k, and its Kesten-McKay mean vanishes for
 k >= 1, which pins down the centering constant of any polynomial linear
@@ -18,15 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .errors import InvalidInputError, check_bytes
 from .graphs import PermGraph, SimpleGraph
-
-_BASES = ("monomial", "cheb_t", "nb_unit")
 
 
 def _correction(degree: int, k: int) -> float:
@@ -37,64 +34,28 @@ def _correction(degree: int, k: int) -> float:
 
 @dataclass(frozen=True)
 class PolySeries:
-    """A polynomial held as coefficients in one of the supported bases.
+    """A polynomial sum a_k P_k held as its coefficients a_k in the walk
+    basis of graph degree ``degree`` >= 2."""
 
-    ``degree`` is the graph degree parameter of the nb basis; it is ignored
-    (and may be None) for the plain bases.
-    """
-
-    basis: str
     coef: tuple[float, ...]
-    degree: Optional[int] = None
+    degree: int
 
     def __post_init__(self):
-        if self.basis not in _BASES:
-            raise InvalidInputError(f"unknown basis {self.basis!r}")
-        if self.basis == "nb_unit" and (self.degree is None or self.degree < 2):
-            raise InvalidInputError("the nb basis needs a graph degree >= 2")
+        if self.degree < 2:
+            raise InvalidInputError(f"the walk basis needs a graph degree >= 2, got {self.degree}")
         object.__setattr__(self, "coef", tuple(float(c) for c in self.coef))
         if not self.coef:
             raise InvalidInputError("empty coefficient list")
 
-    # -- conversions ------------------------------------------------------
-
     def _to_cheb(self) -> np.ndarray:
         """Chebyshev-T coefficients b, the polynomial being sum b_k T_k."""
         a = np.asarray(self.coef, dtype=float)
-        if self.basis == "monomial":
-            return _cheb.poly2cheb(a)
-        if self.basis == "cheb_t":
-            return a.copy()
         b = np.zeros(len(a))
         b[0] = a[0]
         for k in range(1, len(a)):
             b[k] += 2 * a[k]
             b[0] += a[k] * _correction(self.degree, k)
         return b
-
-    def to_monomial(self) -> "PolySeries":
-        return PolySeries("monomial", tuple(_cheb.cheb2poly(self._to_cheb())))
-
-    def to_basis(self, basis: str, degree: Optional[int] = None) -> "PolySeries":
-        if basis == self.basis and (degree is None or degree == self.degree):
-            return self
-        deg = degree if degree is not None else self.degree
-        mono = np.asarray(self.to_monomial().coef, dtype=float)
-        if basis == "monomial":
-            return PolySeries("monomial", tuple(mono))
-        if basis == "cheb_t":
-            return PolySeries("cheb_t", tuple(_cheb.poly2cheb(mono)))
-        if basis == "nb_unit":
-            if deg is None:
-                raise InvalidInputError("converting to the nb basis needs a degree")
-            b = np.asarray(_cheb.poly2cheb(mono), dtype=float)
-            a = np.zeros(len(b))
-            for k in range(len(b) - 1, 0, -1):
-                a[k] = b[k] / 2
-                b[0] -= a[k] * _correction(deg, k)
-            a[0] = b[0]
-            return PolySeries(basis, tuple(a), degree=deg)
-        raise InvalidInputError(f"unknown basis {basis!r}")
 
     def __call__(self, x) -> np.ndarray:
         return _cheb.chebval(np.asarray(x, dtype=float), self._to_cheb())
@@ -104,7 +65,7 @@ def nb_basis_poly(degree: int, k: int) -> PolySeries:
     """The k-th member of the walk-counting Chebyshev family."""
     coef = [0.0] * (k + 1)
     coef[k] = 1.0
-    return PolySeries("nb_unit", tuple(coef), degree=degree)
+    return PolySeries(tuple(coef), degree)
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +118,14 @@ def linear_statistic(spectrum: Spectrum, f: PolySeries) -> float:
     """Centered linear eigenvalue statistic tr f = sum f(lambda_i) - n * a0.
 
     a0 is the constant coefficient of f in the walk-counting basis, which is
-    also the Kesten-McKay mean of f.
+    also the Kesten-McKay mean of f.  f must be in the walk basis of the
+    spectrum's degree.
     """
+    if f.degree != spectrum.degree:
+        raise InvalidInputError(f"f is in the walk basis of degree {f.degree}, "
+                                f"the spectrum has degree {spectrum.degree}")
     spec = spectrum.rescaled("unit")
-    fu = f.to_basis("nb_unit", degree=spectrum.degree)
-    a0 = fu.coef[0]
-    return float(np.sum(fu(np.asarray(spec.values))) - spec.n * a0)
+    return float(np.sum(f(np.asarray(spec.values))) - spec.n * f.coef[0])
 
 
 def cnbw_from_spectrum(spectrum: Spectrum, r: int) -> np.ndarray:
@@ -207,4 +170,4 @@ def mobius_cycle_poly(degree: int, k: int) -> PolySeries:
     for j in range(1, k + 1):
         if k % j == 0:
             coef[j] = _moebius(k // j) * (degree - 1) ** (j / 2) / (2 * k)
-    return PolySeries("nb_unit", tuple(coef), degree=degree)
+    return PolySeries(tuple(coef), degree)

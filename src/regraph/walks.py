@@ -248,7 +248,7 @@ def batch_class_counts(
     holding ``census_graph_bytes`` whole and its position arrays in slices
     under that bound.  The result has shape (batch,
     number of classes of length <= r), columns in ``words.classes_upto``
-    order.  An empty batch needs a (0, d, n) array, which fixes d.
+    order.  An empty batch is refused.
 
     A class's fixed points are found by meeting in the middle (see
     ``_census_plan``): every half-word's position array is one gather from
@@ -261,10 +261,7 @@ def batch_class_counts(
     graphs = iter(perms)
     first = next(graphs, None)
     if first is None:
-        if not (isinstance(perms, np.ndarray) and perms.ndim == 3):
-            raise InvalidInputError("an empty batch needs a (0, d, n) array to fix d")
-        classes = words.classes_upto(perms.shape[1], r)
-        return np.zeros((0, len(classes)), dtype=np.int64), classes
+        raise InvalidInputError("the batch needs at least one graph")
     d = len(first)
     classes = words.classes_upto(d, r)
     per_vertex = census_vertex_bytes(d, r)

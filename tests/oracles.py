@@ -19,7 +19,7 @@ from regraph.graphs import (
     simple_regular_exists,
 )
 from regraph.growth import PermTower
-from regraph.spectra import PolySeries, Spectrum, linear_statistic
+from regraph.spectra import PolySeries, Spectrum, _correction, linear_statistic
 from regraph.walks import CycleCensus, cnbw_via_nb_matrix, enumerate_cycles
 from regraph.words import (
     Word,
@@ -237,11 +237,16 @@ def sample_yule(j: int, tau: float, samples: int, rng: np.random.Generator) -> n
     return state
 
 
-def cheb_t_poly(k: int) -> PolySeries:
-    """The Chebyshev polynomial T_k."""
+def cheb_t_poly(k: int, degree: int) -> PolySeries:
+    """The Chebyshev polynomial T_k in the walk basis of ``degree``:
+    T_k = (P_k - c_k) / 2 for k >= 1, and T_0 = P_0."""
     coef = [0.0] * (k + 1)
-    coef[k] = 1.0
-    return PolySeries("cheb_t", tuple(coef))
+    if k == 0:
+        coef[0] = 1.0
+    else:
+        coef[k] = 0.5
+        coef[0] = -_correction(degree, k) / 2
+    return PolySeries(tuple(coef), degree)
 
 
 def green_halfplane(z: complex, w: complex) -> float:
@@ -264,5 +269,5 @@ def height_pairing(spectrum: Spectrum, d: int, k: int, conditional_mean: float) 
         raise InvalidInputError(f"need k >= 1, got {k}")
     if spectrum.scale != "unit":
         raise InvalidInputError(f"need a unit-scale spectrum, got {spectrum.scale!r}")
-    stat = linear_statistic(spectrum, cheb_t_poly(k))
+    stat = linear_statistic(spectrum, cheb_t_poly(k, spectrum.degree))
     return -(stat - conditional_mean) / k

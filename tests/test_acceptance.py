@@ -115,7 +115,7 @@ def test_single_permutation_cycle_counts():
     )
     assert rows[0]["tv"] < 0.02
     target = poissonlab.poisson_targets("permutation", 1, 3)
-    assert list(target.by_length) == [Fraction(1), Fraction(1, 2), Fraction(1, 3)]
+    assert list(target) == [Fraction(1), Fraction(1, 2), Fraction(1, 3)]
 
 
 # ---------------------------------------------------------------------------

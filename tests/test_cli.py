@@ -27,6 +27,13 @@ def _run(kind, cfg, out, *extra):
     return cli.main([kind, "--config", str(cfg), "--out", str(out), *extra])
 
 
+def _with(text: str, line: str) -> str:
+    """The config text with ``line`` in place of the line that sets its key."""
+    key = line.split(" =")[0]
+    return "".join(f"{kept}\n" for kept in text.splitlines()
+                   if kept.split(" =")[0] != key) + line + "\n"
+
+
 def test_parse_config_values(tmp_path):
     cfg = _write(tmp_path, "a.cfg", """
 # a comment
@@ -313,21 +320,31 @@ _VALID = {
 def test_boolean_in_integer_field_exits_2(tmp_path, capsys, kind, line):
     assert cli.validate(cli.ExperimentConfig(kind, cli.parse_config_file(
         _write(tmp_path, "ok.cfg", _VALID[kind])))) == []
-    cfg = _write(tmp_path, "b.cfg", _VALID[kind] + line + "\n")
+    cfg = _write(tmp_path, "b.cfg", _with(_VALID[kind], line))
     assert _run(kind, cfg, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and line.split(" =")[0] in err
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", ["5", "2.5", "true", "a, b"])
-def test_out_in_config_that_is_no_path_exits_2(tmp_path, capsys, monkeypatch, value):
+@pytest.mark.parametrize("value", ["2024", "2.5", "true", "a, b"])
+def test_out_in_config_keeps_its_text(tmp_path, capsys, monkeypatch, value):
+    # a number, a boolean or a list would parse as one; out is a path as written
     monkeypatch.chdir(tmp_path)
-    cfg = _write(tmp_path, "o.cfg", _VALID["sample"] + f"out = {value}\n")
-    assert cli.main(["sample", "--config", str(cfg)]) == 2
+    cfg = _write(tmp_path, "o.cfg", _VALID["sample"] + f"out = {value}  # here\n")
+    assert cli.main(["sample", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == str(Path(value) / "report.json") + "\n"
+    assert sorted(path.name for path in (tmp_path / value).iterdir()) == ["report.json"]
+
+
+def test_config_key_set_twice_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "twice.cfg", "n = 10\nmodel = permutation\nd = 2\n# again\n n = 20\n")
+    with pytest.raises(InvalidInputError, match=r"\.cfg:5: key 'n' is set again, first at line 1"):
+        cli.parse_config_file(cfg)
+    assert _run("sample", cfg, tmp_path / "new" / "out") == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: config: out must be a path") and err.count("\n") == 1
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["o.cfg"]
+    assert err.startswith("error: config: parse error at") and err.count("\n") == 1
+    assert not (tmp_path / "new").exists()
 
 
 @pytest.mark.parametrize("kind, text, message", [
@@ -371,7 +388,7 @@ def test_an_int_past_the_float_range_is_no_number(tmp_path):
     text = "d = 2\ns = 1.0\nT = 1.0\ngrid = 0.0\nr = 3\n"
     big = "1" + "0" * 400
     for line in (f"s = {big}", f"T = {big}"):
-        params = cli.parse_config_file(_write(tmp_path, "b.cfg", text + line + "\n"))
+        params = cli.parse_config_file(_write(tmp_path, "b.cfg", _with(text, line)))
         assert cli.validate(cli.ExperimentConfig("grow", params)) == [
             f"{line.split(' =')[0]} must be a number >= 0, not inf or nan; got {int(big)}"]
 
@@ -501,7 +518,8 @@ def test_streamed_csvs_match_dict_row_oracle(tmp_path, seed):
                                       track_events=True)
         traj_rows.extend(_trajectory_rows(run_id, "growth", grid,
                                           [str(wc) for wc in traj.classes],
-                                          traj.counts, traj.by_length(r)))
+                                          traj.counts,
+                                          words.counts_by_length(traj.counts, traj.classes, r)))
         for ev in traj.events:
             event_rows.append({"run_id": run_id, "time": repr(float(ev.time)),
                                "kind": ev.kind, "word": str(ev.word),

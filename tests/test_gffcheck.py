@@ -61,7 +61,7 @@ def test_height_pairing_centering_and_scale():
     eig = rng.uniform(-1.0, 1.0, size=50)
     spec = Spectrum(tuple(sorted(eig, reverse=True)), 4, scale="unit")
     k = 3
-    stat = linear_statistic(spec, cheb_t_poly(k))
+    stat = linear_statistic(spec, cheb_t_poly(k, spec.degree))
     mean = 0.7
     assert height_pairing(spec, 2, k, mean) == pytest.approx(-(stat - mean) / k)
 

@@ -216,7 +216,7 @@ def test_simulate_growth_census_matches_direct_count():
     assert traj.counts.shape[0] == 2
     assert np.all(traj.n_vertices >= 0)
     # totals by length never negative and bounded by n
-    bl = traj.by_length(4)
+    bl = words.counts_by_length(traj.counts, traj.classes, 4)
     assert np.all(bl >= 0)
 
 
@@ -273,6 +273,14 @@ def test_simulate_growth_validates_input():
         simulate_growth(2, 1.0, 1.0, [2.0], 3, rng)
     with pytest.raises(InvalidInputError):
         simulate_growth(2, 1.0, 1.0, [0.0], 0, rng)
+
+
+def test_simulate_growth_refuses_an_empty_grid():
+    rng = np.random.default_rng(10)
+    with pytest.raises(InvalidInputError, match="one or more times"):
+        simulate_growth(2, 1.0, 1.0, [], 3, rng)
+    # nothing was drawn
+    assert rng.bit_generator.state == np.random.default_rng(10).bit_generator.state
 
 
 @st.composite

@@ -34,18 +34,18 @@ from oracles import class_poisson_means, pairing_model_graph
 
 def test_permutation_model_poisson_means():
     t = poisson_targets("permutation", 2, 4)
-    assert t.mean(1) == Fraction(2)
-    assert t.mean(2) == Fraction(3)
-    assert t.mean(3) == Fraction(14, 3)
-    assert t.mean(4) == Fraction(21, 2)
+    assert t[0] == Fraction(2)
+    assert t[1] == Fraction(3)
+    assert t[2] == Fraction(14, 3)
+    assert t[3] == Fraction(21, 2)
 
 
 def test_uniform_model_poisson_means():
     t = poisson_targets("uniform", 3, 5)
-    assert t.mean(1) == 0 and t.mean(2) == 0
-    assert t.mean(3) == Fraction(8, 6)
-    assert t.mean(4) == Fraction(16, 8)
-    assert t.mean(5) == Fraction(32, 10)
+    assert t[0] == 0 and t[1] == 0
+    assert t[2] == Fraction(8, 6)
+    assert t[3] == Fraction(16, 8)
+    assert t[4] == Fraction(32, 10)
 
 
 def test_class_means_sum_to_length_means():
@@ -54,7 +54,7 @@ def test_class_means_sum_to_length_means():
     t = poisson_targets("permutation", d, r)
     for k in range(1, r + 1):
         total = sum(m for wc, m in by_class.items() if wc.length == k)
-        assert total == t.mean(k)
+        assert total == t[k - 1]
     assert all(m == Fraction(1, wc.h) for wc, m in by_class.items())
 
 
@@ -93,10 +93,10 @@ def _sequential_pmf(means, tail):
 
 @pytest.mark.parametrize("means, tail", [
     ([2.0, 0.5, 1.25], 1e-8),
-    (poisson_targets("permutation", 2, 3).by_length, 1e-6),
-    (poisson_targets("permutation", 2, 4).by_length, 1e-6),
-    (poisson_targets("permutation", 1, 3).by_length, 1e-6),
-    (poisson_targets("uniform", 3, 4).by_length, 1e-6),
+    (poisson_targets("permutation", 2, 3), 1e-6),
+    (poisson_targets("permutation", 2, 4), 1e-6),
+    (poisson_targets("permutation", 1, 3), 1e-6),
+    (poisson_targets("uniform", 3, 4), 1e-6),
     ([0.0], 1e-6),
     ([7.5, 0.01], 0.1),
     ([], 1e-6),
@@ -128,7 +128,7 @@ def test_tv_distance_large_means_promptly():
     # e^-2952 underflows, so these masses must come from log space
     rng = np.random.default_rng(4)
     start = time.monotonic()
-    for means in (poisson_targets("permutation", 2, 10).by_length, [2952.0]):
+    for means in (poisson_targets("permutation", 2, 10), [2952.0]):
         lams = [float(m) for m in means]
         p = empirical_pmf(rng.poisson(lams, size=(500, len(lams))))
         assert 0.0 <= tv_distance(p, means) < 1.0

@@ -1,5 +1,5 @@
-"""The README's library example runs as written, and its CLI contract
-matches the CLI."""
+"""The README's library example runs as written, and its CLI contract and
+outputs table match the CLI."""
 
 import re
 from pathlib import Path
@@ -46,3 +46,31 @@ def test_readme_integer_fields_are_the_tables_and_seed_and_workers():
     ints = {name for fields in cli._FIELDS.values()
             for name, (type_, _bound, _default) in fields.items() if type_ in ("int", "ints")}
     assert sorted(_ticked(listed)) == sorted(ints | {"seed", "workers"})
+
+
+# a tiny config of each kind that writes a CSV
+_TINY = {
+    "poisson-test": "model = permutation\nd = 2\nr = 3\nn_values = 10\nsamples = 4\n",
+    "spectrum": "model = permutation\nn = 4\nd = 2\n",
+    "grow": "d = 2\ns = 0.5\nT = 0.5\ngrid = 0.0, 0.5\nr = 3\n",
+    "limit-sim": "d = 2\nK = 3\nT = 1.0\ngrid = 0.0, 1.0\n",
+    "gff-check": "jmax = 1\nkmax = 1\nlags = 0.5\n",
+}
+
+
+def test_readme_outputs_table_is_the_csv_headers(tmp_path, capsys):
+    # each row is | file | kinds | columns | rows |; the first ticked name of
+    # the columns cell is the header line (spectrum.csv's is its default scale)
+    table = README.read_text().split("depending on the kind:", 1)[1].split("\n\n")[1]
+    rows = [line[2:-2].split(" | ") for line in table.splitlines()[2:]]
+    listed = {(kind, _ticked(name)[0]): _ticked(columns)[0]
+              for name, kinds, columns, _ in rows for kind in _ticked(kinds)}
+    written = {}
+    for kind, text in _TINY.items():
+        cfg = tmp_path / f"{kind}.cfg"
+        cfg.write_text(text)
+        assert cli.main([kind, "--config", str(cfg), "--out", str(tmp_path / kind)]) == 0
+        for path in (tmp_path / kind).glob("*.csv"):
+            written[kind, path.name] = path.read_text().split("\n", 1)[0]
+    capsys.readouterr()
+    assert written == listed
