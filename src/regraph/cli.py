@@ -213,6 +213,10 @@ def validate(config: ExperimentConfig) -> list[str]:
     if kind == "spectrum":
         check(p["scale"] == "raw" or p["model"] == "permutation" or p["d"] >= 2,
               "a uniform d = 1 graph has degree 1, so only scale = raw is defined for it")
+    if kind == "gff-check":
+        check(max(p["lags"]) <= gffcheck.LAG_MAX,
+              f"lags must be at most {gffcheck.LAG_MAX:.2f}, where e^lag is still a finite "
+              f"number; got {max(p['lags'])!r}")
     if "grid" in p:
         check(all(t <= p["T"] for t in p["grid"]), "grid times must lie in [0, T]")
         check(p["grid"] == sorted(p["grid"]), "grid times must be nondecreasing")
@@ -348,7 +352,8 @@ def _byte_estimate(kind: str, p: dict[str, Any]) -> tuple[float, str, str] | Non
         return spectra.eigen_bytes(p["n"]), f"the dense eigen-solve at n={p['n']}", "n"
     if kind == "gff-check":
         rows = p["jmax"] * p["kmax"] * len(p["lags"])
-        return (rows * _PAIR_ROW_BYTES + _CSV_WRITER_BYTES + _RUN_BYTES,
+        return (rows * _PAIR_ROW_BYTES + gffcheck.rule_bytes(p["jmax"], p["kmax"])
+                + _CSV_WRITER_BYTES + _RUN_BYTES,
                 f"gff-check of {rows} pairs", "jmax, kmax or lags")
 
 
@@ -530,11 +535,14 @@ def _body_limit_sim(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
 def _body_gff_check(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
     p = _read(config.kind, config.params)[0]
     header = ("j", "k", "lag", "numeric", "closed_form", "abs_err")
+    # one rule per lag gives every (j, k) at once
+    tables = [gffcheck.gff_cheb_covariances(p["jmax"], p["kmax"], lag)[0].tolist()
+              for lag in p["lags"]]
     rows = []
     for j in range(1, p["jmax"] + 1):
         for k in range(1, p["kmax"] + 1):
-            for lag in p["lags"]:
-                numeric = gffcheck.gff_cheb_covariance(j, k, 0.0, lag)
+            for lag, table in zip(p["lags"], tables):
+                numeric = table[j - 1][k - 1]
                 closed = gffcheck.gff_closed_form(j, k, 0.0, lag)
                 rows.append((j, k, lag, numeric, closed, abs(numeric - closed)))
     pairs = [dict(zip(header, row)) for row in rows]

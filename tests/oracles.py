@@ -1,11 +1,14 @@
 """Test oracles that several test modules share: direct, slow definitions
 that no ``regraph`` code path needs."""
 
+import cmath
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
+from scipy import integrate
 
 from regraph import words
 from regraph.errors import InvalidInputError, NumericError, ResourceLimitError
@@ -271,3 +274,52 @@ def height_pairing(spectrum: Spectrum, d: int, k: int, conditional_mean: float) 
         raise InvalidInputError(f"need a unit-scale spectrum, got {spectrum.scale!r}")
     stat = linear_statistic(spectrum, cheb_t_poly(k, spectrum.degree))
     return -(stat - conditional_mean) / k
+
+
+def quad_cheb_covariance(j: int, k: int, t0: float, t1: float, tol: float = 1e-6) -> float:
+    """gffcheck.gff_cheb_covariance by nested adaptive ``quad``: -(1/2pi)
+    times the double integral over [0, pi]^2 of
+
+        sin(j u) sin(k v) log | (e^{t0+iu} - e^{t1+iv}) / (e^{t0+iu} - e^{t1-iv}) |,
+
+    each inner integral asked for absolute error ``tol`` and split at u = v
+    only at t0 = t1.  Raises on a quadrature error estimate above 1e-5."""
+    if j < 1 or k < 1:
+        raise InvalidInputError("need j >= 1 and k >= 1")
+    if t0 > t1:
+        raise InvalidInputError(f"need t0 <= t1, got t0={t0}, t1={t1}")
+
+    def integrand(u: float, w: complex, w_bar: complex, sin_kv: float) -> float:
+        # w = e^{t1+iv}, w_bar = e^{t1-iv} and sin_kv = sin(k v) are fixed
+        # for a whole inner integral, so they come in through quad's args
+        z0 = cmath.exp(complex(t0, u))
+        num = abs(z0 - w)
+        den = abs(z0 - w_bar)
+        if num == 0.0 or den == 0.0:
+            return 0.0
+        return math.sin(j * u) * sin_kv * math.log(num / den)
+
+    singular = t0 == t1
+    err_acc = 0.0
+
+    def inner(v: float) -> float:
+        nonlocal err_acc
+        args = (cmath.exp(complex(t1, v)), cmath.exp(complex(t1, -v)), math.sin(k * v))
+        if singular and 0.0 < v < math.pi:
+            a, ea = integrate.quad(integrand, 0.0, v, args=args, epsabs=tol, limit=100)
+            b, eb = integrate.quad(integrand, v, math.pi, args=args, epsabs=tol, limit=100)
+            err_acc = max(err_acc, ea + eb)
+            return a + b
+        val, err = integrate.quad(integrand, 0.0, math.pi, args=args, epsabs=tol, limit=100)
+        err_acc = max(err_acc, err)
+        return val
+
+    with warnings.catch_warnings():
+        # near the diagonal the log singularity triggers a spurious slow-
+        # convergence warning; the explicit error bound below still governs
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        total, outer_err = integrate.quad(inner, 0.0, math.pi, epsabs=tol, limit=100)
+    bound = outer_err + math.pi * err_acc
+    if bound > 1e-5:
+        raise NumericError(f"quadrature error estimate {bound:.2e} exceeds 1e-5")
+    return -total / (2 * math.pi)

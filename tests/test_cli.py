@@ -371,9 +371,13 @@ def test_unknown_field_exits_2(tmp_path, capsys, kind, text, message):
     ("gff-check", "jmax = 1\nkmax = 1\nlags = inf\n", "lags"),
     ("gff-check", "jmax = 1\nkmax = 1\nlags = ,\n", "lags"),
     ("gff-check", "jmax = 1\nkmax = 1\nlags = 0.5, nan\n", "lags"),
+    # e^lag past the float range
+    ("gff-check", "jmax = 1\nkmax = 1\nlags = 710\n", "lags"),
+    ("gff-check", "jmax = 1\nkmax = 1\nlags = 0.3, 1e308\n", "lags"),
 ], ids=["grow-grid-empty", "grow-grid-inf", "grow-s-inf", "grow-T-nan", "limit-sim-grid-empty",
         "limit-sim-T-inf", "limit-sim-grid-overflow", "gff-check-lags-inf",
-        "gff-check-lags-empty", "gff-check-lags-nan"])
+        "gff-check-lags-empty", "gff-check-lags-nan", "gff-check-lags-710",
+        "gff-check-lags-1e308"])
 def test_non_finite_or_empty_value_exits_2(tmp_path, capsys, monkeypatch, kind, text, name):
     for body in cli._BODIES:
         monkeypatch.setitem(cli._BODIES, body, lambda config: pytest.fail("it ran"))
@@ -382,6 +386,15 @@ def test_non_finite_or_empty_value_exits_2(tmp_path, capsys, monkeypatch, kind, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: config: {name} must be") and err.count("\n") == 1
     assert not (tmp_path / "new").exists()
+
+
+def test_gff_check_at_the_largest_lag_runs(tmp_path):
+    # a lag just under log(largest float) = 709.7827 runs, and its covariances are finite
+    cfg = _write(tmp_path, "g.cfg", "jmax = 2\nkmax = 2\nlags = 709.78\n")
+    assert _run("gff-check", cfg, tmp_path / "out") == 0
+    with open(tmp_path / "out" / "pairs.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 4 and all(abs(float(row["numeric"])) < 1e-12 for row in rows)
 
 
 def test_an_int_past_the_float_range_is_no_number(tmp_path):

@@ -288,7 +288,7 @@ def test_errors_holds_the_only_byte_cap():
 
 # A fresh interpreter runs a small permutation poisson-test through the CLI,
 # lists which of the two heavy scipy subpackages it loaded, then calls the
-# two functions that import them and prints their values.
+# GFF rule and the NB trace, which imports scipy.sparse, and prints their values.
 _FRESH_CLI = """
 import json, sys, tempfile
 from pathlib import Path
@@ -318,3 +318,57 @@ def test_cli_run_loads_neither_scipy_integrate_nor_sparse():
     g = graphs.sample_permutation_model(12, 2, np.random.default_rng(7))
     assert result["gff"] == gffcheck.gff_cheb_covariance(1, 1, 0.0, 0.3)
     assert result["cnbw"] == walks.cnbw_via_nb_matrix(g, 6).tolist()
+
+
+# A fresh interpreter runs a gff-check through the CLI and lists the scipy
+# modules it loaded.
+_FRESH_GFF = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from regraph import cli
+with tempfile.TemporaryDirectory() as tmp:
+    cfg = Path(tmp) / "g.cfg"
+    cfg.write_text("jmax = 3\\nkmax = 3\\nlags = 0.0, 0.3\\n")
+    code = cli.main(["gff-check", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules
+                                                 if m.startswith("scipy"))}))
+"""
+
+
+def test_gff_check_run_loads_no_scipy_integrate():
+    done = subprocess.run([sys.executable, "-c", _FRESH_GFF, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=300, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert "scipy.integrate" not in result["loaded"]
+
+
+def scipy_submodules(source: str) -> set[str]:
+    """The scipy submodules a module imports, as ``scipy.<name>``; a bare
+    ``import scipy`` reads as ``scipy``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            names = ([f"scipy.{alias.name}" for alias in node.names]
+                     if node.module == "scipy" else [node.module])
+        else:
+            continue
+        found |= {".".join(name.split(".")[:2]) for name in names
+                  if name.split(".")[0] == "scipy"}
+    return found
+
+
+def test_scipy_submodule_detector():
+    source = ("import scipy.sparse as sp\nfrom scipy import integrate, stats\n"
+              "from scipy.linalg.blas import dgemm\nimport scipy\nimport numpy\n"
+              "from .walks import scipy_like\n")
+    assert scipy_submodules(source) == {"scipy", "scipy.sparse", "scipy.integrate",
+                                        "scipy.stats", "scipy.linalg"}
+
+
+def test_src_imports_no_scipy_submodule_but_sparse():
+    found = {path.name: scipy_submodules(path.read_text()) for path in SOURCES}
+    assert set().union(*found.values()) == {"scipy.sparse"}
