@@ -19,6 +19,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -86,16 +87,18 @@ def _parse_value(text: str) -> Any:
 
 
 def parse_config_file(path: Path) -> dict[str, Any]:
-    """Read a ``key = value`` file; ``#`` starts a comment, and a key may be
-    set once.  ``out`` keeps its text; every other value is parsed."""
+    """Read a UTF-8 ``key = value`` file; a ``#`` at the start of a line or
+    after whitespace starts a comment, so ``out = a#b`` keeps its ``#``, and
+    a key may be set once.  ``out`` keeps its text; every other value is
+    parsed."""
     params: dict[str, Any] = {}
     first_line: dict[str, int] = {}
     try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -206,10 +209,6 @@ def validate(config: ExperimentConfig) -> list[str]:
         bad = [str(n) for n in ns if not simple_regular_exists(n, p["d"])]
         check(not bad, f"uniform model needs n*d even and d < n; "
                        f"got d={p['d']}, n={', '.join(bad)}")
-        if kind == "poisson-test":
-            check(p["samples"] <= poissonlab.UNIFORM_SAMPLE_CAP,
-                  f"uniform model samples at most {poissonlab.UNIFORM_SAMPLE_CAP} "
-                  f"graphs; got samples={p['samples']}")
     if kind == "spectrum":
         check(p["scale"] == "raw" or p["model"] == "permutation" or p["d"] >= 2,
               "a uniform d = 1 graph has degree 1, so only scale = raw is defined for it")
@@ -584,7 +583,10 @@ def run(config: ExperimentConfig) -> Path:
     if violations:
         raise InvalidInputError("; ".join(violations))
     created = [path for path in (config.out, *config.out.parents) if not path.exists()]
-    config.out.mkdir(parents=True, exist_ok=True)
+    try:
+        config.out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:  # out is, or is below, a file
+        raise InvalidInputError(f"cannot make output directory {config.out}: {exc}") from exc
     written: list[Path] = []
     start = time.monotonic()
     try:

@@ -14,7 +14,8 @@ switching chain's updates, through every edge for a full census.  Where
 only the counts by length are wanted, ``simple_cycle_counts`` takes them for
 a batch of graphs at once.
 
-Vertices are 0-based internally; JSON serialization is 1-based.
+Vertices are 0-based internally; JSON serialization is 1-based, and no
+reader takes it back.
 """
 
 from __future__ import annotations
@@ -175,28 +176,11 @@ def simple_regular_exists(n: int, d: int) -> bool:
 
 def sample_uniform_model(n: int, d: int, rng: np.random.Generator) -> SimpleGraph:
     """Uniform simple d-regular graph via rejection from the pairing model:
-    the one graph ``sample_uniform_pairings`` draws, from the same draws,
-    with its edges taken into a set in stub order, so ``g.edges`` iterates
-    in the order that the switching chain's draws rest on."""
-    if not simple_regular_exists(n, d):
-        raise InvalidInputError(f"no simple d-regular graph with n={n}, d={d}")
-    max_retries = errors.PAIRING_RETRIES
-    stubs = np.arange(n * d)[None]
-    for _ in range(max_retries):
-        # the one-row draw of a one-graph sample_uniform_pairings block, tested
-        # in Python up to its first loop or repeated edge
-        ends = (rng.permuted(stubs, axis=1)[0] // d).tolist()
-        edges: set[Edge] = set()
-        for u, v in zip(ends[0::2], ends[1::2]):
-            e = (u, v) if u < v else (v, u)
-            if u == v or e in edges:
-                break
-            edges.add(e)
-        else:
-            return SimpleGraph(n, d, edges)
-    raise ResourceLimitError(
-        f"pairing-model rejection failed {max_retries} times for n={n}, d={d}"
-    )
+    the one graph ``sample_uniform_pairings`` draws, with its edges taken
+    into a set in stub order, so ``g.edges`` iterates in the order that the
+    switching chain's draws rest on."""
+    pairs = sample_uniform_pairings(n, d, 1, rng)[0].tolist()
+    return SimpleGraph(n, d, {(u, v) if u < v else (v, u) for u, v in pairs})
 
 
 # most bytes one block of pairing-model attempts may take: 4 MiB blocks were

@@ -31,20 +31,21 @@ from .words import WordClass
 
 
 class PermTower:
-    """d permutations of {0..n-1} supporting O(1) insertion of element n.
+    """d permutations of {0..n-1}, empty at first, supporting O(1) insertion
+    of element n.
 
     ``succ[l][x]`` is the image of x under permutation l; ``pred`` holds the
     inverses.  Deleting the newest element always recovers the previous
     state (each insertion only splices the new element into one cycle).
     """
 
-    def __init__(self, d: int, n: int = 0):
-        if d < 1 or n < 0:
-            raise InvalidInputError("need d >= 1 and n >= 0")
+    def __init__(self, d: int):
+        if d < 1:
+            raise InvalidInputError(f"need d >= 1, got {d}")
         self.d = d
-        self.n = n
-        self.succ = [list(range(n)) for _ in range(d)]
-        self.pred = [list(range(n)) for _ in range(d)]
+        self.n = 0
+        self.succ = [[] for _ in range(d)]
+        self.pred = [[] for _ in range(d)]
 
     def extend(self, choices) -> np.ndarray:
         """Insert elements n, n+1, ...; returns the seat rows as a (k, d) array.
@@ -52,7 +53,7 @@ class PermTower:
         ``choices`` is one row of d seats (one element) or a (k, d) block
         whose row i seats element n + i.  Seat j < n + i puts the new element
         left of j (new -> j in the cycle); seat j = n + i opens a new table
-        (fixed point).
+        (fixed point).  Every seat is range-checked before anything changes.
         """
         new = self.n
         block = np.asarray(choices, dtype=np.int64)
@@ -102,22 +103,19 @@ class PermTower:
 MAX_VERTICES = 10**6
 
 
-def poissonized_times(horizon: float, n0: int, rng: np.random.Generator) -> np.ndarray:
-    """Jump times of the growth clock up to ``horizon``, starting at size n0.
+def poissonized_times(horizon: float, rng: np.random.Generator) -> np.ndarray:
+    """Jump times of the growth clock up to ``horizon``, from the empty graph.
 
     The holding time after reaching size m is Exp(m + 1), so the i-th entry
-    is the arrival time of vertex n0 + i.  Runs start from the empty graph
-    (n0 = 0), whose vertex count therefore grows like e^t.  More than
-    ``MAX_VERTICES`` jumps raise ResourceLimitError.
+    is the arrival time of vertex i, and the vertex count grows like e^t.
+    More than ``MAX_VERTICES`` jumps raise ResourceLimitError.
     """
     if horizon < 0:
         raise InvalidInputError(f"need horizon >= 0, got {horizon}")
-    if n0 < 0:
-        raise InvalidInputError(f"need n0 >= 0, got {n0}")
     out: list[np.ndarray] = []
     count = 0
     t = 0.0
-    m = n0
+    m = 0
     block = 1024
     while True:
         rates = np.arange(m + 1, m + 1 + block, dtype=float)
@@ -176,7 +174,9 @@ def insertion_events(tower: PermTower, r: int, time: float = 0.0) -> list[Growth
     All new cycles pass through the inserted vertex; destroyed cycles pass
     through one of the edges the insertion landed on.  The split search runs
     on the previous level, so the insertion is undone and then redone with
-    the same seats; the tower is left as it was found.
+    the same seats; the tower is left as it was found.  Both searches root
+    only near the new vertex, so an insertion's cost does not grow with the
+    graph.
     """
     v = tower.n - 1
     succ, pred = tower.succ, tower.pred
@@ -253,14 +253,14 @@ class GrowthRun:
 
     def __iter__(self) -> Iterator[np.ndarray]:
         d, r, rng, events = self.d, self.r, self.rng, self.events
-        jumps = poissonized_times(self.horizon, 0, rng)
+        jumps = poissonized_times(self.horizon, rng)
         # every seat of the run in one draw: row m seats vertex m uniformly on
         # 0..m in each permutation, the same values (and generator state) as one
         # scalar draw per permutation per vertex
         seats = rng.integers(0, np.arange(1, jumps.size + 1)[:, None], size=(jumps.size, d))
         # the census at grid time t sees every vertex that arrived by t
         self.n_vertices = np.searchsorted(jumps, self.grid, side="right").astype(np.int64)
-        tower = PermTower(d, 0)
+        tower = PermTower(d)
 
         def grow_to(size: int) -> None:
             if events is None:

@@ -50,15 +50,6 @@ def yule_pmf(j: int, k: int, tau: float) -> float:
     )
 
 
-def expected_alpha(j: int, k: int, s: float, t: float) -> float:
-    """Probability that a length-j atom at time s has length k at time t."""
-    if s > t:
-        raise InvalidInputError(f"need s <= t, got s={s}, t={t}")
-    if j > k:
-        return 0.0
-    return math.comb(k - 1, k - j) * math.exp(j * (s - t)) * (1 - math.exp(s - t)) ** (k - j)
-
-
 def limit_covariance(d: int, j: int, k: int, s: float, t: float) -> float:
     """Cov(N_j(s), N_k(t)) of the stationary process, s <= t; 0 when j > k."""
     if s > t:
@@ -66,7 +57,7 @@ def limit_covariance(d: int, j: int, k: int, s: float, t: float) -> float:
     if j > k:
         return 0.0
     lam = Fraction(words.count_reduced_words(d, j), 2 * j)
-    return float(lam) * expected_alpha(j, k, s, t)
+    return float(lam) * yule_pmf(j, k, t - s)
 
 
 def ou_covariance(i: int, k: int, s: float, t: float) -> float:
@@ -271,6 +262,12 @@ def simulate_limit(
     interact, so every atom is advanced independently with exact exponential
     holding times; no discretization is involved.  The bytes of limit_bytes
     are checked against ``errors.BYTE_CAP`` before anything is drawn.
+
+    Every per-atom pass runs over chunks of at most ATOM_CHUNK atoms.  A
+    chunked draw gives the values one whole-array draw gives (PCG64 keeps
+    its 32-bit half-word buffer in the generator), so the counts do not
+    depend on ATOM_CHUNK.  The cells are counted only after the atom arrays
+    are freed.
     """
     grid = np.asarray(grid, dtype=float)
     if T < 0 or replicas < 1:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import walks, words
-from .errors import InvalidInputError, ResourceLimitError, check_bytes
+from .errors import InvalidInputError, check_bytes
 from .graphs import (
     PAIRING_BLOCK_BYTES,
     CycleSpec,
@@ -109,12 +109,6 @@ def tv_distance(p: dict[tuple[int, ...], float], means: Sequence) -> float:
 # ---------------------------------------------------------------------------
 # vectorized cycle-count sampling
 
-# most graphs a uniform-model run samples: their pairing-model attempts are
-# drawn and rejected a block at a time, and their cycles counted by one
-# batched path extension, but every accepted pairing is held until it is counted
-UNIFORM_SAMPLE_CAP = 10**4
-
-
 def uniform_sample_bytes(n: int, d: int, r: int, samples: int) -> int:
     """Bytes a uniform-model ``sample_cycle_counts`` call holds whole: the
     int64 pairings and the neighbour table made from them (8 bytes a stub
@@ -165,8 +159,6 @@ def sample_cycle_counts(model: str, n: int, d: int, r: int, samples: int,
         raise InvalidInputError("need at least one sample")
     if model not in ("permutation", "uniform"):
         raise InvalidInputError(f"unknown model {model!r}")
-    if model == "uniform" and samples > UNIFORM_SAMPLE_CAP:
-        raise ResourceLimitError(f"uniform-model sampling capped at {UNIFORM_SAMPLE_CAP} graphs")
     check_bytes(cycle_sample_bytes(model, n, d, r, samples),
                 f"cycle counts of {samples} {model} graphs with n={n}")
     if model == "uniform":

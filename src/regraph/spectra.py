@@ -105,7 +105,9 @@ def eigen_bytes(n: int) -> int:
 
 
 def eigenvalues(g: PermGraph | SimpleGraph, scale: str = "unit") -> Spectrum:
-    """Adjacency spectrum of a permutation-model or uniform-model graph."""
+    """Adjacency spectrum of a permutation-model or uniform-model graph,
+    refused before the adjacency is built when ``eigen_bytes`` passes
+    ``errors.BYTE_CAP``."""
     if g.n < 1:
         raise InvalidInputError("the graph needs at least one vertex")
     check_bytes(eigen_bytes(g.n), f"dense eigen-solve at n={g.n}")

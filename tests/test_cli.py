@@ -226,9 +226,7 @@ def test_rerun_same_seed_identical_body(tmp_path):
     ("sample", "model = uniform\nn = 4\nd = 2\n", 0),  # the 4-cycle
     ("sample", "model = uniform\nn = 7\nd = 3\n", 2),  # n*d odd
     ("poisson-test", "model = uniform\nd = 3\nr = 3\nn_values = 8, 7\nsamples = 5\n", 2),
-    ("poisson-test", "model = uniform\nd = 3\nr = 3\nn_values = 8\nsamples = 20000\n", 2),
-], ids=["sample-valid", "sample-odd-degree-sum", "poisson-test-n-values",
-        "poisson-test-sample-cap"])
+], ids=["sample-valid", "sample-odd-degree-sum", "poisson-test-n-values"])
 def test_uniform_model_validation_matches_sampler(tmp_path, capsys, kind, text, code):
     cfg = _write(tmp_path, "u.cfg", text)
     assert _run(kind, cfg, tmp_path / "out") == code
@@ -327,14 +325,41 @@ def test_boolean_in_integer_field_exits_2(tmp_path, capsys, kind, line):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", ["2024", "2.5", "true", "a, b"])
+@pytest.mark.parametrize("value", ["2024", "2.5", "true", "a, b", "a#b"])
 def test_out_in_config_keeps_its_text(tmp_path, capsys, monkeypatch, value):
-    # a number, a boolean or a list would parse as one; out is a path as written
+    # a number, a boolean or a list would parse as one; out is a path as
+    # written, and a # starts a comment only at a line's start or after whitespace
     monkeypatch.chdir(tmp_path)
     cfg = _write(tmp_path, "o.cfg", _VALID["sample"] + f"out = {value}  # here\n")
     assert cli.main(["sample", "--config", str(cfg)]) == 0
     assert capsys.readouterr().out == str(Path(value) / "report.json") + "\n"
     assert sorted(path.name for path in (tmp_path / value).iterdir()) == ["report.json"]
+
+
+@pytest.mark.parametrize("case", ["config-not-utf-8", "out-is-a-file", "out-below-a-file"])
+def test_unreadable_config_or_unusable_out_exits_2(tmp_path, capsys, case):
+    (tmp_path / "file").write_text("kept\n")
+    cfg = _write(tmp_path, "ok.cfg", _VALID["sample"])
+    out = tmp_path / "new" / "out"
+    if case == "config-not-utf-8":
+        cfg.write_bytes(b"\xff" + _VALID["sample"].encode())
+    else:
+        out = tmp_path / "file" if case == "out-is-a-file" else tmp_path / "file" / "out"
+    before = sorted(tmp_path.rglob("*"))
+    assert _run("sample", cfg, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+def test_uniform_poisson_test_past_ten_thousand_samples_runs(tmp_path):
+    # a uniform poisson-test is bounded by its byte estimate alone
+    cfg = _write(tmp_path, "u.cfg", "model = uniform\nd = 3\nr = 3\nn_values = 8\nsamples = 10001\n")
+    assert cli.validate(cli.ExperimentConfig("poisson-test", cli.parse_config_file(cfg))) == []
+    assert _run("poisson-test", cfg, tmp_path / "out") == 0
+    rows = json.loads((tmp_path / "out" / "report.json").read_text())["body"]["rows"]
+    assert [(row["n"], row["samples"]) for row in rows] == [(8, 10001)]
 
 
 def test_config_key_set_twice_exits_2(tmp_path, capsys):

@@ -28,7 +28,7 @@ from oracles import seat_row
 
 def crp_extend(tower: PermTower, rng: np.random.Generator) -> PermTower:
     """Seat a new element uniformly in every permutation of a copy of ``tower``."""
-    out = PermTower(tower.d, 0)
+    out = PermTower(tower.d)
     out.n = tower.n
     out.succ = [list(s) for s in tower.succ]
     out.pred = [list(p) for p in tower.pred]
@@ -37,7 +37,8 @@ def crp_extend(tower: PermTower, rng: np.random.Generator) -> PermTower:
 
 
 def _tower_from(perm):
-    t = PermTower(1, len(perm))
+    t = PermTower(1)
+    t.n = len(perm)
     t.succ = [list(perm)]
     t.pred = [[0] * len(perm)]
     for x, y in enumerate(perm):
@@ -47,7 +48,7 @@ def _tower_from(perm):
 
 def test_first_seat_is_identity():
     rng = np.random.default_rng(0)
-    t = PermTower(2, 0)
+    t = PermTower(2)
     t.extend(seat_row(t, rng))
     assert t.succ == [[0], [0]]
 
@@ -69,7 +70,7 @@ def test_crp_extension_is_uniform():
 
 def test_delete_back_recovers_every_level():
     rng = np.random.default_rng(2)
-    t = PermTower(3, 0)
+    t = PermTower(3)
     history = []
     for _ in range(30):
         history.append([list(row) for row in t.succ])
@@ -81,7 +82,7 @@ def test_delete_back_recovers_every_level():
 
 def test_extend_remains_permutation():
     rng = np.random.default_rng(3)
-    t = PermTower(2, 0)
+    t = PermTower(2)
     for _ in range(50):
         t.extend(seat_row(t, rng))
         for row in t.succ:
@@ -90,30 +91,30 @@ def test_extend_remains_permutation():
 
 def test_poissonized_times_monotone_and_empty(monkeypatch):
     rng = np.random.default_rng(4)
-    assert poissonized_times(0.0, 0, rng).size == 0
-    times = poissonized_times(4.0, 0, rng)
+    assert poissonized_times(0.0, rng).size == 0
+    times = poissonized_times(4.0, rng)
     assert np.all(np.diff(times) > 0)
     assert times.size == 0 or times[-1] <= 4.0
     monkeypatch.setattr(growth, "MAX_VERTICES", 100)
     with pytest.raises(ResourceLimitError):
-        poissonized_times(30.0, 0, rng)
+        poissonized_times(30.0, rng)
 
 
 def test_poissonized_times_cap_holds_inside_the_first_block(monkeypatch):
     # this draw makes 325 jumps, all inside the first 1,024-jump block, so
     # the cap has to hold on the block that returns too
-    assert poissonized_times(6.5, 0, np.random.default_rng(0)).size == 325
+    assert poissonized_times(6.5, np.random.default_rng(0)).size == 325
     monkeypatch.setattr(growth, "MAX_VERTICES", 100)
     with pytest.raises(ResourceLimitError):
-        poissonized_times(6.5, 0, np.random.default_rng(0))
+        poissonized_times(6.5, np.random.default_rng(0))
     monkeypatch.setattr(growth, "MAX_VERTICES", 325)
-    assert poissonized_times(6.5, 0, np.random.default_rng(0)).size == 325
+    assert poissonized_times(6.5, np.random.default_rng(0)).size == 325
 
 
-def _list_poissonized_times(horizon, n0, rng, max_events=10**7):
+def _list_poissonized_times(horizon, rng, max_events=10**7):
     """poissonized_times the list way: each 1,024-time block's times below
     the horizon go into one Python list, checked against the cap as it grows."""
-    out, t, m = [], 0.0, n0
+    out, t, m = [], 0.0, 0
     while True:
         times = t + np.cumsum(rng.exponential(1.0, 1024) / np.arange(m + 1, m + 1025, dtype=float))
         over = np.searchsorted(times, horizon, side="right")
@@ -125,28 +126,27 @@ def _list_poissonized_times(horizon, n0, rng, max_events=10**7):
         t, m = float(times[-1]), m + 1024
 
 
-@pytest.mark.parametrize("horizon, n0", [(0.0, 0), (1.0, 0), (math.log(501) + 1, 0),
-                                         (8.0, 0), (0.5, 3000), (2.0, 1023)])
-def test_poissonized_times_match_list_oracle(monkeypatch, horizon, n0):
+@pytest.mark.parametrize("horizon", [0.0, 1.0, math.log(501) + 1, 8.0])
+def test_poissonized_times_match_list_oracle(monkeypatch, horizon):
     for seed in range(5):
         rng, oracle_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
-        got = poissonized_times(horizon, n0, rng)
-        want = _list_poissonized_times(horizon, n0, oracle_rng)
+        got = poissonized_times(horizon, rng)
+        want = _list_poissonized_times(horizon, oracle_rng)
         assert got.dtype == want.dtype == np.float64 and np.array_equal(got, want)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
     # the cap counts every block: one over it raises, as the list path does
-    cap = _list_poissonized_times(8.0, 0, np.random.default_rng(2)).size
+    cap = _list_poissonized_times(8.0, np.random.default_rng(2)).size
     monkeypatch.setattr(growth, "MAX_VERTICES", cap)
-    assert poissonized_times(8.0, 0, np.random.default_rng(2)).size == cap
+    assert poissonized_times(8.0, np.random.default_rng(2)).size == cap
     monkeypatch.setattr(growth, "MAX_VERTICES", cap - 1)
     with pytest.raises(ResourceLimitError):
-        poissonized_times(8.0, 0, np.random.default_rng(2))
+        poissonized_times(8.0, np.random.default_rng(2))
 
 
 def test_vertex_count_grows_exponentially():
     rng = np.random.default_rng(5)
     t = 3.0
-    n = np.array([poissonized_times(t, 0, rng).size for _ in range(20000)])
+    n = np.array([poissonized_times(t, rng).size for _ in range(20000)])
     scaled = n.mean() * math.exp(-t)
     target = 1 - math.exp(-t)
     assert abs(scaled - target) < 0.05 * target
@@ -166,7 +166,8 @@ def test_classify_grown_cycle():
 
 def test_classify_spontaneous_cycle():
     # insertion landing on edges of two different labels: mixed-label words
-    tower = PermTower(2, 2)
+    tower = PermTower(2)
+    tower.n = 2
     tower.succ = [[1, 0], [0, 1]]
     tower.pred = [[1, 0], [0, 1]]
     tower.extend(choices=[1, 0])
@@ -181,7 +182,8 @@ def test_classify_spontaneous_cycle():
 def test_classify_split_cycle():
     # one insertion hitting two edges of the same cycle splits it; the pieces
     # mix labels at the new vertex, so both births are spontaneous
-    tower = PermTower(2, 4)
+    tower = PermTower(2)
+    tower.n = 4
     tower.succ = [[1, 2, 3, 0], [1, 2, 3, 0]]
     tower.pred = [[3, 0, 1, 2], [3, 0, 1, 2]]
     # cycle 0 ->a 1 ->b 2 ->a 3 ->b 0 is hit by inserting into pi_a at 1 and pi_b at 0
@@ -201,7 +203,7 @@ def test_classify_loop_is_spontaneous():
 
 def test_crp_extend_returns_fresh_tower():
     rng = np.random.default_rng(6)
-    t = PermTower(2, 0)
+    t = PermTower(2)
     for _ in range(5):
         t.extend(seat_row(t, rng))
     t2 = crp_extend(t, rng)
@@ -297,7 +299,7 @@ def _tower_insertion(draw):
 @given(_tower_insertion())
 def test_insertion_events_match_census_difference(case):
     d, seats, r = case
-    tower = PermTower(d, 0)
+    tower = PermTower(d)
     for choices in seats[:-1]:
         tower.extend(choices=choices)
     before = PermGraph(tower.perms())
@@ -345,8 +347,8 @@ def _oracle_growth(d, s, T, grid, r, rng, track_events=False):
     vertex, a census before each insertion that passes a grid time, and
     births and splits from full censuses before and after every insertion.
     Returns (counts, n_vertices, event multiset)."""
-    jumps = poissonized_times(s + T, 0, rng)
-    tower = PermTower(d, 0)
+    jumps = poissonized_times(s + T, rng)
+    tower = PermTower(d)
     abs_grid = s + np.sort(np.asarray(grid, dtype=float))
     counts, n_vertices, events = [], [], Counter()
     for jt in list(jumps) + [np.inf]:
@@ -439,7 +441,7 @@ def _seat_block(draw):
 @given(_seat_block(), st.data())
 def test_block_extend_matches_single_extends(case, data):
     d, prefix, rows = case
-    block, single = PermTower(d, 0), PermTower(d, 0)
+    block, single = PermTower(d), PermTower(d)
     for row in prefix:
         block.extend(choices=row)
         single.extend(choices=row)
@@ -463,7 +465,7 @@ def test_block_extend_matches_single_extends(case, data):
 def test_local_split_search_matches_full_scan(d, n, r, data):
     # towers large enough that the searched ball around the hit edges is
     # mostly smaller than the graph
-    tower = PermTower(d, 0)
+    tower = PermTower(d)
     for m in range(n):
         tower.extend(choices=[data.draw(st.integers(0, m)) for _ in range(d)])
     before = PermGraph(tower.perms())
@@ -551,7 +553,7 @@ def test_extend_and_delete_last_match_closed_form(d, seed):
     rng = np.random.default_rng([seed, d])
     size = int(rng.integers(1, 200))
     seats = _random_seats(rng, d, size)
-    tower = PermTower(d, 0)
+    tower = PermTower(d)
     while tower.n < size:
         # blocks of 1..8 rows, so single and block extends both meet the oracle
         tower.extend(choices=seats[tower.n:tower.n + int(rng.integers(1, 9))])
@@ -574,7 +576,7 @@ def test_insertion_events_match_closed_form_censuses():
         rng = np.random.default_rng([seed, 17])
         d, n, r = int(rng.integers(1, 4)), int(rng.integers(8, 30)), int(rng.integers(2, 6))
         seats = _random_seats(rng, d, n + 1)
-        tower = PermTower(d, 0)
+        tower = PermTower(d)
         tower.extend(choices=seats)
         events = insertion_events(tower, r)
         assert tower.succ == _closed_form_succ(seats)

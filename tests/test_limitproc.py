@@ -11,7 +11,6 @@ from regraph import errors, limitproc
 from regraph.errors import InvalidInputError, ResourceLimitError
 from regraph.limitproc import (
     chebyshev_fluctuation_series,
-    expected_alpha,
     limit_covariance,
     limit_bytes,
     limit_model,
@@ -53,14 +52,15 @@ def test_sample_yule_matches_pmf():
 
 
 def test_expected_alpha_values():
-    tau = math.log(2)
-    # alpha_{jk} = P(one length-j atom at time s has length k at time t)
-    assert expected_alpha(1, 1, 0.0, tau) == pytest.approx(0.5)
-    assert expected_alpha(1, 3, 0.0, tau) == pytest.approx(0.125)
-    assert expected_alpha(2, 1, 0.0, tau) == 0.0
-    assert expected_alpha(1, 1, 0.0, 0.0) == pytest.approx(1.0)
+    s, t = 0.0, math.log(2)
+    # alpha_{jk} = P(one length-j atom at time s has length k at time t),
+    # the Yule law yule_pmf(j, k, t - s)
+    assert yule_pmf(1, 1, t - s) == pytest.approx(0.5)
+    assert yule_pmf(1, 3, t - s) == pytest.approx(0.125)
+    assert yule_pmf(2, 1, t - s) == 0.0
+    assert yule_pmf(1, 1, s - s) == pytest.approx(1.0)
     with pytest.raises(InvalidInputError):
-        expected_alpha(1, 1, 1.0, 0.0)
+        yule_pmf(1, 1, s - 1.0)  # s = 1 > t = 0
 
 
 def test_limit_covariance_values():

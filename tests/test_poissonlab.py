@@ -18,7 +18,6 @@ from regraph.graphs import (
     simple_cycle_census,
 )
 from regraph.poissonlab import (
-    UNIFORM_SAMPLE_CAP,
     coupling_monotonicity_report,
     empirical_pmf,
     poisson_targets,
@@ -183,8 +182,6 @@ def test_sample_cycle_counts_uniform_model():
     counts = sample_cycle_counts("uniform", 10, 3, 4, samples=5, seed=3)
     assert counts.shape == (5, 4)
     assert np.all(counts[:, :2] == 0)  # simple graphs: no loops or 2-cycles
-    with pytest.raises(ResourceLimitError):
-        sample_cycle_counts("uniform", 10, 3, 4, samples=UNIFORM_SAMPLE_CAP + 1, seed=3)
 
 
 def _uniform_counts_oracle(n, d, r, samples, seed):

@@ -1,10 +1,11 @@
-"""The README's library example runs as written, and its CLI contract and
-outputs table match the CLI."""
+"""The README's library example runs as written, and its CLI contract,
+outputs table, byte-capped calls and exit codes match the code."""
 
+import ast
 import re
 from pathlib import Path
 
-from regraph import cli
+from regraph import cli, errors
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -74,3 +75,52 @@ def test_readme_outputs_table_is_the_csv_headers(tmp_path, capsys):
             written[kind, path.name] = path.read_text().split("\n", 1)[0]
     capsys.readouterr()
     assert written == listed
+
+
+def _check_bytes_callers() -> set[str]:
+    """module.function (or module.Class.method) of the innermost def around
+    each ``check_bytes(`` call in src/regraph."""
+    callers = set()
+
+    def visit(node: ast.AST, name: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "check_bytes"):
+                callers.add(name)
+            visit(child, name)
+
+    for path in sorted((README.parent / "src" / "regraph").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return callers
+
+
+def test_readme_byte_capped_calls_are_the_check_bytes_callers():
+    listed = re.search(r"\(the byte-capped calls: (.*?)\)", README.read_text(), re.S).group(1)
+    assert len(_ticked(listed)) == len(set(_ticked(listed)))
+    assert set(_ticked(listed)) == _check_bytes_callers()
+
+
+def _subclasses(cls: type) -> list[type]:
+    return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
+
+
+def test_readme_exit_codes_are_cli_main(tmp_path, monkeypatch, capsys):
+    sentence = re.search(r"^Exit codes: (.*?)\. ", README.read_text(), re.S | re.M).group(1)
+    assert sentence.startswith("`0` ok, ")
+    codes = {name: int(code) for code, name in re.findall(r"`(\d+)` [^,(]*\(`(\w+)`\)", sentence)}
+    classes = _subclasses(errors.RegraphError)
+    assert sorted(codes) == sorted(cls.__name__ for cls in classes)
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("model = permutation\nn = 4\nd = 1\n")
+    for cls in classes:
+        def run(config, cls=cls):
+            raise cls("it failed")
+
+        monkeypatch.setattr(cli, "run", run)
+        assert cli.main(["sample", "--config", str(cfg)]) == codes[cls.__name__], cls
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("it failed\n")
