@@ -24,13 +24,12 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from importlib import metadata
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import gffcheck, growth, limitproc, poissonlab, spectra, walks, words
+from . import __version__, gffcheck, growth, limitproc, poissonlab, spectra, walks, words
 from .errors import InvalidInputError, NumericError, ResourceLimitError, check_bytes
 from .graphs import (
     PermGraph,
@@ -46,13 +45,6 @@ _LIMIT_CHUNK = 1024  # replicas per RNG stream; fixed so workers never matter
 # str of whole lines already rendered (trajectory.csv, a replica at a time);
 # rows may be a generator, so a file is written as its rows are made
 Csv = tuple[Sequence[str], Iterable[Sequence[Any] | str]]
-
-
-def _version() -> str:
-    try:
-        return "v" + metadata.version("regraph")
-    except metadata.PackageNotFoundError:  # pragma: no cover
-        return "v0.0.0"
 
 
 # ---------------------------------------------------------------------------
@@ -577,15 +569,27 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any] |
                 writer.writerow(row)
 
 
+def _remove_made(created: list[Path]) -> None:
+    """Remove the directories of ``created``, innermost first, that a run
+    made: skip one that was never made, stop at one that holds other files."""
+    for path in created:
+        if not os.path.isdir(path):
+            continue
+        if any(path.iterdir()):
+            break
+        path.rmdir()
+
+
 def run(config: ExperimentConfig) -> Path:
     """Execute one experiment; returns the path of the JSON report."""
     violations = validate(config)
     if violations:
         raise InvalidInputError("; ".join(violations))
-    created = [path for path in (config.out, *config.out.parents) if not path.exists()]
+    created = [path for path in (config.out, *config.out.parents) if not os.path.exists(path)]
     try:
         config.out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:  # out is, or is below, a file
+    except (OSError, ValueError) as exc:  # a file in the way, a name too long, a NUL byte
+        _remove_made(created)
         raise InvalidInputError(f"cannot make output directory {config.out}: {exc}") from exc
     written: list[Path] = []
     start = time.monotonic()
@@ -599,7 +603,7 @@ def run(config: ExperimentConfig) -> Path:
             "kind": config.kind,
             "config": {k: config.params[k] for k in sorted(config.params)},
             "seed": config.seed,
-            "version": _version(),
+            "version": "v" + __version__,
             "body": body,
             "wall_clock_s": time.monotonic() - start,
         }
@@ -612,10 +616,7 @@ def run(config: ExperimentConfig) -> Path:
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
-        for path in created:  # innermost first; keep any that holds other files
-            if any(path.iterdir()):
-                break
-            path.rmdir()
+        _remove_made(created)
         raise
 
 

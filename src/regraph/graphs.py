@@ -329,22 +329,16 @@ def _canonical_cycle(vs: Sequence[int]) -> tuple[int, ...]:
     return c if c[1] < c[-1] else c[:1] + c[:0:-1]
 
 
-def apply_switching(
-    g: SimpleGraph,
-    vs: Sequence[int],
-    us: Sequence[int],
-    ws: Sequence[int],
-    direction: str,
-) -> Optional[SimpleGraph]:
-    """Apply a forward or backward switching; None if structurally impossible.
+def _switching(g: SimpleGraph, vs: Sequence[int], us: Sequence[int], ws: Sequence[int],
+               forward: bool) -> Optional[tuple[list[Edge], list[Edge]]]:
+    """The (deleted, added) edge lists of a forward or backward switching of
+    g at aligned vertex lists of length >= 3; None if structurally impossible.
 
     Forward: the cycle through ``vs`` and the oriented edges (w_i, u_{i+1})
     are deleted, and edges v_i u_i, v_i w_i are created.  Backward is the
-    exact inverse.
+    exact inverse.  Every vertex keeps its degree.
     """
     k = len(vs)
-    if not (len(us) == len(ws) == k) or k < 3:
-        raise InvalidInputError("switching needs three aligned tuples, length >= 3")
     if len(set(vs)) != k:
         return None
     cycle_edges = [_edge(vs[i], vs[(i + 1) % k]) for i in range(k)]
@@ -354,23 +348,17 @@ def apply_switching(
     ]
     if any(u == v for u, v in cycle_edges + cross_edges + spoke_edges):
         return None
-    if direction == "forward":
+    if forward:
         deleted, added = cycle_edges + cross_edges, spoke_edges
-    elif direction == "backward":
-        deleted, added = spoke_edges, cycle_edges + cross_edges
     else:
-        raise InvalidInputError(f"unknown direction {direction!r}")
+        deleted, added = spoke_edges, cycle_edges + cross_edges
     if len(set(deleted)) != 2 * k or len(set(added)) != 2 * k:
         return None
     if any(e not in g.edges for e in deleted):
         return None
     if any(e in g.edges for e in added):
         return None
-    edges = (set(g.edges) - set(deleted)) | set(added)
-    try:
-        return SimpleGraph(g.n, g.d, edges)
-    except InvalidInputError:
-        return None
+    return deleted, added
 
 
 def _cycles_through_edges(neighbors: Sequence[Collection[int]], changed: Iterable[Edge],
@@ -594,11 +582,12 @@ class SwitchingChain:
     census would.  One search, ``_cycles_through_edges``, finds them all: the
     lists start from it run over every edge of the graph's neighbour tuples
     and of the complement's neighbour sets (``_complement_neighbors``), so no
-    complement graph is built.  A switching changes at most 4k edges, and
-    only a cycle through a changed edge can appear or disappear, so the
-    lists, the validity gate and the cycle counts of the Metropolis ratio
-    all come from the same search through the changed edges only, in the
-    graph and in its complement.
+    complement graph is built.  A proposal is the at most 4k edges its
+    switching changes, and only a cycle through a changed edge can appear or
+    disappear, so the lists, the validity gate and the cycle counts of the
+    Metropolis ratio all come from the same search through the changed edges
+    only, in rows of the graph and of its complement copied only where an
+    edge changed.  A ``SimpleGraph`` is built only on acceptance.
     """
 
     def __init__(
@@ -624,10 +613,6 @@ class SwitchingChain:
         self.cycles_by_length = self._by_length(g.neighbors)
         self.co_cycles_by_length = self._by_length(self._co_neighbors)
 
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
     def _by_length(self, neighbors: Sequence[Collection[int]]) -> dict[int, list[tuple[int, ...]]]:
         """Every cycle of length 3..r of the graph where x is adjacent to
         ``neighbors[x]``, by length, each length ascending."""
@@ -636,21 +621,13 @@ class SwitchingChain:
             out[len(vs)].append(vs)
         return out
 
-    def _complement_change(self, g2: SimpleGraph, deleted: frozenset, added: frozenset):
-        """Neighbour sets of the complement of g2, and the complement cycles
-        lost and won: the complement gains the deleted edges and loses the
-        added ones."""
-        co2 = _complement_neighbors(g2)
-        lost = _cycles_through_edges(self._co_neighbors, added, self.r)
-        return co2, lost, _cycles_through_edges(co2, deleted, self.r)
-
     def step(self) -> bool:
         """Advance one step; returns True when the graph changed."""
         rng = self.rng
         g = self.graph
-        r = self.r
+        n, d, r = g.n, g.d, self.r
         k = int(rng.integers(3, r + 1))
-        pair_count = float(g.d * (g.d - 1)) ** k
+        pair_count = float(d * (d - 1)) ** k
         forward = rng.integers(2) == 0
         cycles = (self.cycles_by_length if forward else self.co_cycles_by_length)[k]
         if not cycles:
@@ -676,21 +653,32 @@ class SwitchingChain:
                 nb = g.neighbors[vs[i]]
                 a, b = rng.choice(len(nb), size=2, replace=False)
                 us[i], ws[i] = nb[a], nb[b]
-        g2 = apply_switching(g, vs, us, ws, "forward" if forward else "backward")
-        if g2 is None:
+        switch = _switching(g, vs, us, ws, forward)
+        if switch is None:
             return False
-        deleted, added = g.edges - g2.edges, g2.edges - g.edges
+        deleted, added = switch
+        # the switched graph's rows and its complement's: copied and flipped
+        # at the ends of the changed edges (deleted and added share them)
+        rows = {x: set(g.neighbors[x]) for e in deleted for x in e}
+        for a, b in deleted + added:
+            rows[a] ^= {b}
+            rows[b] ^= {a}
+        nb2, co2 = list(g.neighbors), list(self._co_neighbors)
+        for x, row in rows.items():
+            nb2[x] = tuple(sorted(row))
+            co2[x] = co2[x].union(g.neighbors[x]).difference(row)
         lost = _cycles_through_edges(g.neighbors, deleted, r)
-        won = _cycles_through_edges(g2.neighbors, added, r)
+        won = _cycles_through_edges(nb2, added, r)
         if self.validity == "census":
             # the switching must change the census by exactly its cycle
             alpha = _canonical_cycle(vs)
             if (lost, won) != (({alpha}, set()) if forward else (set(), {alpha})):
                 return False
-        co_change = None
+        # the complement gains the deleted edges and loses the added ones
+        co_lost = co_won = None
         if forward:
-            co_change = self._complement_change(g2, deleted, added)
-            _, co_lost, co_won = co_change
+            co_lost = _cycles_through_edges(self._co_neighbors, added, r)
+            co_won = _cycles_through_edges(co2, deleted, r)
             co_k = len(self.co_cycles_by_length[k]) + _gain(co_lost, co_won, k)
             if co_k == 0:
                 raise InvalidInputError("created cycle missing from complement census")
@@ -698,22 +686,27 @@ class SwitchingChain:
             accept = min(1.0, backward_q / forward_q)
         else:
             backward_q = 1.0 / (len(cycles) * pair_count)
-            options = _forward_option_counts(g2, vs)
-            if any((ws[i], us[(i + 1) % k]) not in options[i] for i in range(k)):
-                # the exact reverse proposal cannot be generated, so the
-                # reverse density is zero and the move must be rejected
-                return False
+            # the reverse proposal's options at position i: the oriented
+            # edges (w, u') with w outside N[v_i] and u' outside N[v_{i+1}],
+            # closed neighbourhoods after the switching, n d - 2 d (d + 1) +
+            # e(N[v_i], N[v_{i+1}]) by inclusion-exclusion
+            closed = [set(nb2[v]) | {v} for v in vs]
             forward_q = 1.0
-            for opts in options:
-                forward_q /= len(opts)
+            for i in range(k):
+                a_ban, b_ban = closed[i], closed[(i + 1) % k]
+                if ws[i] in a_ban or us[(i + 1) % k] in b_ban:
+                    return False  # the exact reverse proposal has density zero
+                both = sum(len(b_ban.intersection(nb2[x])) for x in a_ban)
+                forward_q /= n * d - 2 * d * (d + 1) + both
             forward_q /= len(self.cycles_by_length[k]) + _gain(lost, won, k)
             accept = min(1.0, forward_q / backward_q)
         if rng.random() >= accept:
             return False
-        if co_change is None:
-            co_change = self._complement_change(g2, deleted, added)
-        self.graph = g2
+        if co_lost is None:
+            co_lost = _cycles_through_edges(self._co_neighbors, added, r)
+            co_won = _cycles_through_edges(co2, deleted, r)
+        self.graph = SimpleGraph(n, d, (set(g.edges) - set(deleted)) | set(added))
+        self._co_neighbors = co2
         _apply_census_change(self.cycles_by_length, lost, won)
-        self._co_neighbors, co_lost, co_won = co_change
         _apply_census_change(self.co_cycles_by_length, co_lost, co_won)
         return True

@@ -6,6 +6,7 @@ import itertools
 import math
 import warnings
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -73,6 +74,50 @@ def contained_in(cycle: CycleSpec, g) -> bool:
             return False
         return all(e in g.edges for e in undirected_edges(cycle))
     raise InvalidInputError(f"unsupported graph type {type(g)!r}")
+
+
+def apply_switching(
+    g: SimpleGraph,
+    vs: Sequence[int],
+    us: Sequence[int],
+    ws: Sequence[int],
+    direction: str,
+) -> Optional[SimpleGraph]:
+    """Apply a forward or backward switching; None if structurally impossible.
+
+    Forward: the cycle through ``vs`` and the oriented edges (w_i, u_{i+1})
+    are deleted, and edges v_i u_i, v_i w_i are created.  Backward is the
+    exact inverse.
+    """
+    k = len(vs)
+    if not (len(us) == len(ws) == k) or k < 3:
+        raise InvalidInputError("switching needs three aligned tuples, length >= 3")
+    if len(set(vs)) != k:
+        return None
+    cycle_edges = [_edge(vs[i], vs[(i + 1) % k]) for i in range(k)]
+    cross_edges = [_edge(ws[i], us[(i + 1) % k]) for i in range(k)]
+    spoke_edges = [_edge(vs[i], us[i]) for i in range(k)] + [
+        _edge(vs[i], ws[i]) for i in range(k)
+    ]
+    if any(u == v for u, v in cycle_edges + cross_edges + spoke_edges):
+        return None
+    if direction == "forward":
+        deleted, added = cycle_edges + cross_edges, spoke_edges
+    elif direction == "backward":
+        deleted, added = spoke_edges, cycle_edges + cross_edges
+    else:
+        raise InvalidInputError(f"unknown direction {direction!r}")
+    if len(set(deleted)) != 2 * k or len(set(added)) != 2 * k:
+        return None
+    if any(e not in g.edges for e in deleted):
+        return None
+    if any(e in g.edges for e in added):
+        return None
+    edges = (set(g.edges) - set(deleted)) | set(added)
+    try:
+        return SimpleGraph(g.n, g.d, edges)
+    except InvalidInputError:
+        return None
 
 
 def pairing_model_graph(

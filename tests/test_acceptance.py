@@ -22,14 +22,19 @@ from regraph.graphs import (
     SimpleGraph,
     SwitchingChain,
     _forward_option_counts,
-    apply_switching,
     sample_permutation_model,
     sample_uniform_model,
     simple_cycle_census,
 )
 from regraph.words import count_reduced_words
 
-from oracles import enumerate_labeled_regular_graphs, halvings, sample_yule, size_bias_coupling
+from oracles import (
+    apply_switching,
+    enumerate_labeled_regular_graphs,
+    halvings,
+    sample_yule,
+    size_bias_coupling,
+)
 
 
 def _cov_and_se(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

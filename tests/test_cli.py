@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import regraph
 from regraph import cli, errors, growth, limitproc, poissonlab, walks, words
 from regraph.errors import InvalidInputError, ResourceLimitError
 
@@ -336,21 +337,37 @@ def test_out_in_config_keeps_its_text(tmp_path, capsys, monkeypatch, value):
     assert sorted(path.name for path in (tmp_path / value).iterdir()) == ["report.json"]
 
 
-@pytest.mark.parametrize("case", ["config-not-utf-8", "out-is-a-file", "out-below-a-file"])
+@pytest.mark.parametrize("case", ["config-not-utf-8", "out-is-a-file", "out-below-a-file",
+                                  "out-name-too-long", "out-name-too-long-in-existing-dir",
+                                  "out-null-byte-in-config"])
 def test_unreadable_config_or_unusable_out_exits_2(tmp_path, capsys, case):
     (tmp_path / "file").write_text("kept\n")
     cfg = _write(tmp_path, "ok.cfg", _VALID["sample"])
-    out = tmp_path / "new" / "out"
+    out = {"out-is-a-file": tmp_path / "file",
+           "out-below-a-file": tmp_path / "file" / "out",
+           "out-name-too-long": tmp_path / "new" / ("a" * 300),
+           "out-name-too-long-in-existing-dir": tmp_path / ("a" * 300),
+           }.get(case, tmp_path / "new" / "out")
+    argv = ["sample", "--config", str(cfg), "--out", str(out)]
     if case == "config-not-utf-8":
         cfg.write_bytes(b"\xff" + _VALID["sample"].encode())
-    else:
-        out = tmp_path / "file" if case == "out-is-a-file" else tmp_path / "file" / "out"
+    elif case == "out-null-byte-in-config":
+        cfg.write_text(_VALID["sample"] + f"out = {tmp_path / 'new' / 'a'}\0b\n")
+        argv = argv[:3]
     before = sorted(tmp_path.rglob("*"))
-    assert _run("sample", cfg, out) == 2
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert sorted(tmp_path.rglob("*")) == before
     assert (tmp_path / "file").read_text() == "kept\n"
+
+
+def test_report_version_is_the_package_version(tmp_path):
+    # a source checkout is not installed, and its reports still name its version
+    cfg = _write(tmp_path, "ok.cfg", _VALID["sample"])
+    assert _run("sample", cfg, tmp_path / "out") == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["version"] == "v" + regraph.__version__
 
 
 def test_uniform_poisson_test_past_ten_thousand_samples_runs(tmp_path):

@@ -22,13 +22,13 @@ from regraph.graphs import (
     _cycles_through_edges,
     _edge,
     _forward_option_counts,
-    apply_switching,
     sample_permutation_model,
     sample_uniform_model,
     simple_cycle_census,
 )
 
 from oracles import (
+    apply_switching,
     canonical,
     contained_in,
     enumerate_labeled_regular_graphs,
@@ -868,6 +868,19 @@ def test_switching_chain_replays_its_draws():
     replay = json.dumps([moved, sorted(chain.graph.edges)]).encode()
     assert hashlib.sha256(replay).hexdigest() == (
         "7c7062d2e6e00b78fa822e5de021e7276b0ecebc544adb8b58ce7a417c7c5fee")
+
+
+@pytest.mark.parametrize("n, d, r", [(12, 3, 4), (16, 4, 3)])
+def test_switching_chain_patches_complement_rows(n, d, r):
+    # the chain patches only the complement rows a switching touches; a
+    # wrong row shows in the cycle lists only once it changes a short cycle
+    rng = np.random.default_rng([n, d, r])
+    chain = SwitchingChain(sample_uniform_model(n, d, rng), r, rng, validity="structural")
+    moved = 0
+    for _ in range(300):
+        moved += chain.step()
+        assert chain._co_neighbors == _complement_neighbors(chain.graph)
+    assert moved > 0
 
 
 def test_switching_chain_census_mode_freezes_small_graphs():
