@@ -5,10 +5,11 @@ identified when they use the same edge set.  In the permutation model an edge
 is a (label, source) pair and every cycle carries a cyclically reduced word.
 
 Closed cyclically non-backtracking walk counts are traces of powers of the
-directed non-backtracking edge matrix B; a closed walk of length k is ceil(k/2)
-steps out and floor(k/2) back, so only sparse powers up to B^ceil(r/2) are
-made.  Subtracting the walks that merely trace out cycles leaves the "bad"
-walks, which vanish on graphs whose short cycles are vertex-disjoint.
+directed non-backtracking edge matrix B, held as a successor table; a closed
+walk of length k is ceil(k/2) steps out and floor(k/2) back, so only sparse
+powers up to B^ceil(r/2) are made, each as sorted (key, count) arrays.
+Subtracting the walks that merely trace out cycles leaves the "bad" walks,
+which vanish on graphs whose short cycles are vertex-disjoint.
 """
 
 from __future__ import annotations
@@ -117,16 +118,13 @@ def enumerate_cycles(g, r: int) -> CycleCensus:
 # non-backtracking edge matrix
 
 
-def nb_edge_matrix(g) -> sp.csr_matrix:
-    """Directed-edge matrix B with B[e, f] = 1 when f follows e without
-    reversing it: the head incidence times the tail incidence, less the
-    reversal permutation.  A uniform-model edge u < v, i-th in sorted order,
-    gives directed edges 2i = (u, v) and 2i + 1 = (v, u); a permutation-model
-    edge (l, x) gives l n + x, from x to pi_l(x), and its reverse d n + l n + x."""
-    # imported here, not at module top, so that only an NB trace pays
-    # scipy.sparse's import (about 0.25 s)
-    import scipy.sparse as sp
-
+def _nb_successors(g) -> tuple[np.ndarray, np.ndarray]:
+    """The directed-edge matrix B as a successor table, and each directed
+    edge's reverse.  Row e of the (ne, q) table lists in increasing order the
+    q = degree - 1 edges f with B[e, f] = 1: those leaving the head of e, less
+    its reverse.  A uniform-model edge u < v, i-th in sorted order, gives
+    directed edges 2i = (u, v) and 2i + 1 = (v, u); a permutation-model edge
+    (l, x) gives l n + x, from x to pi_l(x), and its reverse d n + l n + x."""
     if isinstance(g, SimpleGraph):
         pairs = np.array(sorted(g.edges), dtype=np.int64).reshape(-1, 2)
         tails, heads = pairs.ravel(), pairs[:, ::-1].ravel()
@@ -138,46 +136,83 @@ def nb_edge_matrix(g) -> sp.csr_matrix:
         rev = np.roll(np.arange(tails.size), tails.size // 2)
     else:
         raise InvalidInputError(f"unsupported graph type {type(g)!r}")
-    ne = tails.size
-    ones, rows = np.ones(ne, dtype=np.int64), np.arange(ne + 1)
-    head_of = sp.csr_matrix((ones, heads, rows), shape=(ne, g.n))
-    leaving = sp.csc_matrix((ones, tails, rows), shape=(g.n, ne))
-    return head_of @ leaving - sp.csr_matrix((ones, rev, rows), shape=(ne, ne))
+    # each vertex is the tail of exactly `degree` edges, listed in increasing
+    # order by the stable sort
+    leaving = np.argsort(tails, kind="stable").reshape(g.n, g.degree)[heads]
+    return leaving[leaving != rev[:, None]].reshape(tails.size, g.degree - 1), rev
 
 
 def nb_trace_bytes(ne: int, degree: int, r: int) -> int:
-    """Bytes ``cnbw_via_nb_matrix`` may hold, from the shape alone: CSR powers
-    B^0 .. B^ceil(r/2), a row of B^j holding at most min(ne, q^j) entries of 12
-    bytes, q = degree - 1; the last trace's copy of B^floor(r/2), product buffer
-    and trimmed product; per edge, B's build (96 + 24 degree bytes), row
-    pointers and the sparse kernels' work arrays; 64 KiB of Python objects."""
+    """Bytes ``cnbw_via_nb_matrix`` may hold, from the shape alone: the powers
+    B^0 .. B^h, h = ceil(r/2), at 16 bytes an entry (key and count), a row of
+    B^j holding at most min(ne, q^j) entries, q = degree - 1; then the larger
+    of the last product's q-fold expansion of B^(h-1), 48 bytes an entry with
+    its sort order, and the last trace's lookup, 16 bytes an entry of B^h and
+    56 of B^floor(r/2); per edge, the successor table's build and renumbering
+    (64 + 40 degree bytes); 64 KiB of Python objects."""
     q, h = degree - 1, (r + 1) // 2
     # past j = 64 the row bound is min(ne, q^64), as q^64 >= 2^64 > ne if q >= 2
     rows = [min(ne, q**j) for j in range(min(h, 64) + 1)]
-    entries = ne * (sum(rows) + (h + 1 - len(rows)) * rows[-1])
-    last, half = ne * rows[-1], ne * rows[min(r // 2, 64)]
-    return 12 * (entries + last + 3 * half) + (4 * h + 132 + 24 * degree) * (ne + 1) + 2**16
+    powers = ne * (sum(rows) + (h + 1 - len(rows)) * rows[-1])
+    product = ne * q * rows[min(h - 1, 64)]
+    lookup = ne * (16 * rows[-1] + 56 * rows[min(r // 2, 64)])
+    return 16 * powers + max(48 * product, lookup) + (64 + 40 * degree) * ne + 2**16
+
+
+def _times_nb(keys: np.ndarray, counts: np.ndarray,
+              nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P B from P, each as sorted keys e ne + f and their int64 counts, with B
+    as the (ne, q) successor table ``nxt``: every entry goes to its q
+    successors, and the counts of a repeated key are summed."""
+    cols = keys % len(nxt)
+    keys = ((keys - cols)[:, None] + nxt[cols]).ravel()
+    order = np.argsort(keys)
+    keys, counts = keys[order], counts.repeat(nxt.shape[1])[order]
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    return keys[starts], np.add.reduceat(counts, starts)
 
 
 def cnbw_via_nb_matrix(g, r: int) -> np.ndarray:
     """Closed cyclically non-backtracking walk counts for lengths 1..r:
-    tr(B^k) is the sum of P_ceil(k/2)[e, f] P_floor(k/2)[f, e], P_j = B^j.
-    Rows of B^k sum to (degree - 1)^k, which bounds every count."""
+    tr(B^k) is the diagonal sum of P_k = B^k up to k = ceil(r/2), and past it
+    the sum of P_ceil(k/2)[e, f] P_floor(k/2)[f, e].  Rows of B^k sum to
+    (degree - 1)^k, which bounds every count."""
     if r < 1:
         raise InvalidInputError(f"need r >= 1, got {r}")
     ne = g.degree * g.n  # directed edges, the rows of the edge matrix
     if ne * (g.degree - 1) ** min(r, 64) > np.iinfo(np.int64).max:
         raise ResourceLimitError(f"walk counts of length {r} on {ne} edges could overflow int64")
     check_bytes(nb_trace_bytes(ne, g.degree, r), f"NB trace with {ne} edges to length {r}")
-    import scipy.sparse as sp  # only here, as in nb_edge_matrix
-
-    b = nb_edge_matrix(g)
-    powers = [sp.identity(ne, dtype=np.int64, format="csr"), b]
-    while len(powers) <= (r + 1) // 2:
-        powers.append(powers[-1] @ b)
     out = np.zeros(r, dtype=np.int64)
-    for k in range(1, r + 1):
-        out[k - 1] = powers[(k + 1) // 2].multiply(powers[k // 2].T).sum()
+    if g.degree < 2:
+        return out  # an edge goes on only by its reverse, if at all
+    succ, rev = _nb_successors(g)
+    # renumber so that the reverse of e is ne - 1 - e: reversing both edges
+    # maps B to its transpose, so P_j[f, e] = P_j[ne - 1 - e, ne - 1 - f]
+    fwd = np.flatnonzero(np.arange(ne) < rev)  # one edge of each pair
+    label = np.empty(ne, dtype=np.int64)
+    label[fwd] = np.arange(fwd.size)
+    label[rev[fwd]] = ne - 1 - np.arange(fwd.size)
+    nxt = np.empty_like(succ)
+    nxt[label] = label[succ]
+    # P_j as its sorted keys e ne + f and their int64 counts
+    keys, counts = np.arange(0, ne * ne, ne + 1), np.ones(ne, dtype=np.int64)
+    powers = [(keys, counts)]
+    for j in range(1, (r + 1) // 2 + 1):
+        keys, counts = _times_nb(keys, counts, nxt)
+        powers.append((keys, counts))
+        out[j - 1] = counts[keys % (ne + 1) == 0].sum()  # the diagonal, e (ne + 1)
+    for k in range((r + 1) // 2 + 1, r + 1):
+        ka, ca = powers[(k + 1) // 2]
+        kb, cb = powers[k // 2]
+        # P_b[f, e] is held at the key ne^2 - 1 - (e ne + f), so want holds
+        # the keys of P_b's transpose, ascending; the keys are unique on each
+        # side, so a key twice in the merge is a match, and the stable sort
+        # merges the two sorted runs in one pass
+        want = ne * ne - 1 - kb[::-1]
+        merged = np.sort(np.concatenate([ka, want]), kind="stable")
+        both = merged[1:][merged[1:] == merged[:-1]]
+        out[k - 1] = ca[np.searchsorted(ka, both)] @ cb[::-1][np.searchsorted(want, both)]
     return out
 
 

@@ -39,7 +39,7 @@ def _nb_trace(monkeypatch):
     @contextmanager
     def no_edge_matrix():
         with monkeypatch.context() as m:
-            m.setattr(walks, "nb_edge_matrix", lambda g: pytest.fail("edge matrix built"))
+            m.setattr(walks, "_nb_successors", lambda g: pytest.fail("edge matrix built"))
             yield
 
     return (walks.nb_trace_bytes(g.degree * g.n, g.degree, 6),

@@ -288,7 +288,8 @@ def test_errors_holds_the_only_byte_cap():
 
 # A fresh interpreter runs a small permutation poisson-test through the CLI,
 # lists which of the two heavy scipy subpackages it loaded, then calls the
-# GFF rule and the NB trace, which imports scipy.sparse, and prints their values.
+# GFF rule and the NB trace, prints their values and lists every scipy module
+# loaded by then.
 _FRESH_CLI = """
 import json, sys, tempfile
 from pathlib import Path
@@ -304,7 +305,8 @@ from regraph import gffcheck, graphs, walks
 g = graphs.sample_permutation_model(12, 2, np.random.default_rng(7))
 print(json.dumps({"code": code, "loaded": loaded,
                   "gff": gffcheck.gff_cheb_covariance(1, 1, 0.0, 0.3),
-                  "cnbw": walks.cnbw_via_nb_matrix(g, 6).tolist()}))
+                  "cnbw": walks.cnbw_via_nb_matrix(g, 6).tolist(),
+                  "after": sorted(m for m in sys.modules if m.startswith("scipy"))}))
 """
 
 
@@ -314,7 +316,8 @@ def test_cli_run_loads_neither_scipy_integrate_nor_sparse():
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["code"] == 0
     assert result["loaded"] == []
-    # the functions that import them inside still give the in-process values
+    assert result["after"] == []
+    # and the GFF rule and the NB trace give the in-process values
     g = graphs.sample_permutation_model(12, 2, np.random.default_rng(7))
     assert result["gff"] == gffcheck.gff_cheb_covariance(1, 1, 0.0, 0.3)
     assert result["cnbw"] == walks.cnbw_via_nb_matrix(g, 6).tolist()
@@ -369,6 +372,6 @@ def test_scipy_submodule_detector():
                                         "scipy.stats", "scipy.linalg"}
 
 
-def test_src_imports_no_scipy_submodule_but_sparse():
+def test_src_imports_no_scipy():
     found = {path.name: scipy_submodules(path.read_text()) for path in SOURCES}
-    assert set().union(*found.values()) == {"scipy.sparse"}
+    assert set().union(*found.values()) == set()

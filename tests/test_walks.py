@@ -22,7 +22,6 @@ from regraph.walks import (
     batch_class_counts,
     cnbw_via_nb_matrix,
     enumerate_cycles,
-    nb_edge_matrix,
     perm_graph_cycles,
 )
 from regraph.words import counts_by_length
@@ -32,7 +31,7 @@ from oracles import bad_walk_probe, canonical, cnbw_from_cycles, contained_in
 
 def _brute_force_cnbw(g, r):
     """Count closed cyclically non-backtracking walks by direct enumeration."""
-    b = nb_edge_matrix(g).toarray()
+    b = _loop_nb_edge_matrix(g).toarray()
     ne = b.shape[0]
     out = np.zeros(r, dtype=np.int64)
     # walks of length k = closed paths e_1 -> ... -> e_k in the edge digraph
@@ -65,7 +64,7 @@ def test_cnbw_matches_brute_force_uniform_model():
 
 def _loop_nb_edge_matrix(g):
     """The edge matrix built edge by edge: directed edges indexed as in
-    ``walks.nb_edge_matrix``, and f follows e when f leaves the head of e
+    ``walks._nb_successors``, and f follows e when f leaves the head of e
     and is not its reverse."""
     tails, heads, rev = [], [], []
     if isinstance(g, SimpleGraph):
@@ -138,20 +137,20 @@ def _nb_case(draw):
 @example((SimpleGraph(6, 1, [(0, 3), (1, 2), (4, 5)]), 5))  # a matching: no NB walk
 def test_nb_edge_matrix_and_trace_match_loop_oracle(case):
     g, r = case
-    b = nb_edge_matrix(g)
+    succ, _ = walks._nb_successors(g)
     expected = _loop_nb_edge_matrix(g)
-    assert b.dtype == np.int64 and b.shape == expected.shape
-    assert b.nnz == expected.nnz and (b != expected).nnz == 0
+    assert succ.dtype == np.int64 and succ.shape == (expected.shape[0], g.degree - 1)
+    assert succ.tolist() == [sorted(row) for row in expected.tolil().rows]
     counts = cnbw_via_nb_matrix(g, r)
     assert counts.dtype == np.int64
     assert counts.tolist() == _dense_power_traces(expected, r)
 
 
 def test_nb_trace_refuses_past_the_byte_estimate(monkeypatch):
-    # rows of B^7 hold up to 3^7 of the 80,000 edges: about 11.6 GB
+    # rows of B^7 hold up to 3^7 of the 80,000 edges: about 16.8 GB
     g = sample_permutation_model(20_000, 2, np.random.default_rng(0))
     assert walks.nb_trace_bytes(80_000, 4, 14) > errors.BYTE_CAP
-    monkeypatch.setattr(walks, "nb_edge_matrix", lambda g: pytest.fail("edge matrix built"))
+    monkeypatch.setattr(walks, "_nb_successors", lambda g: pytest.fail("edge matrix built"))
     with pytest.raises(ResourceLimitError):
         cnbw_via_nb_matrix(g, 14)
 
@@ -182,7 +181,7 @@ def test_nb_trace_refuses_overflow_before_building(monkeypatch):
     counts = cnbw_via_nb_matrix(g, 24)
     assert counts.tolist() == _dense_power_traces(_loop_nb_edge_matrix(g), 24)
     assert walks.nb_trace_bytes(60, 6, 25) < errors.BYTE_CAP
-    monkeypatch.setattr(walks, "nb_edge_matrix", lambda g: pytest.fail("edge matrix built"))
+    monkeypatch.setattr(walks, "_nb_successors", lambda g: pytest.fail("edge matrix built"))
     with pytest.raises(ResourceLimitError, match="overflow"):
         cnbw_via_nb_matrix(g, 25)
 
