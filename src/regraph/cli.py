@@ -219,6 +219,15 @@ def validate(config: ExperimentConfig) -> list[str]:
     return violations
 
 
+# most trajectory.csv lines kept for reuse, over all columns (the limit-sim
+# benchmark config keeps 665); and the bytes of a kept line beside its key:
+# its str of up to 64 other characters, its count and its dict slot
+# (tracemalloc read 100-155 at 20 to 80 characters, and 288 for a column's
+# first line, whose dict then makes its table)
+_TRAJECTORY_LINES = 2**11
+_TRAJECTORY_LINE_BYTES = 160
+
+
 def _trajectory_bytes(replicas: int, grid_size: int, classes: int, lengths: int) -> float:
     """Bytes of the counts a grow or limit-sim run holds until trajectory.csv
     is written: the int64 (R, G, C) counts twice while the runs' counts are
@@ -226,6 +235,17 @@ def _trajectory_bytes(replicas: int, grid_size: int, classes: int, lengths: int)
     (R, G·(C+K)) value table together; a replica's values become a list only
     as its rows are written."""
     return 16.0 * replicas * grid_size * (classes + lengths)
+
+
+def _trajectory_lines_bytes(replicas: int, grid_size: int, classes: int, lengths: int) -> float:
+    """Bytes the trajectory.csv writer holds beside the counts: up to
+    _TRAJECTORY_LINES kept lines, each with a key of at most 2K - 1
+    characters, and five lines' worth a column: the column's own object and
+    its first line's table; in a replica's block in the making, its value
+    and line and the block's copy; and the body's name of its class."""
+    columns = grid_size * (classes + lengths)
+    return (min(_TRAJECTORY_LINES, replicas * columns) + 5 * columns) * (
+        _TRAJECTORY_LINE_BYTES + 2.0 * lengths)
 
 
 # bytes of a grow run's own Python objects beyond its counts: its events
@@ -248,7 +268,7 @@ _SNAPSHOT_BYTES = 128
 # a csv writer's record buffer, 32,768 4-byte characters from its first row on
 _CSV_WRITER_BYTES = 2**17
 # what a grow run holds beside its counts and events once its runs are done
-# and its CSVs are written: the body's class names, the trajectory template
+# and its CSVs are written: the body's class names, the trajectory columns
 # and the report (tracemalloc read up to 30 KB at d = 2, r = 4, one replica)
 _GROW_BODY_BYTES = 48 * 1024
 
@@ -256,15 +276,15 @@ _GROW_BODY_BYTES = 48 * 1024
 def _grow_bytes(params: dict[str, Any]) -> float:
     """Peak bytes of a valid grow run: its held counts, its runs' own objects
     and events, and the block of runs in progress or, once the runs are
-    done, its body and a csv writer's buffer.  A k-cycle count is stationary
-    with mean a(d, k)/2k and turns over at rate k, so k-cycles are born at
-    rate a(d, k)/2 (a: cyclically reduced words).  A run starts from the
-    empty graph and has e^t - 1 vertices at time t on average, capped at
-    ``growth.MAX_VERTICES``, and its block is charged the census of every
-    run's snapshots at that size, their int64 arrays and headers.  The run
-    in progress is charged its tower and clock for the largest run at s + T:
-    a run has about e^t W vertices, W ~ Exp(1), and the largest of R such W
-    passes ln R + 4 with probability at most e^-4."""
+    done, its body and the trajectory.csv writer's lines and buffer.  A
+    k-cycle count is stationary with mean a(d, k)/2k and turns over at rate
+    k, so k-cycles are born at rate a(d, k)/2 (a: cyclically reduced words).
+    A run starts from the empty graph and has e^t - 1 vertices at time t on
+    average, capped at ``growth.MAX_VERTICES``, and its block is charged the
+    census of every run's snapshots at that size, their int64 arrays and
+    headers.  The run in progress is charged its tower and clock for the
+    largest run at s + T: a run has about e^t W vertices, W ~ Exp(1), and the
+    largest of R such W passes ln R + 4 with probability at most e^-4."""
     p = _read("grow", params)[0]
     d, r = p["d"], p["r"]
     times = [p["s"] + t for t in p["grid"]]
@@ -280,19 +300,24 @@ def _grow_bytes(params: dict[str, Any]) -> float:
                   growth.MAX_VERTICES)
     in_progress = (_GROW_CLOCK_BYTES + GROWTH_EVENT_BYTES * events
                    + largest * _LABEL_VERTEX_BYTES * d + block * snapshots)
-    return (_trajectory_bytes(p["replicas"], len(times), len(words.classes_upto(d, r)), r)
+    shape = (p["replicas"], len(times), len(words.classes_upto(d, r)), r)
+    return (_trajectory_bytes(*shape)
             + (_GROW_RUN_BYTES + EVENT_BYTES * events) * p["replicas"]
-            + max(in_progress, _GROW_BODY_BYTES + _CSV_WRITER_BYTES))
+            + max(in_progress,
+                  _GROW_BODY_BYTES + _CSV_WRITER_BYTES + _trajectory_lines_bytes(*shape)))
 
 
 def _limit_sim_bytes(params: dict[str, Any]) -> float:
     """Peak bytes of a valid limit-sim run: its held counts, and one chunk
-    simulated at a time."""
+    simulated at a time or, once the chunks are done, the trajectory.csv
+    writer's lines and buffer and the run's own objects."""
     p = _read("limit-sim", params)[0]
     model = limitproc.limit_model(p["d"], p["K"])
     replicas, grid_size = p["replicas"], len(p["grid"])
-    return (_trajectory_bytes(replicas, grid_size, len(model.classes), p["K"])
-            + limitproc.limit_bytes(model, min(replicas, _LIMIT_CHUNK), grid_size, p["T"], True))
+    shape = (replicas, grid_size, len(model.classes), p["K"])
+    chunk = limitproc.limit_bytes(model, min(replicas, _LIMIT_CHUNK), grid_size, p["T"], True)
+    return (_trajectory_bytes(*shape)
+            + max(chunk, _CSV_WRITER_BYTES + _RUN_BYTES + _trajectory_lines_bytes(*shape)))
 
 
 # bytes a sample or cycles run takes a vertex and label (n d of them) of the
@@ -456,31 +481,52 @@ def _body_poisson_test(config: ExperimentConfig) -> tuple[dict, dict[str, Csv]]:
     return body, {"rows.csv": (tuple(rows[0]), (tuple(row.values()) for row in rows))}
 
 
+class _CountLines(dict):
+    """One trajectory.csv column's lines after the run id, by count.  A line
+    is rendered on its first use and kept while the ``room`` the columns
+    share lasts, so the lines kept are bounded whatever the counts are."""
+
+    __slots__ = ("head", "tail", "room")
+
+    def __init__(self, head: str, tail: str, room: list[int]):
+        self.head, self.tail, self.room = head, tail, room
+
+    def __missing__(self, count: int) -> str:
+        line = f"{self.head}{count}{self.tail}"
+        if self.room[0]:
+            self.room[0] -= 1
+            self[count] = line
+        return line
+
+
 def _trajectory_csv(source: str, grid: Sequence[float], classes: Sequence[str],
                     counts: np.ndarray, by_length: np.ndarray) -> Csv:
     """trajectory.csv of (replicas, grid, classes) counts and (replicas, grid, K)
     per-length counts: per replica, per grid time, the classes then lengths 1..K.
 
-    The fixed cells of every line go through the csv module once, into a
-    template with ``%s`` for the run id and the count; each replica's lines
-    are then one ``%`` of it on that replica's values, listed only then."""
+    The fixed cells of each column go through the csv module once, as the
+    text before and after the count; each replica's block is then its run id
+    joined with its columns' lines for its values, listed only then."""
     lengths = [str(k) for k in range(1, by_length.shape[2] + 1)]
-    columns = [(repr(t), key_type, key) for t in grid
-               for key_type, keys in (("word", classes), ("length", lengths))
-               for key in keys]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(("%s", *(cell.replace("%", "%%") for cell in column), "%s",
-                      source.replace("%", "%%")) for column in columns)
-    template = buf.getvalue()
+    writer.writerow(("", source))
+    tail = buf.getvalue()  # ",source\n"
+    room = [_TRAJECTORY_LINES]
+    lines = []
+    for t in grid:
+        for key_type, keys in (("word", classes), ("length", lengths)):
+            for key in keys:
+                buf.seek(0)
+                buf.truncate()
+                writer.writerow(("", repr(t), key_type, key, ""))
+                lines.append(_CountLines(buf.getvalue()[:-1], tail, room))  # ",t,type,key,"
     table = np.concatenate([counts, by_length], axis=2).reshape(len(counts), -1)
 
     def blocks() -> Iterator[str]:
-        args = [0] * (2 * len(columns))  # run id, count, run id, count, ...
         for run_id, values in enumerate(table):
-            args[0::2] = [run_id] * len(columns)
-            args[1::2] = values.tolist()
-            yield template % tuple(args)
+            rid = str(run_id)
+            yield rid + rid.join(map(dict.__getitem__, lines, values.tolist()))
 
     return ("run_id", "t", "key_type", "key", "count", "source"), blocks()
 

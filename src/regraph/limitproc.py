@@ -128,6 +128,9 @@ try:
 except (AttributeError, OSError, TypeError):
     _malloc_trim = None
 TRIM_BYTES = 2**24
+# most grid points at which an atom's grid index is counted by comparison,
+# one pass per point; a longer grid is searched by bisection
+_COMPARE_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -245,6 +248,17 @@ def _place_atoms(table: np.ndarray, start: int, rep: np.ndarray, cls: np.ndarray
         a0 = a1
 
 
+def _grid_index(grid: np.ndarray, t: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The number of grid points below each time of t, which for a
+    nondecreasing grid is np.searchsorted(grid, t)."""
+    if grid.size > _COMPARE_POINTS:
+        return np.searchsorted(grid, t).astype(dtype)
+    index = np.zeros(t.size, dtype=dtype)
+    for point in grid.tolist():
+        index += t > point
+    return index
+
+
 def simulate_limit(
     d: int,
     K: int,
@@ -270,9 +284,11 @@ def simulate_limit(
     are freed.
     """
     grid = np.asarray(grid, dtype=float)
-    if T < 0 or replicas < 1:
-        raise InvalidInputError("need T >= 0 and replicas >= 1")
-    if grid.ndim != 1 or (grid.size and (grid.min() < 0 or grid.max() > T)):
+    if not math.isfinite(T) or T < 0 or replicas < 1:
+        raise InvalidInputError("need a finite T >= 0 and replicas >= 1")
+    if grid.ndim != 1 or not np.isfinite(grid).all():
+        raise InvalidInputError("grid must be a list of finite times")
+    if grid.size and (grid.min() < 0 or grid.max() > T):
         raise InvalidInputError("grid must lie within [0, T]")
     if np.any(np.diff(grid) < 0):
         raise InvalidInputError("grid must be nondecreasing")
@@ -299,19 +315,20 @@ def simulate_limit(
     state_bytes = rep.nbytes + cls.nbytes + t.nbytes + g.nbytes
     for a, b in _chunks(n - n0):
         t[n0 + a:n0 + b] = rng.uniform(0.0, T, b - a)
-        g[n0 + a:n0 + b] = np.searchsorted(grid, t[n0 + a:n0 + b])
+        g[n0 + a:n0 + b] = _grid_index(grid, t[n0 + a:n0 + b], grid_t)
 
     transitions = model.transitions.astype(cls_t)
+    lengths = model.lengths.astype(float)
     cells: list[np.ndarray] = []
     while n:
         # every holding time of the round is drawn before any doubled position
         for a, b in _chunks(n):
             step = rng.standard_exponential(b - a)
-            step /= model.lengths[cls[a:b]]
+            step /= lengths[cls[a:b]]
             t[a:b] += step
             del step
             g0 = g[a:b]
-            g1 = np.searchsorted(grid, t[a:b]).astype(grid_t)
+            g1 = _grid_index(grid, t[a:b], grid_t)
             # the atom is alive, in its class, at the grid points g0 <= g < g1
             hit = np.flatnonzero(g1 > g0)
             cell = rep[a:b][hit].astype(cell_t)

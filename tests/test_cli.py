@@ -723,22 +723,51 @@ def test_trajectory_template_matches_row_oracle(tmp_path, monkeypatch, kind, tex
             == (tmp_path / "rows" / "trajectory.csv").read_bytes())
 
 
-def test_trajectory_template_quotes_and_escapes(tmp_path):
-    # keys holding csv metacharacters and the template's own: the csv module
-    # still decides the quoting, and % and braces come out as they went in
+def test_trajectory_template_quotes_and_escapes(tmp_path, monkeypatch):
+    # keys holding csv metacharacters and a line break: the csv module still
+    # decides the quoting, and % and braces come out as they went in.  With
+    # no lines kept, and with a few, the lines made past the cap are checked
+    # too.
     classes = ["a,b", 'say "hi"', "{0}", "}{", "100%", "%s%d%%", "two\nlines"]
     rng = np.random.default_rng(1)
     counts = rng.integers(0, 10**6, size=(4, 2, len(classes)))
     by_length = rng.integers(0, 10**6, size=(4, 2, 3))
     args = ("lim%s{}", [0.0, 0.1], classes, counts, by_length)
-    cli._write_csv(tmp_path / "template.csv", *cli._trajectory_csv(*args))
     cli._write_csv(tmp_path / "rows.csv", *_row_trajectory_csv(*args))
-    assert (tmp_path / "template.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    for cap in (cli._TRAJECTORY_LINES, 0, 5):
+        monkeypatch.setattr(cli, "_TRAJECTORY_LINES", cap)
+        cli._write_csv(tmp_path / "template.csv", *cli._trajectory_csv(*args))
+        assert (tmp_path / "template.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
     with (tmp_path / "template.csv").open(newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert [row[3] for row in rows[:len(classes)]] == classes
     assert {row[5] for row in rows} == {"lim%s{}"}
     assert len(rows) == 4 * 2 * (len(classes) + 3)
+
+
+_LIMIT_SIM = "d = {}\nK = {}\nT = 1.0\ngrid = {}\nreplicas = {}\n"
+_GRID300 = ", ".join(map(repr, np.linspace(0.0, 1.0, 300).tolist()))
+
+
+@pytest.mark.parametrize("d, K, grid, replicas", [
+    (2, 4, "0.0, 0.5, 1.0", 4096),  # the benchmark config: four chunks of counts
+    (2, 4, "0.0", 1),  # the csv writer's buffer is most of the peak
+    (3, 5, "0.0", 1),  # 434 classes: the columns' own objects and lines
+    (2, 4, _GRID300, 1),  # one long replica block
+    (2, 4, _GRID300, 40),  # more distinct lines than are kept
+], ids=["d2-K4-grid3-4096", "d2-K4-grid1-1", "d3-K5-grid1-1", "d2-K4-grid300-1",
+        "d2-K4-grid300-40"])
+def test_limit_sim_byte_estimate_bounds_tracemalloc_peak(tmp_path, d, K, grid, replicas):
+    text = _LIMIT_SIM.format(d, K, grid, replicas)
+    params = cli.parse_config_file(_write(tmp_path, "l.cfg", text))
+    config = cli.ExperimentConfig("limit-sim", params, seed=3, out=tmp_path / "out")
+    peak = _traced_peak(config)
+    need = cli._limit_sim_bytes(params)
+    with (tmp_path / "out" / "trajectory.csv").open(newline="") as fh:
+        lines = {tuple(row[1:5]) for row in csv.reader(fh)}
+    if replicas == 40:
+        assert len(lines) > cli._TRAJECTORY_LINES
+    assert peak <= need
 
 
 def test_grow_replicas_over_byte_cap_exits_2(tmp_path, capsys, monkeypatch):

@@ -163,6 +163,21 @@ def test_simulate_limit_validates_and_budgets(monkeypatch):
         simulate_limit(2, 3, 1.0, [0.0, 1.0], True, rng, replicas=10**6)
 
 
+@pytest.mark.parametrize("T, grid", [
+    (1.0, [0.0, math.nan, 1.0]),
+    (1.0, [0.0, math.inf]),
+    (math.nan, [0.0]),
+    (math.nan, []),
+    (math.inf, [0.0, 1.0]),
+], ids=["nan-point", "inf-point", "nan-T", "nan-T-no-grid", "inf-T"])
+def test_simulate_limit_refuses_non_finite_times_before_any_draw(T, grid):
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidInputError, match="finite"):
+        simulate_limit(2, 3, T, grid, True, rng, replicas=5)
+    assert rng.bit_generator.state == state
+
+
 def _reference_simulate_limit(d, K, T, grid, stationary_init, rng, replicas=1):
     """The int64 atom loop with one np.add.at per grid offset, kept as the
     oracle of simulate_limit: the same draws in the same order."""
@@ -218,6 +233,10 @@ _ORACLE_CASES = [
     (2, 3, 1.0, [0.2, 0.2, 0.7, 0.7, 0.7], True, 60),  # repeated grid points
     (1, 4, 0.8, [0.3, 0.8], True, 60),  # a grid point at exactly T
     (2, 3, 2.0, list(np.linspace(0.0, 2.0, 300)), True, 20),  # more than 255 points
+    # the most points counted by comparison, repeated points and T among
+    # them, and one point more, which is searched
+    (2, 3, 1.0, [0.0, 0.1, 0.1, 0.3, 0.5, 0.5, 0.9, 1.0], True, 40),
+    (2, 3, 1.0, list(np.linspace(0.0, 1.0, 9)), True, 40),
     (2, 4, 1.0, [0.0, 1.0], True, 1),
     (3, 2, 1.5, [0.5], False, 1),
 ]
@@ -254,6 +273,12 @@ def test_many_atoms_case_spans_several_chunks():
     model = limit_model(d, K)
     atoms = replicas * (model.stationary_means.sum() + model.immigration_rates.sum() * T)
     assert atoms > 4 * limitproc.ATOM_CHUNK
+
+
+def test_oracle_cases_straddle_the_comparison_cutoff():
+    # grid indices are counted by comparison up to the cutoff and searched past it
+    sizes = {len(case[3]) for case in _ORACLE_CASES}
+    assert {limitproc._COMPARE_POINTS, limitproc._COMPARE_POINTS + 1} <= sizes
 
 
 @pytest.mark.parametrize("case", _ORACLE_CASES, ids=_case_id)
