@@ -223,7 +223,9 @@ def validate(config: ExperimentConfig) -> list[str]:
 # benchmark config keeps 665); and the bytes of a kept line beside its key:
 # its str of up to 64 other characters, its count and its dict slot
 # (tracemalloc read 100-155 at 20 to 80 characters, and 288 for a column's
-# first line, whose dict then makes its table)
+# first line, whose dict then makes its table).  A column takes three lines'
+# worth beside its kept lines (tracemalloc read 321-325 bytes a column at
+# d = 2, 3, K = 2..5, 50 to 300 grid points, one replica, no line kept).
 _TRAJECTORY_LINES = 2**11
 _TRAJECTORY_LINE_BYTES = 160
 
@@ -240,11 +242,11 @@ def _trajectory_bytes(replicas: int, grid_size: int, classes: int, lengths: int)
 def _trajectory_lines_bytes(replicas: int, grid_size: int, classes: int, lengths: int) -> float:
     """Bytes the trajectory.csv writer holds beside the counts: up to
     _TRAJECTORY_LINES kept lines, each with a key of at most 2K - 1
-    characters, and five lines' worth a column: the column's own object and
-    its first line's table; in a replica's block in the making, its value
-    and line and the block's copy; and the body's name of its class."""
+    characters, and three lines' worth a column: the column's own object and
+    head; in a replica's block in the making, its value and line and the
+    block's copy; and the body's name of its class."""
     columns = grid_size * (classes + lengths)
-    return (min(_TRAJECTORY_LINES, replicas * columns) + 5 * columns) * (
+    return (min(_TRAJECTORY_LINES, replicas * columns) + 3 * columns) * (
         _TRAJECTORY_LINE_BYTES + 2.0 * lengths)
 
 

@@ -764,10 +764,10 @@ def test_limit_sim_byte_estimate_bounds_tracemalloc_peak(tmp_path, d, K, grid, r
     peak = _traced_peak(config)
     need = cli._limit_sim_bytes(params)
     with (tmp_path / "out" / "trajectory.csv").open(newline="") as fh:
-        lines = {tuple(row[1:5]) for row in csv.reader(fh)}
+        lines = {tuple(row[1:5]) for row in list(csv.reader(fh))[1:]}
     if replicas == 40:
         assert len(lines) > cli._TRAJECTORY_LINES
-    assert peak <= need
+    assert need / 2 < peak <= need
 
 
 def test_grow_replicas_over_byte_cap_exits_2(tmp_path, capsys, monkeypatch):

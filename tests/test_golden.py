@@ -18,10 +18,12 @@ import pytest
 from regraph import cli
 
 _NINE_POINTS = ", ".join(repr(i / 8) for i in range(9))
+_193_POINTS = ", ".join(repr(i / 192) for i in range(193))
 
 # case -> (kind, config text); both models wherever a kind has a model field.
 # limit-sim runs two chunks of replicas on a three-point grid, and one chunk
-# on a nine-point grid.
+# on a nine-point grid and on a 193-point grid, one point past those at which
+# simulate_limit finds an atom's grid index by comparison.
 CASES = {
     "sample-permutation": ("sample", "model = permutation\nn = 12\nd = 2\ncount = 3\n"),
     "sample-uniform": ("sample", "model = uniform\nn = 10\nd = 3\ncount = 3\n"),
@@ -38,6 +40,8 @@ CASES = {
                                "replicas = 1100\n"),
     "limit-sim-nine-points": ("limit-sim", f"d = 2\nK = 3\nT = 1.0\ngrid = {_NINE_POINTS}\n"
                                            "replicas = 40\n"),
+    "limit-sim-193-points": ("limit-sim", f"d = 2\nK = 3\nT = 1.0\ngrid = {_193_POINTS}\n"
+                                          "replicas = 4\n"),
     "gff-check": ("gff-check", "jmax = 2\nkmax = 3\nlags = 0.0, 0.5\n"),
 }
 
@@ -83,6 +87,10 @@ GOLDEN = {
         'body': 'ccb41e59383790acea803e9c7bb4078adea13562728438e0e4eee4552b286198',
         'trajectory.csv': '80d8be7da13ad06a4b527bf12aefed73e8b6971548a5a63efafb896f70324153',
     },
+    'limit-sim-193-points': {
+        'body': 'ea8edf3f24cc48c10bbc59f9ecb157724a46885fbde3409e15ec2a29c9f412f5',
+        'trajectory.csv': '6386338e3d42f222c386de143bc21e08f58aa0b1fe2f75aa935e7ab8eef9ab92',
+    },
     'gff-check': {
         'body': '6c96a67346bcd5a295b4910dce29e9a5145e21e42b8b31772295cc77261cae7c',
         'pairs.csv': 'ec593b1d81a8bba553a44a0d4539cf0b1265b376d584672eacc475c625c5045a',
@@ -100,8 +108,12 @@ def _digests(out) -> dict[str, str]:
 
 
 def _versions() -> str:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+    """numpy's version, and its BLAS where this numpy build reports it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError, AttributeError):  # numpy < 1.25, or no BLAS entry
+        return f"numpy {np.__version__}, BLAS unknown"
 
 
 @pytest.mark.parametrize("case", CASES)

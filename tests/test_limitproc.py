@@ -233,10 +233,10 @@ _ORACLE_CASES = [
     (2, 3, 1.0, [0.2, 0.2, 0.7, 0.7, 0.7], True, 60),  # repeated grid points
     (1, 4, 0.8, [0.3, 0.8], True, 60),  # a grid point at exactly T
     (2, 3, 2.0, list(np.linspace(0.0, 2.0, 300)), True, 20),  # more than 255 points
-    # the most points counted by comparison, repeated points and T among
-    # them, and one point more, which is searched
-    (2, 3, 1.0, [0.0, 0.1, 0.1, 0.3, 0.5, 0.5, 0.9, 1.0], True, 40),
-    (2, 3, 1.0, list(np.linspace(0.0, 1.0, 9)), True, 40),
+    # the most points counted by comparison (192), repeated points and T
+    # among them, and one point more, which is searched
+    (2, 3, 1.0, sorted([*np.linspace(0.0, 1.0, 189).tolist(), 0.5, 0.5, 1.0]), True, 40),
+    (2, 3, 1.0, list(np.linspace(0.0, 1.0, 193)), True, 40),
     (2, 4, 1.0, [0.0, 1.0], True, 1),
     (3, 2, 1.5, [0.5], False, 1),
 ]
